@@ -87,7 +87,10 @@ def run_scenario(config: ScenarioConfig, pipeline: str, out_dir: str,
     by :func:`main`); an inequality-check miss returns the verify status
     after writing its summary.
     """
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory: {exc}") from exc
     if seed is None:
         seed = config.seed
     grid = config.grid()
@@ -100,7 +103,7 @@ def run_scenario(config: ScenarioConfig, pipeline: str, out_dir: str,
         table = build_propagator(family, grid, kernel_tol=config.kernel_tol,
                                  columns=columns)
         x0 = config.initial_state(dim)
-        values = np.stack([table.apply(i, 0, x0) for i in range(grid.n_nodes)])
+        values = table.homogeneous(x0)
         _write_csv(os.path.join(out_dir, "trajectory.csv"),
                    _state_header(dim), _trajectory_rows(grid, values))
         for i, j in (dump_pairs or []):
@@ -119,13 +122,12 @@ def run_scenario(config: ScenarioConfig, pipeline: str, out_dir: str,
     table = build_propagator(family, grid, kernel_tol=config.kernel_tol)
     b_matrix = config.control_matrix(dim)
     fun, gamma_growth = config.nonlinearity()
-    x0 = config.initial_state(dim)
+    problem = ControlProblem(family=family, grid=grid,
+                             x0=config.initial_state(dim), b_matrix=b_matrix,
+                             nonlinearity=fun, picard_tol=config.picard_tol,
+                             max_iter=config.max_iter)
 
     if pipeline == "solve":
-        problem = ControlProblem(family=family, grid=grid, x0=x0,
-                                 b_matrix=b_matrix, nonlinearity=fun,
-                                 picard_tol=config.picard_tol,
-                                 max_iter=config.max_iter)
         result = picard_solve(problem, table)
         values = result.trajectory.values
         _write_csv(os.path.join(out_dir, "trajectory.csv"),
@@ -154,10 +156,6 @@ def run_scenario(config: ScenarioConfig, pipeline: str, out_dir: str,
 
     if pipeline == "control":
         gramian = build_gramian(family, b_matrix, table)
-        problem = ControlProblem(family=family, grid=grid, x0=x0,
-                                 b_matrix=b_matrix, nonlinearity=fun,
-                                 picard_tol=config.picard_tol,
-                                 max_iter=config.max_iter)
         report = contraction_report(problem, table, gramian,
                                     gamma_growth=gamma_growth)
         summary.update(contraction_lhs=report.lhs,

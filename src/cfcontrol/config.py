@@ -29,6 +29,7 @@ Recognized keys (see README for the full schema):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -120,7 +121,11 @@ class ScenarioConfig:
             if len(words) != 2:
                 raise ConfigError("tabulated potential needs a file path",
                                   self.lines.get("potential"))
-            data = np.loadtxt(words[1], delimiter=",", ndmin=2)
+            try:
+                data = np.loadtxt(words[1], delimiter=",", ndmin=2)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"potential: cannot read {words[1]}: {exc}",
+                                  self.lines.get("potential")) from exc
             taus, vals = data[:, 0], data[:, 1]
             alpha = self.alpha
             return lambda t: float(np.interp(t**alpha / alpha, taus, vals))
@@ -204,10 +209,8 @@ class ScenarioConfig:
             raise ConfigError(
                 f"{key} expects {count} numeric value(s), got {len(words)}",
                 self.lines.get(key))
-        try:
-            return [float(w) for w in words]
-        except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}", self.lines.get(key)) from exc
+        return [_parse_scalar(w, self.lines.get(key), key, float)
+                for w in words]
 
 
 def _parse_scalar(raw, line, key, conv, check=None, what=""):
@@ -215,6 +218,8 @@ def _parse_scalar(raw, line, key, conv, check=None, what=""):
         value = conv(raw)
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}", line) from exc
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {raw}", line)
     if check is not None and not check(value):
         raise ConfigError(f"{key} {what}, got {raw}", line)
     return value

@@ -22,6 +22,10 @@ orthogonal complement of its kernel.
 The Gramian is factorized with an escalating-jitter Cholesky; exceeding the
 jitter cap means the truncated system is not exactly null controllable and
 raises :class:`ControllabilityError`.
+
+The semilinear closed loop is the fixed point of one map, x -> the mild
+solution ``hom + V[B u(x) + F(x)]`` under the nonlinearity F and the
+minimum-norm control u(x) for the forcing F(x).
 """
 
 from __future__ import annotations
@@ -32,12 +36,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
-from .errors import (ControllabilityError, ConvergenceError, DomainError,
-                     NullControlFailed)
+from .errors import ControllabilityError, DomainError, NullControlFailed
 from .grids import GridFunction
 from .evolution import OperatorFamily, PropagatorTable
-from .mild import ControlProblem, picard_solve, _homogeneous, \
-    _volterra_accumulate
+from .mild import ControlProblem, iterate_fixed_point, nonlinearity_values
 
 __all__ = [
     "GramianSolve",
@@ -203,19 +205,6 @@ class VerifyResult(NamedTuple):
     passes: bool
 
 
-def _simulate_linear(propagator: PropagatorTable, z0: np.ndarray,
-                     node_values: np.ndarray) -> np.ndarray:
-    """Trajectory of the linear system driven by per-node forcing values."""
-    hom = _homogeneous(propagator, np.asarray(z0, dtype=float))
-    return hom + _volterra_accumulate(propagator, node_values,
-                                      propagator.grid.h)
-
-
-def _control_energy(grid, u_values):
-    w = grid.weights()
-    return float(np.sqrt(np.sum(w * np.sum(u_values**2, axis=1))))
-
-
 def synthesize_null_control(gramian: GramianSolve,
                             z0: np.ndarray,
                             forcing: Optional[GridFunction] = None
@@ -234,13 +223,19 @@ def synthesize_null_control(gramian: GramianSolve,
     drive = u_values @ gramian.b_matrix.T
     if f_values is not None:
         drive = drive + f_values
-    traj = _simulate_linear(gramian.propagator, z0, drive)
-    grid = gramian.grid
+    table = gramian.propagator
+    traj = table.homogeneous(z0) + table.accumulate(drive)
+    return _closed_loop(gramian.grid, u_values, traj)
+
+
+def _closed_loop(grid, u_values, traj, iterations=1):
+    control = GridFunction(grid, u_values)
     return NullControlResult(
-        control=GridFunction(grid, u_values),
+        control=control,
         final_state_norm=float(np.linalg.norm(traj[-1])),
-        control_energy=_control_energy(grid, u_values),
+        control_energy=control.weighted_l2(),
         closed_loop_trajectory=GridFunction(grid, traj),
+        iterations=iterations,
     )
 
 
@@ -293,15 +288,22 @@ def exact_null_control_semilinear(problem: ControlProblem,
                                   null_tol: float = 1e-6) -> NullControlResult:
     """Close the loop on the semilinear system.
 
-    Alternates control synthesis against the current trajectory's
-    nonlinearity with a fixed-point solve of the integral equation under
-    that control, until the trajectory stops moving.  With no nonlinearity
-    this reduces exactly to :func:`synthesize_null_control`.
+    Iterates, from the homogeneous trajectory ``hom``, the single map
+
+        x  ->  hom + V[u(x) B^T + F(x)],
+        u(x) = control_from_target(free_response(x0, F(x))),
+
+    with ``V`` the table's trapezoid Volterra accumulation; the small-gain
+    ``lhs`` of :func:`~cfcontrol.mild.contraction_report` bounds its
+    contraction constant.  ``iterations`` counts sweeps, and the control
+    returned is the one the last sweep applied.  With no nonlinearity this
+    returns exactly :func:`synthesize_null_control`.
 
     Raises
     ------
     ConvergenceError
-        If the outer loop (or an inner fixed-point solve) diverges.
+        If an update of the map is non-finite or passes the divergence
+        guard, or ``max_iter`` sweeps end above ``picard_tol``.
     NullControlFailed
         If the converged loop misses ``null_tol * max(1, ||x0||)``; the
         offending result rides along on the exception.
@@ -312,42 +314,21 @@ def exact_null_control_semilinear(problem: ControlProblem,
         _check_tolerance(result, problem.x0, null_tol)
         return result
 
-    grid = problem.grid
-    n = grid.n_nodes
-    x = _homogeneous(propagator, problem.x0)
+    if propagator.grid is not problem.grid:
+        raise DomainError("propagator and problem must share the same grid")
+    hom = propagator.homogeneous(problem.x0)
     u_values = None
-    outer = 0
-    update = np.inf
-    for outer in range(1, problem.max_iter + 1):
-        f_values = np.stack([np.asarray(fun(grid.t_nodes[r], x[r]), dtype=float)
-                             for r in range(n)])
-        target = gramian.free_response(problem.x0, f_values)
-        u_values = gramian.control_from_target(target)
-        inner_problem = ControlProblem(
-            family=problem.family, grid=grid, x0=problem.x0,
-            b_matrix=problem.b_matrix, nonlinearity=fun,
-            control=GridFunction(grid, u_values),
-            picard_tol=problem.picard_tol, max_iter=problem.max_iter)
-        solved = picard_solve(inner_problem, propagator, x_init=x)
-        update = float(np.max(np.linalg.norm(solved.trajectory.values - x,
-                                             axis=1)))
-        x = solved.trajectory.values
-        if update <= problem.picard_tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"outer synthesis loop did not converge in {problem.max_iter} "
-            f"rounds (last update {update:.3e})",
-            last_norm=update,
-        )
 
-    result = NullControlResult(
-        control=GridFunction(grid, u_values),
-        final_state_norm=float(np.linalg.norm(x[-1])),
-        control_energy=_control_energy(grid, u_values),
-        closed_loop_trajectory=GridFunction(grid, x),
-        iterations=outer,
-    )
+    def sweep(x):
+        nonlocal u_values
+        forcing = nonlinearity_values(fun, problem.grid, x)
+        u_values = gramian.control_from_target(
+            gramian.free_response(problem.x0, forcing))
+        return hom + propagator.accumulate(u_values @ problem.b_matrix.T
+                                           + forcing)
+
+    x, iterations, _ = iterate_fixed_point(sweep, hom, problem)
+    result = _closed_loop(problem.grid, u_values, x, iterations)
     _check_tolerance(result, problem.x0, null_tol)
     return result
 
@@ -373,6 +354,4 @@ def kernel_space_perturbation(gramian: GramianSolve,
     n = gramian.grid.n_nodes
     m = gramian.b_matrix.shape[1]
     w = rng.standard_normal((n, m))
-    image = gramian.apply_reachability(w)
-    y = gramian.solve_gramian(image)
-    return w - np.einsum("rab,a->rb", gramian.control_maps, y)
+    return w + gramian.control_from_target(gramian.apply_reachability(w))

@@ -343,32 +343,29 @@ class SpectralPropagatorTable:
         self.potential_cumint = np.concatenate(
             [[0.0], np.cumsum(0.5 * h * (p[1:] + p[:-1]))]
         )
+        self._sq = np.arange(1, self.family.n_modes + 1, dtype=float) ** 2
         # per-mode exponent E_n(i) = n^2 tau_i + P_i; the largest factor over
         # pairs i >= j is exp(max_j (E_n(j) - min_{i>=j} E_n(i)))
-        sq = np.arange(1, self.family.n_modes + 1, dtype=float) ** 2
-        exponents = sq[None, :] * self.grid.tau_nodes[:, None] \
+        exponents = self._sq[None, :] * self.grid.tau_nodes[:, None] \
             + self.potential_cumint[:, None]
         suffix_min = np.minimum.accumulate(exponents[::-1], axis=0)[::-1]
         self.norm_bound = float(np.exp(np.max(exponents - suffix_min)))
+        self._steps = self._between(np.s_[1:], np.s_[:-1])
 
     @property
     def dim(self) -> int:
         return self.family.n_modes
 
+    def _between(self, i, j) -> np.ndarray:
+        """Mode factors from node(s) ``j`` to node(s) ``i``, shape (..., modes)."""
+        tau, pot = self.grid.tau_nodes, self.potential_cumint
+        return np.exp(-np.multiply.outer(tau[i] - tau[j], self._sq)
+                      - (pot[i] - pot[j])[..., None])
+
     def factors(self, i: int, j: int) -> np.ndarray:
         if j > i:
             raise IndexError("source node must not exceed target node")
-        sq = np.arange(1, self.family.n_modes + 1, dtype=float) ** 2
-        dtau = self.grid.tau_nodes[i] - self.grid.tau_nodes[j]
-        dpot = self.potential_cumint[i] - self.potential_cumint[j]
-        return np.exp(-sq * dtau - dpot)
-
-    def factor_rows(self, i: int) -> np.ndarray:
-        """Mode factors from every node j <= i to node i, shape (i+1, modes)."""
-        sq = np.arange(1, self.family.n_modes + 1, dtype=float) ** 2
-        dtau = self.grid.tau_nodes[i] - self.grid.tau_nodes[: i + 1]
-        dpot = self.potential_cumint[i] - self.potential_cumint[: i + 1]
-        return np.exp(-dtau[:, None] * sq[None, :] - dpot[:, None])
+        return self._between(i, j)
 
     def matrix(self, i: int, j: int) -> np.ndarray:
         return np.diag(self.factors(i, j))
@@ -376,16 +373,24 @@ class SpectralPropagatorTable:
     def apply(self, i: int, j: int, x: np.ndarray) -> np.ndarray:
         return self.factors(i, j) * np.asarray(x, dtype=float)
 
-    def apply_row(self, i: int, values: np.ndarray) -> np.ndarray:
-        rows = values.shape[0]
-        return self.factor_rows(i)[:rows] * values
+    def homogeneous(self, x0: np.ndarray) -> np.ndarray:
+        """``op(i, 0) x0`` at every node i, shape (n_nodes, modes)."""
+        return self._between(np.s_[:], 0) * np.asarray(x0, dtype=float)
+
+    def accumulate(self, values: np.ndarray) -> np.ndarray:
+        """Trapezoid ``int_0^{tau_i} op(i, r) values[r] dtau_r`` at every node i.
+
+        Marches ``acc[i] = op(i, i-1) (acc[i-1] + h/2 v[i-1]) + h/2 v[i]``,
+        which is exact because the mode exponents telescope.
+        """
+        half = 0.5 * self.grid.h * np.asarray(values, dtype=float)
+        acc = np.zeros_like(half)
+        for i, step in enumerate(self._steps, start=1):
+            acc[i] = step * (acc[i - 1] + half[i - 1]) + half[i]
+        return acc
 
     def final_stack(self) -> np.ndarray:
-        rows = self.factor_rows(self.grid.n_nodes - 1)
-        out = np.zeros((self.grid.n_nodes, self.dim, self.dim))
-        idx = np.arange(self.dim)
-        out[:, idx, idx] = rows
-        return out
+        return self._between(-1, np.s_[:])[:, :, None] * np.eye(self.dim)
 
 
 @dataclass
@@ -431,11 +436,21 @@ class DensePropagatorTable:
         self._check(i, j)
         return self.matrices[i, j] @ np.asarray(x, dtype=float)
 
-    def apply_row(self, i: int, values: np.ndarray) -> np.ndarray:
+    def homogeneous(self, x0: np.ndarray) -> np.ndarray:
+        """``op(i, 0) x0`` at every node i, shape (n_nodes, dim)."""
+        self._check(0, 0)
+        return self.matrices[:, 0] @ np.asarray(x0, dtype=float)
+
+    def accumulate(self, values: np.ndarray) -> np.ndarray:
+        """Trapezoid ``int_0^{tau_i} op(i, r) values[r] dtau_r`` at every node i."""
         if self.columns is not None:
-            raise IndexError("row application needs a full propagator table")
-        rows = values.shape[0]
-        return np.einsum("rab,rb->ra", self.matrices[i, :rows], values)
+            raise IndexError("accumulation needs a full propagator table")
+        n = self.grid.n_nodes
+        # row i holds the trapezoid weights over nodes 0..i; row 0 is zero
+        weights = self.grid.h * (np.tril(np.ones((n, n))) - 0.5 * np.eye(n))
+        weights[:, 0] -= 0.5 * self.grid.h
+        return np.einsum("ir,irab,rb->ia", weights, self.matrices,
+                         np.asarray(values, dtype=float))
 
     def final_stack(self) -> np.ndarray:
         if self.columns is not None:

@@ -6,10 +6,13 @@ A mild trajectory satisfies the variation-of-constants equation
              + int_{tau_0}^{tau_i} op(i, s) [B u(s) + F(s, x(s))] dtau_s
 
 on the grid, with the integral discretized by trapezoid weights in tau.
-``picard_solve`` iterates the right-hand side starting from the homogeneous
-trajectory (fewer iterations than a cold start, same fixed point whenever
-the iteration contracts) and reports the residual of the discrete equation
-for the converged iterate.
+The propagator table evaluates both terms itself (``homogeneous`` and
+``accumulate``).  ``picard_solve`` iterates the right-hand side starting
+from the homogeneous trajectory (fewer iterations than a cold start, same
+fixed point whenever the iteration contracts) and reports the residual of
+the discrete equation for the converged iterate.  Its loop,
+``iterate_fixed_point``, also drives the closed-loop map of
+:func:`cfcontrol.control.exact_null_control_semilinear`.
 
 ``contraction_report`` evaluates the small-gain quantity
 
@@ -40,6 +43,8 @@ __all__ = [
     "ContractionReport",
     "PicardResult",
     "picard_solve",
+    "iterate_fixed_point",
+    "nonlinearity_values",
     "contraction_report",
     "horizon_factor",
     "estimate_growth_constant",
@@ -104,24 +109,44 @@ class PicardResult(NamedTuple):
     update_norms: tuple = ()
 
 
-def _homogeneous(table: PropagatorTable, x0: np.ndarray) -> np.ndarray:
-    n = table.grid.n_nodes
-    out = np.zeros((n, x0.size))
-    out[0] = x0
-    for i in range(1, n):
-        out[i] = table.apply(i, 0, x0)
+def nonlinearity_values(fun: Optional[Callable[[float, np.ndarray], np.ndarray]],
+                        grid: TimeGrid, x: np.ndarray) -> np.ndarray:
+    """``F(t_r, x[r])`` at every node r, shape (n_nodes, dim); zero for None."""
+    out = np.zeros_like(x)
+    if fun is not None:
+        for r, t in enumerate(grid.t_nodes):
+            out[r] = np.asarray(fun(t, x[r]), dtype=float)
     return out
 
 
-def _volterra_accumulate(table: PropagatorTable, values: np.ndarray,
-                         h: float) -> np.ndarray:
-    """Trapezoid accumulation int_0^{tau_i} op(i, r) values[r] dtau_r."""
-    n, d = values.shape
-    acc = np.zeros((n, d))
-    for i in range(1, n):
-        row = table.apply_row(i, values[: i + 1])
-        acc[i] = h * (0.5 * row[0] + row[1:i].sum(axis=0) + 0.5 * row[i])
-    return acc
+def iterate_fixed_point(sweep: Callable[[np.ndarray], np.ndarray],
+                        x: np.ndarray, problem: ControlProblem) -> tuple:
+    """Apply ``sweep`` from ``x`` until the sup-norm update reaches tolerance.
+
+    Returns the last iterate, the number of sweeps and the update norms.
+    Raises :class:`ConvergenceError` on a non-finite update, one past
+    ``1e8 * max(1, ||x0||)``, or ``max_iter`` sweeps above ``picard_tol``.
+    """
+    guard = _DIVERGENCE_FACTOR * max(1.0, float(np.linalg.norm(problem.x0)))
+    update = math.inf
+    updates = []
+    for iteration in range(1, problem.max_iter + 1):
+        new = sweep(x)
+        update = float(np.max(np.linalg.norm(new - x, axis=1)))
+        updates.append(update)
+        x = new
+        if not np.isfinite(update) or update > guard:
+            raise ConvergenceError(
+                f"fixed-point sweep diverged (update norm {update:.3e})",
+                last_norm=update,
+            )
+        if update <= problem.picard_tol:
+            return x, iteration, tuple(updates)
+    raise ConvergenceError(
+        f"no convergence in {problem.max_iter} sweeps "
+        f"(last update norm {update:.3e})",
+        last_norm=update,
+    )
 
 
 def picard_solve(problem: ControlProblem,
@@ -154,49 +179,22 @@ def picard_solve(problem: ControlProblem,
     if propagator.grid is not problem.grid:
         raise DomainError("propagator and problem must share the same grid")
     grid = problem.grid
-    n, d = grid.n_nodes, problem.family.dim
-    h = grid.h
-    hom = _homogeneous(propagator, problem.x0)
+    hom = propagator.homogeneous(problem.x0)
 
-    drive = np.zeros((n, d))
-    if problem.control is not None:
-        drive = problem.control.values @ problem.b_matrix.T
+    drive = 0.0 if problem.control is None \
+        else problem.control.values @ problem.b_matrix.T
 
-    fun = problem.nonlinearity
-
-    def rhs_for(x):
-        values = drive.copy()
-        if fun is not None:
-            for r in range(n):
-                values[r] += np.asarray(fun(grid.t_nodes[r], x[r]), dtype=float)
-        return hom + _volterra_accumulate(propagator, values, h)
+    def sweep(x):
+        forcing = nonlinearity_values(problem.nonlinearity, grid, x)
+        return hom + propagator.accumulate(drive + forcing)
 
     x = hom.copy() if x_init is None else np.array(x_init, dtype=float)
-    if x.shape != (n, d):
-        raise DomainError(f"x_init has shape {x.shape}, expected {(n, d)}")
+    if x.shape != hom.shape:
+        raise DomainError(f"x_init has shape {x.shape}, expected {hom.shape}")
 
-    guard = _DIVERGENCE_FACTOR * max(1.0, float(np.linalg.norm(problem.x0)))
-    update = math.inf
-    updates = []
-    for iteration in range(1, problem.max_iter + 1):
-        new = rhs_for(x)
-        update = float(np.max(np.linalg.norm(new - x, axis=1)))
-        updates.append(update)
-        x = new
-        if not np.isfinite(update) or update > guard:
-            raise ConvergenceError(
-                f"fixed-point sweep diverged (update norm {update:.3e})",
-                last_norm=update,
-            )
-        if update <= problem.picard_tol:
-            residual = float(np.max(np.linalg.norm(rhs_for(x) - x, axis=1)))
-            return PicardResult(GridFunction(grid, x), iteration, residual,
-                                tuple(updates))
-    raise ConvergenceError(
-        f"no convergence in {problem.max_iter} sweeps "
-        f"(last update norm {update:.3e})",
-        last_norm=update,
-    )
+    x, iterations, updates = iterate_fixed_point(sweep, x, problem)
+    residual = float(np.max(np.linalg.norm(sweep(x) - x, axis=1)))
+    return PicardResult(GridFunction(grid, x), iterations, residual, updates)
 
 
 def horizon_factor(alpha: float, t1: float, t2: float) -> float:
@@ -234,10 +232,9 @@ def estimate_growth_constant(fun: Callable[[float, np.ndarray], np.ndarray],
     for _ in range(n_samples):
         x = rng.standard_normal(dim)
         x *= radius * rng.uniform(0.05, 1.0) / np.linalg.norm(x)
-        nx = np.linalg.norm(x)
-        for t in grid.t_nodes:
-            fx = np.asarray(fun(t, x), dtype=float)
-            worst = max(worst, float(np.linalg.norm(fx)) / nx)
+        fx = nonlinearity_values(fun, grid, np.tile(x, (grid.n_nodes, 1)))
+        worst = max(worst, float(np.max(np.linalg.norm(fx, axis=1)))
+                    / np.linalg.norm(x))
     return worst
 
 

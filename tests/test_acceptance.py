@@ -552,7 +552,7 @@ def test_criterion_09_semilinear_demo(tmp_path, capsys):
 
     ok = rc == 0 and final <= 1e-5 and iters <= 20 and lhs < 1.0 and loud
     report(9, "semilinear-demo", ok,
-           f"final {final:.1e}, outer iterations {iters}, lhs {lhs:.3f}, "
+           f"final {final:.1e}, sweeps {iters}, lhs {lhs:.3f}, "
            f"over-gain exit {rc_bad}")
     assert rc == 0
     assert final <= 1e-5

@@ -138,9 +138,9 @@ def test_over_gain_config_fails_loudly(tmp_path, capsys):
     out = str(tmp_path / "out")
     rc = main(["control", "--config",
                str(CONFIG_DIR / "heat_over_gain.cfg"), "--out", out])
-    assert rc != 0
+    assert rc == 5
     err = capsys.readouterr().err
-    assert err.startswith("ERROR ")
+    assert err.startswith("ERROR CONVERGENCE: ")
     assert len(err.strip().splitlines()) == 1
 
 
@@ -182,6 +182,28 @@ def test_evolve_final_state_decays(tmp_path):
     # first mode decays by e^{-(1+1)*1}
     assert float(summary["final_state_norm"]) == pytest.approx(
         np.exp(-2.0), rel=1e-9)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"tau_end": "inf"},
+    {"n_modes": "2", "x0": "values 1 nan"},
+    {"potential": "tabulated absent.csv"},
+], ids=["tau_end_inf", "x0_nan", "tabulated_missing"])
+def test_bad_input_is_one_config_error(tmp_path, capsys, overrides):
+    cfg = write_cfg(tmp_path, **overrides)
+    rc = main(["evolve", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR CONFIG: line ")
+
+
+def test_out_path_naming_a_file_is_config_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    rc = main(["evolve", "--config", write_cfg(tmp_path), "--out", str(taken)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR CONFIG: ")
 
 
 def test_missing_config_file_is_config_error(tmp_path, capsys):

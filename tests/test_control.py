@@ -1,5 +1,7 @@
 """Gramian assembly, null-control synthesis, and the inequality check."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,10 @@ from cfcontrol import (ControllabilityError, ControlProblem, ConvergenceError,
                        TimeGrid, build_gramian, build_propagator,
                        exact_null_control_semilinear,
                        kernel_space_perturbation, synthesize_null_control,
-                       verify_null_inequality)
+                       parse_config, verify_null_inequality)
 
 ORDER = FractionalOrder(0.8)
+DEMO = Path(__file__).resolve().parents[1] / "configs" / "heat_null_control.cfg"
 
 
 def scalar_setup(lam=1.0, n=801, alpha=1.0):
@@ -228,6 +231,38 @@ def test_semilinear_small_gain_converges():
                                            null_tol=1e-5)
     assert result.final_state_norm <= 1e-5
     assert result.iterations <= 20
+
+
+def test_semilinear_demo_is_a_fixed_point_of_the_closed_loop_map():
+    cfg = parse_config(DEMO)
+    grid, fam = cfg.grid(), cfg.family()
+    table = build_propagator(fam, grid)
+    b_matrix = cfg.control_matrix(fam.dim)
+    fun, _ = cfg.nonlinearity()
+    problem = ControlProblem(family=fam, grid=grid,
+                             x0=cfg.initial_state(fam.dim), b_matrix=b_matrix,
+                             nonlinearity=fun, picard_tol=cfg.picard_tol,
+                             max_iter=cfg.max_iter)
+    result = exact_null_control_semilinear(
+        problem, build_gramian(fam, b_matrix, table), table,
+        null_tol=cfg.null_tol)
+    x = result.closed_loop_trajectory.values
+    forcing = np.stack([fun(t, x[r]) for r, t in enumerate(grid.t_nodes)])
+    image = table.homogeneous(problem.x0) + table.accumulate(
+        result.control.values @ b_matrix.T + forcing)
+    assert np.max(np.linalg.norm(image - x, axis=1)) <= 10.0 * cfg.picard_tol
+    assert result.final_state_norm <= cfg.null_tol
+
+
+def test_semilinear_rejects_a_table_on_another_grid():
+    fam, _, table = heat_setup(n=101)
+    gram = build_gramian(fam, np.eye(6), table)
+    other = TimeGrid.from_tau_horizon(ORDER, 0.0, 1.0, 101)
+    problem = ControlProblem(family=fam, grid=other, x0=np.ones(6),
+                             b_matrix=np.eye(6),
+                             nonlinearity=lambda t, x: 0.05 * x)
+    with pytest.raises(DomainError):
+        exact_null_control_semilinear(problem, gram, table)
 
 
 def test_semilinear_over_gain_reports_failure():

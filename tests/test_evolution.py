@@ -320,6 +320,34 @@ def test_column_table_guards(rng):
         table.matrix(10, 3)
     with pytest.raises(IndexError):
         table.final_stack()
+    with pytest.raises(IndexError):
+        table.accumulate(np.ones((41, 2)))
+
+
+def test_column_table_homogeneous_matches_apply(rng):
+    fam = make_dense_family(rng, 3)
+    table = build_propagator(fam, window(41), columns=[0])
+    x0 = rng.standard_normal(3)
+    expect = np.stack([table.apply(i, 0, x0) for i in range(41)])
+    assert np.allclose(table.homogeneous(x0), expect, rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("backend", ["spectral", "dense"])
+def test_accumulate_matches_trapezoid_sum(rng, backend):
+    grid = window(31)
+    if backend == "spectral":
+        fam = SpectralHeatFamily(lambda t: 1.0 + 0.5 * np.sin(3.0 * t), 5)
+    else:
+        fam = make_dense_family(rng, 3)
+    table = build_propagator(fam, grid)
+    values = rng.standard_normal((grid.n_nodes, fam.dim))
+    expect = np.zeros_like(values)
+    for i in range(1, grid.n_nodes):
+        terms = [table.matrix(i, r) @ values[r] for r in range(i + 1)]
+        expect[i] = grid.h * (0.5 * terms[0] + sum(terms[1:i])
+                              + 0.5 * terms[i])
+    got = table.accumulate(values)
+    assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
 def test_defective_family_uses_exponential_fallback():
