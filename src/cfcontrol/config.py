@@ -126,6 +126,14 @@ class ScenarioConfig:
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"potential: cannot read {words[1]}: {exc}",
                                   self.lines.get("potential")) from exc
+            if data.shape[1] != 2:
+                raise ConfigError(
+                    f"potential: {words[1]} needs two columns tau,value, "
+                    f"found {data.shape[1]}", self.lines.get("potential"))
+            if not np.all(np.isfinite(data)):
+                raise ConfigError(
+                    f"potential: {words[1]} holds a non-finite value",
+                    self.lines.get("potential"))
             taus, vals = data[:, 0], data[:, 1]
             alpha = self.alpha
             return lambda t: float(np.interp(t**alpha / alpha, taus, vals))

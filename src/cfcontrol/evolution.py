@@ -19,11 +19,16 @@ Two backends:
                         + int_{tau_s}^{tau_t} kernel(t, r) resolvent(r, s) dr,
       kernel(t, s)    = (A(s) - A(t)) S_s(t - s),
 
-  discretized with trapezoid weights (Nystrom).  Because the kernel
-  vanishes on the diagonal for smooth families, the discrete system is
-  strictly lower triangular: the direct solve is an explicit march and the
-  iterated-series route terminates after finitely many terms.  Both routes
-  are provided and cross-checked.
+  discretized with trapezoid weights (Nystrom).  Every dense table is one
+  ``(n*d, n*d)`` block matrix whose block (i, j) is the d x d operator
+  from node j to node i; the tables expose it as an ``(n, n, d, d)``
+  block view.  Because the kernel vanishes on the diagonal, the kernel
+  matrix K is strictly block-lower-triangular and the discrete equation
+  reads ``R = K + h K R``.  The direct route is one unit lower triangular
+  solve of ``(I - h K) R = K``; the iterated-series route takes one matrix
+  product per term and terminates after finitely many terms.  Both routes
+  are provided and cross-checked.  Propagator assembly is one product,
+  ``Psi = S + h S R - h/2 R``, with S the frozen-semigroup matrix.
 
 An independent brute-force oracle integrates the substituted ODE with a
 classical fourth-order one-step method; every propagator test is anchored
@@ -39,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_triangular
 
 from .errors import ConvergenceError, DomainError
 from .grids import TimeGrid
@@ -154,15 +159,47 @@ def _expm_stack(a: np.ndarray, dts: np.ndarray) -> np.ndarray:
     return np.stack([expm(-dt * a) for dt in dts])
 
 
-def _semigroup_table(family: OperatorFamily, grid: TimeGrid) -> np.ndarray:
-    """S[i, j] = exp(-(tau_i - tau_j) * A(t_j)) for i >= j, zeros below."""
-    n, d = grid.n_nodes, family.dim
-    tau = grid.tau_nodes
-    table = np.zeros((n, n, d, d))
+def _blocks(mat: np.ndarray, d: int) -> np.ndarray:
+    """``(rows*d, cols*d)`` block matrix as its ``(rows, cols, d, d)`` block view."""
+    return mat.reshape(mat.shape[0] // d, d, -1, d).transpose(0, 2, 1, 3)
+
+
+def _flat(blocks: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_blocks`; a view when ``blocks`` came from it."""
+    rows, cols, d, _ = blocks.shape
+    return blocks.transpose(0, 2, 1, 3).reshape(rows * d, cols * d)
+
+
+def _entries(columns, d: int):
+    """Matrix columns spanned by the block columns ``columns`` (all if None)."""
+    if columns is None:
+        return slice(None)
+    return (np.asarray(columns, dtype=int)[:, None] * d + np.arange(d)).ravel()
+
+
+def _embed(part: np.ndarray, entries) -> np.ndarray:
+    """Square matrix holding ``part`` in the columns ``entries``, zero elsewhere."""
+    if isinstance(entries, slice):
+        return part
+    full = np.zeros((part.shape[0], part.shape[0]))
+    full[:, entries] = part
+    return full
+
+
+def _frozen_tables(family: DenseMatrixFamily, grid: TimeGrid):
+    """``A(t_j)`` at every node, and the semigroup table built from it."""
+    a_stack = np.stack([family.a_matrix(t) for t in grid.t_nodes])
+    return a_stack, _semigroup_table(a_stack, grid.tau_nodes)
+
+
+def _semigroup_table(a_stack: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Block matrix with S[i, j] = exp(-(tau_i - tau_j) A_j) for i >= j."""
+    n, d = a_stack.shape[:2]
+    table = np.zeros((n * d, n * d))
+    blocks = _blocks(table, d)
     for j in range(n):
-        a_j = family.a_matrix(grid.t_nodes[j])
-        table[j:, j] = _expm_stack(a_j, tau[j:] - tau[j])
-        table[j, j] = np.eye(d)
+        blocks[j:, j] = _expm_stack(a_stack[j], tau[j:] - tau[j])
+        blocks[j, j] = np.eye(d)
     return table
 
 
@@ -173,7 +210,8 @@ class KernelTable:
     ``kernel[i, j]`` holds ``(A(t_j) - A(t_i)) S_{t_j}(t_i - t_j)`` exactly
     as assembled; ``resolvent`` solves the discretized second-kind equation
     on the stored columns.  Entries with i <= j (and columns that were not
-    requested) are zero.
+    requested) are zero.  Both are ``(n, n, d, d)`` block views of
+    ``(n*d, n*d)`` block-lower-triangular matrices.
     """
 
     grid: TimeGrid
@@ -187,54 +225,17 @@ class KernelTable:
         return range(self.grid.n_nodes) if self.columns is None else self.columns
 
 
-def _kernel_table_raw(family, grid, semigroups):
-    n, d = grid.n_nodes, family.dim
-    a_stack = np.stack([family.a_matrix(t) for t in grid.t_nodes])
-    kern = np.zeros((n, n, d, d))
-    for j in range(n):
-        diff = a_stack[j][None, :, :] - a_stack[j:]
-        kern[j:, j] = np.einsum("iab,ibc->iac", diff, semigroups[j:, j])
+def _kernel_table_raw(a_stack: np.ndarray, semigroups: np.ndarray) -> np.ndarray:
+    """Block matrix with K[i, j] = (A_j - A_i) S[i, j].
+
+    ``A_j - A_i`` stays the left factor: it vanishes exactly on the block
+    diagonal and for a constant family, so K is exactly zero there.
+    """
+    d = a_stack.shape[1]
+    kern = np.empty_like(semigroups)
+    np.matmul(a_stack[None, :] - a_stack[:, None], _blocks(semigroups, d),
+              out=_blocks(kern, d))
     return kern
-
-
-def _resolvent_direct_all(kern, h):
-    n = kern.shape[0]
-    res = np.zeros_like(kern)
-    for i in range(1, n):
-        res[i] = kern[i]
-        if i > 1:
-            res[i] += h * np.einsum("rab,rjbc->jac", kern[i, :i], res[:i])
-    return res
-
-
-def _resolvent_direct_columns(kern, h, columns):
-    res = np.zeros_like(kern)
-    for j in columns:
-        n = kern.shape[0]
-        for i in range(j + 1, n):
-            acc = kern[i, j].copy()
-            if i - j > 1:
-                acc += h * np.einsum("rab,rbc->ac",
-                                     kern[i, j + 1:i], res[j + 1:i, j])
-            res[i, j] = acc
-    return res
-
-
-def _series_step_all(kern, prev, h):
-    out = np.zeros_like(prev)
-    for i in range(2, kern.shape[0]):
-        out[i] = h * np.einsum("rab,rjbc->jac", kern[i, :i], prev[:i])
-    return out
-
-
-def _series_step_columns(kern, prev, h, columns):
-    # kern[i, r] vanishes for r >= i and prev[r, j] for r <= j + something,
-    # so the unrestricted contraction reproduces the interior trapezoid sum
-    out = np.zeros_like(prev)
-    for j in columns:
-        col = np.tensordot(kern, prev[:, j], axes=([1, 3], [0, 1]))
-        out[:, j] = h * col
-    return out
 
 
 def _max_norm(table):
@@ -247,78 +248,74 @@ def build_kernel(family: OperatorFamily,
                  kernel_tol: float = 1e-8,
                  method: str = "series",
                  columns: Sequence[int] | None = None,
-                 _semigroups: np.ndarray | None = None) -> KernelTable:
-    """Solve the discrete Volterra kernel equation on the grid.
+                 _frozen: tuple | None = None) -> KernelTable:
+    """Solve the discrete Volterra kernel equation ``R = K + h K R`` on the grid.
 
-    ``method="series"`` sums iterated kernels until the newest term's max
-    norm drops below ``kernel_tol`` (the truncated-series residual of the
-    discrete equation equals the next term, so this bounds the residual).
-    ``method="direct"`` marches the strictly lower-triangular system
-    explicitly and is exact at machine precision; it serves as the discrete
+    ``method="series"`` sums iterated kernels ``K, hK K, (hK)^2 K, ...``, one
+    matrix product per term, until the newest term's max block norm drops
+    below ``kernel_tol`` (the truncated-series residual of the discrete
+    equation equals the next term, so this bounds the residual).
+    ``method="direct"`` solves ``(I - hK) R = K`` with one unit lower
+    triangular solve, exact at machine precision; it serves as the discrete
     oracle for the series route.
 
     ``columns`` restricts the solve to selected source nodes j (the full
-    table is the default).  Raises :class:`ConvergenceError` if the series
-    does not reach the tolerance within ``max_terms``.
+    table is the default): the same product or solve with fewer right-hand
+    sides.  Raises :class:`ConvergenceError` if the series does not reach
+    the tolerance within ``max_terms``.
     """
     if family.kind != "dense_matrix":
         raise DomainError("kernel construction applies to the dense backend")
     if grid.n_nodes < 3:
         raise DomainError("kernel construction needs at least three nodes")
-    semigroups = (_semigroup_table(family, grid)
-                  if _semigroups is None else _semigroups)
-    kern = _kernel_table_raw(family, grid, semigroups)
-    h = grid.h
+    a_stack, semigroups = (_frozen_tables(family, grid)
+                           if _frozen is None else _frozen)
+    kern = _kernel_table_raw(a_stack, semigroups)
+    d, h = family.dim, grid.h
+    cols = None if columns is None else tuple(columns)
+    entries = _entries(cols, d)
+    rhs = kern[:, entries]
 
     if method == "direct":
-        if columns is None:
-            res = _resolvent_direct_all(kern, h)
-        else:
-            res = _resolvent_direct_columns(kern, h, tuple(columns))
-        return KernelTable(grid, kern, res, 0, 0.0,
-                           None if columns is None else tuple(columns))
-    if method != "series":
+        # K is strictly lower triangular, so with unit_diagonal the solve
+        # reads only -hK: the strictly lower part of I - hK
+        part = solve_triangular(-h * kern, rhs, lower=True,
+                                unit_diagonal=True, check_finite=False)
+        n_terms, tail = 0, 0.0
+    elif method == "series":
+        term, part = rhs, rhs.copy()
+        tail = _max_norm(_blocks(term, d))
+        n_terms = 1
+        while tail > kernel_tol:
+            if n_terms >= max_terms:
+                raise ConvergenceError(
+                    f"kernel series did not reach {kernel_tol} within "
+                    f"{max_terms} terms (last term norm {tail:.3e})",
+                    last_norm=tail,
+                )
+            term = kern @ term
+            term *= h
+            part += term
+            tail = _max_norm(_blocks(term, d))
+            n_terms += 1
+    else:
         raise ValueError(f"unknown kernel method {method!r}")
 
-    cols = None if columns is None else tuple(columns)
-    term = kern.copy()
-    if cols is not None:
-        mask = np.zeros(grid.n_nodes, dtype=bool)
-        mask[list(cols)] = True
-        term[:, ~mask] = 0.0
-    total = term.copy()
-    tail = _max_norm(term)
-    n_terms = 1
-    while tail > kernel_tol:
-        if n_terms >= max_terms:
-            raise ConvergenceError(
-                f"kernel series did not reach {kernel_tol} within "
-                f"{max_terms} terms (last term norm {tail:.3e})",
-                last_norm=tail,
-            )
-        if cols is None:
-            term = _series_step_all(kern, term, h)
-        else:
-            term = _series_step_columns(kern, term, h, cols)
-        total += term
-        tail = _max_norm(term)
-        n_terms += 1
-    return KernelTable(grid, kern, total, n_terms, tail, cols)
+    return KernelTable(grid, _blocks(kern, d),
+                       _blocks(_embed(part, entries), d), n_terms, tail, cols)
 
 
 def kernel_residual(table: KernelTable) -> float:
-    """Max norm of the discrete kernel-equation residual over stored entries."""
-    kern, res, h = table.kernel, table.resolvent, table.grid.h
-    n = table.grid.n_nodes
-    worst = 0.0
-    for j in table.column_indices():
-        for i in range(j + 1, n):
-            acc = res[i, j] - kern[i, j]
-            if i - j > 1:
-                acc -= h * np.einsum("rab,rbc->ac",
-                                     kern[i, j + 1:i], res[j + 1:i, j])
-            worst = max(worst, float(np.linalg.norm(acc, 2)))
-    return worst
+    """Max spectral norm of ``R - K - hKR`` over stored blocks below the diagonal."""
+    n, d = table.grid.n_nodes, table.kernel.shape[-1]
+    entries = _entries(table.columns, d)
+    kern = _flat(table.kernel)
+    res = _flat(table.resolvent)[:, entries]
+    resid = res - kern[:, entries] - table.grid.h * (kern @ res)
+    cols = np.asarray(table.column_indices())
+    below = np.arange(n)[:, None] > cols[None, :]
+    norms = np.linalg.norm(_blocks(resid, d)[below], 2, axis=(-2, -1))
+    return float(np.max(norms, initial=0.0))
 
 
 @dataclass
@@ -442,15 +439,20 @@ class DensePropagatorTable:
         return self.matrices[:, 0] @ np.asarray(x0, dtype=float)
 
     def accumulate(self, values: np.ndarray) -> np.ndarray:
-        """Trapezoid ``int_0^{tau_i} op(i, r) values[r] dtau_r`` at every node i."""
+        """Trapezoid ``int_0^{tau_i} op(i, r) values[r] dtau_r`` at every node i.
+
+        One block matvec ``h Psi v`` over nodes 0..i, less half the two
+        endpoint terms; ``Psi[i, i]`` is the identity, so row 0 is exactly 0.
+        """
         if self.columns is not None:
             raise IndexError("accumulation needs a full propagator table")
-        n = self.grid.n_nodes
-        # row i holds the trapezoid weights over nodes 0..i; row 0 is zero
-        weights = self.grid.h * (np.tril(np.ones((n, n))) - 0.5 * np.eye(n))
-        weights[:, 0] -= 0.5 * self.grid.h
-        return np.einsum("ir,irab,rb->ia", weights, self.matrices,
-                         np.asarray(values, dtype=float))
+        values = np.asarray(values, dtype=float)
+        half = 0.5 * self.grid.h
+        acc = (_flat(self.matrices) @ values.ravel()).reshape(values.shape)
+        acc *= self.grid.h
+        acc -= half * values
+        acc -= half * self.homogeneous(values[0])
+        return acc
 
     def final_stack(self) -> np.ndarray:
         if self.columns is not None:
@@ -483,31 +485,24 @@ def build_propagator(family: OperatorFamily,
     if family.kind == "spectral_heat":
         return SpectralPropagatorTable(grid, family)
 
-    semigroups = _semigroup_table(family, grid)
+    frozen = _frozen_tables(family, grid)
     ktab = build_kernel(family, grid, max_terms=max_terms,
                         kernel_tol=kernel_tol, method=kernel_method,
-                        columns=columns, _semigroups=semigroups)
-    n, d = grid.n_nodes, family.dim
-    h = grid.h
-    res = ktab.resolvent
-    psi = np.zeros((n, n, d, d))
-    if columns is None:
-        for i in range(n):
-            psi[i] = semigroups[i]
-            if i > 0:
-                corr = np.einsum("rab,rjbc->jac",
-                                 semigroups[i, : i + 1], res[: i + 1])
-                psi[i] += h * corr - 0.5 * h * res[i]
-            psi[i, i] = np.eye(d)
-        cols = None
-    else:
-        cols = tuple(columns)
-        for j in cols:
-            col = np.tensordot(semigroups, res[:, j], axes=([1, 3], [0, 1]))
-            psi[:, j] = semigroups[:, j] + h * col - 0.5 * h * res[:, j]
-            psi[:j, j] = 0.0
-            psi[j, j] = np.eye(d)
-    return DensePropagatorTable(grid, family, psi, ktab, cols)
+                        columns=columns, _frozen=frozen)
+    semigroups = frozen[1]
+    d, h = family.dim, grid.h
+    entries = _entries(ktab.columns, d)
+    res = _flat(ktab.resolvent)[:, entries]
+    # the trapezoid sum over r = j..i is h (S R)[i, j] less half its r = i
+    # term, R[i, j] (S[i, i] = I); its r = j term vanishes with R[j, j]
+    part = semigroups @ res
+    part *= h
+    part -= (0.5 * h) * res
+    part += semigroups[:, entries]
+    matrices = _blocks(_embed(part, entries), d)
+    diag = np.asarray(ktab.column_indices())
+    matrices[diag, diag] = np.eye(d)
+    return DensePropagatorTable(grid, family, matrices, ktab, ktab.columns)
 
 
 def propagate_oracle(family: OperatorFamily,

@@ -197,6 +197,19 @@ def test_bad_input_is_one_config_error(tmp_path, capsys, overrides):
     assert len(err) == 1 and err[0].startswith("ERROR CONFIG: line ")
 
 
+@pytest.mark.parametrize("table", ["0\n1\n", "0,1\n1,nan\n"],
+                         ids=["one_column", "nan_value"])
+def test_malformed_tabulated_potential_is_one_config_error(tmp_path, capsys,
+                                                           table):
+    path = tmp_path / "pot.csv"
+    path.write_text(table)
+    cfg = write_cfg(tmp_path, potential=f"tabulated {path}")
+    rc = main(["evolve", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR CONFIG: line ")
+
+
 def test_out_path_naming_a_file_is_config_error(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("")

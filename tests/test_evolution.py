@@ -88,18 +88,30 @@ def test_kernel_column_restriction_consistent(rng):
 
 
 def test_kernel_series_terms_eventually_decreasing():
-    from cfcontrol.evolution import (_kernel_table_raw, _max_norm,
-                                     _semigroup_table, _series_step_all)
+    # a series cut at m terms reports the norm of its m-th term
     fam = commuting_family()
     grid = window(81)
-    semis = _semigroup_table(fam, grid)
-    kern = _kernel_table_raw(fam, grid, semis)
-    term = kern.copy()
-    norms = [_max_norm(term)]
-    for _ in range(5):
-        term = _series_step_all(kern, term, grid.h)
-        norms.append(_max_norm(term))
+    norms = []
+    for max_terms in range(1, 7):
+        with pytest.raises(ConvergenceError) as info:
+            build_kernel(fam, grid, max_terms=max_terms, kernel_tol=0.0)
+        norms.append(info.value.last_norm)
     assert all(norms[i + 1] < norms[i] for i in range(1, len(norms) - 1))
+
+
+@pytest.mark.parametrize("method", ["series", "direct"])
+def test_column_restriction_matches_full_table(rng, method):
+    fam = make_dense_family(rng, 3)
+    n = 41
+    grid = window(n)
+    cols = (0, 17, n - 2)
+    full = build_propagator(fam, grid, kernel_method=method)
+    part = build_propagator(fam, grid, kernel_method=method, columns=cols)
+    for got, want in ((part.kernel_table.resolvent, full.kernel_table.resolvent),
+                      (part.matrices, full.matrices)):
+        assert np.max(np.abs(got[:, cols] - want[:, cols])) < 1e-13
+    bound = 1e-8 if method == "series" else 1e-12
+    assert kernel_residual(part.kernel_table) <= bound
 
 
 def test_kernel_nonconvergence_error_carries_tail():
