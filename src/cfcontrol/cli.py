@@ -99,9 +99,7 @@ def run_scenario(config: ScenarioConfig, pipeline: str, out_dir: str,
     summary: dict = {}
 
     if pipeline == "evolve":
-        columns = None if (dump_pairs or family.kind == "spectral_heat") else [0]
-        table = build_propagator(family, grid, kernel_tol=config.kernel_tol,
-                                 columns=columns)
+        table = build_propagator(family, grid, kernel_tol=config.kernel_tol)
         x0 = config.initial_state(dim)
         values = table.homogeneous(x0)
         _write_csv(os.path.join(out_dir, "trajectory.csv"),

@@ -135,6 +135,10 @@ class ScenarioConfig:
                     f"potential: {words[1]} holds a non-finite value",
                     self.lines.get("potential"))
             taus, vals = data[:, 0], data[:, 1]
+            if np.any(np.diff(taus) <= 0.0):
+                raise ConfigError(
+                    f"potential: the tau column of {words[1]} must be "
+                    "strictly increasing", self.lines.get("potential"))
             alpha = self.alpha
             return lambda t: float(np.interp(t**alpha / alpha, taus, vals))
         raise ConfigError(f"unknown potential kind {kind!r}",

@@ -11,7 +11,7 @@ Two backends:
   ``exp(-n**2 * (tau_t - tau_s) - int_{tau_s}^{tau_t} p dtau)`` where the
   potential integral is accumulated by cumulative trapezoid.
 * ``dense_matrix`` -- a general smooth matrix family.  The operator is
-  assembled from frozen-coefficient exponentials
+  built from frozen-coefficient exponentials
   ``S_s(t - s) = exp(-(tau_t - tau_s) A(s))`` corrected by the resolvent
   kernel of a Volterra equation of the second kind:
 
@@ -19,27 +19,39 @@ Two backends:
                         + int_{tau_s}^{tau_t} kernel(t, r) resolvent(r, s) dr,
       kernel(t, s)    = (A(s) - A(t)) S_s(t - s),
 
-  discretized with trapezoid weights (Nystrom).  Every dense table is one
-  ``(n*d, n*d)`` block matrix whose block (i, j) is the d x d operator
-  from node j to node i; the tables expose it as an ``(n, n, d, d)``
-  block view.  Because the kernel vanishes on the diagonal, the kernel
-  matrix K is strictly block-lower-triangular and the discrete equation
-  reads ``R = K + h K R``.  The direct route is one unit lower triangular
-  solve of ``(I - h K) R = K``; the iterated-series route takes one matrix
-  product per term and terminates after finitely many terms.  Both routes
-  are provided and cross-checked.  Propagator assembly is one product,
-  ``Psi = S + h S R - h/2 R``, with S the frozen-semigroup matrix.
+  discretized with trapezoid weights (Nystrom).  The table keeps two
+  ``(n*d, n*d)`` block-lower-triangular matrices, the frozen semigroups S
+  and the kernel K, whose block (i, j) acts from node j to node i.  K
+  vanishes on the block diagonal, so the discrete equation
+  ``R = K + h K R`` gives ``I + h R = (I - h K)^{-1}``, and the propagator
+  ``Psi = S (I + h R) - h/2 R`` is applied without forming R or Psi:
+
+      Psi v = S (v + h w) - h/2 w,              w = R v,
+      Psi[n-1, :] = S[n-1, :] + u R,            u = h S[n-1, :] - h/2 E[n-1],
+
+  where ``E[n-1]`` picks the last node; the final block row is one
+  transposed application.  ``R v`` takes either one unit lower triangular
+  solve of ``(I - h K) w = K v`` (direct route) or the terminating series
+  ``sum_m (h K)^m K v``, one matrix-vector product per term and a stopping
+  test per application (series route); the tests cross-check the two.
+  A block column of Psi, for node-pair queries, is one application to d
+  unit vectors and is cached on the table.  The table's ``norm_bound`` is
+  the logarithmic-norm bound ``exp(int max(0, mu_2(-A)) dtau)``, which
+  needs no block of Psi.  A grid whose tables would not fit in physical
+  memory is refused before anything large is allocated.
 
 An independent brute-force oracle integrates the substituted ODE with a
 classical fourth-order one-step method; every propagator test is anchored
 to it.
 
-Table construction is single-threaded; finished tables are immutable and
-safe to share across threads.
+Table construction is single-threaded.  Applying a dense table caches
+block columns and records series term counts on it, so a dense table
+shared between threads needs a lock; spectral tables are immutable.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
@@ -67,6 +79,8 @@ __all__ = [
 ]
 
 _EIG_COND_LIMIT = 1e7
+_CHUNK_BYTES = 1 << 20
+_TABLE_COPIES = 3
 
 
 @dataclass(frozen=True)
@@ -136,29 +150,6 @@ def frozen_semigroup(family: OperatorFamily, s: float, dt_tau: float) -> np.ndar
     return expm(-dt_tau * family.a_matrix(s))
 
 
-def _expm_stack(a: np.ndarray, dts: np.ndarray) -> np.ndarray:
-    """exp(-dt * a) for every dt in ``dts``, shape (len(dts), d, d).
-
-    Uses an eigendecomposition when it is well conditioned, otherwise
-    falls back to one scaling-and-squaring exponential per step.
-    """
-    d = a.shape[0]
-    if d == 1:
-        return np.exp(-dts * a[0, 0]).reshape(-1, 1, 1)
-    try:
-        lam, vec = np.linalg.eig(a)
-        cond = np.linalg.cond(vec)
-    except np.linalg.LinAlgError:
-        cond = np.inf
-    if np.isfinite(cond) and cond < _EIG_COND_LIMIT:
-        vinv = np.linalg.inv(vec)
-        phases = np.exp(-np.outer(dts, lam))  # (m, d)
-        out = np.einsum("ab,mb,bc->mac", vec, phases, vinv)
-        if np.max(np.abs(out.imag)) < 1e-9 * max(1.0, np.max(np.abs(out.real))):
-            return np.ascontiguousarray(out.real)
-    return np.stack([expm(-dt * a) for dt in dts])
-
-
 def _blocks(mat: np.ndarray, d: int) -> np.ndarray:
     """``(rows*d, cols*d)`` block matrix as its ``(rows, cols, d, d)`` block view."""
     return mat.reshape(mat.shape[0] // d, d, -1, d).transpose(0, 2, 1, 3)
@@ -170,76 +161,184 @@ def _flat(blocks: np.ndarray) -> np.ndarray:
     return blocks.transpose(0, 2, 1, 3).reshape(rows * d, cols * d)
 
 
-def _entries(columns, d: int):
-    """Matrix columns spanned by the block columns ``columns`` (all if None)."""
-    if columns is None:
-        return slice(None)
-    return (np.asarray(columns, dtype=int)[:, None] * d + np.arange(d)).ravel()
+def _unit_block(n: int, d: int, j: int) -> np.ndarray:
+    """``(n*d, d)`` stacked block column holding the identity at node j."""
+    out = np.zeros((n * d, d))
+    out[j * d:(j + 1) * d] = np.eye(d)
+    return out
 
 
-def _embed(part: np.ndarray, entries) -> np.ndarray:
-    """Square matrix holding ``part`` in the columns ``entries``, zero elsewhere."""
-    if isinstance(entries, slice):
-        return part
-    full = np.zeros((part.shape[0], part.shape[0]))
-    full[:, entries] = part
-    return full
+def _check_memory(n: int, d: int) -> None:
+    """Refuse a dense table whose predicted footprint exceeds physical memory.
+
+    A table keeps S and K, and the direct route a third matrix of the same
+    size, ``-hK``: ``_TABLE_COPIES`` matrices of ``(n*d)**2`` doubles,
+    counted for either route.  Nothing is allocated to find out.
+    """
+    need = _TABLE_COPIES * (n * d) ** 2 * 8
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    if need > have:
+        raise DomainError(
+            f"a dense table of {n} nodes in dimension {d} needs about "
+            f"{need / 1e9:.3g} GB, more than the {have / 1e9:.3g} GB of "
+            "physical memory")
 
 
 def _frozen_tables(family: DenseMatrixFamily, grid: TimeGrid):
     """``A(t_j)`` at every node, and the semigroup table built from it."""
+    _check_memory(grid.n_nodes, family.dim)
     a_stack = np.stack([family.a_matrix(t) for t in grid.t_nodes])
     return a_stack, _semigroup_table(a_stack, grid.tau_nodes)
 
 
 def _semigroup_table(a_stack: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Block matrix with S[i, j] = exp(-(tau_i - tau_j) A_j) for i >= j."""
+    """Block matrix with S[i, j] = exp(-(tau_i - tau_j) A_j) for i >= j.
+
+    One batched eigendecomposition serves every source node j whose
+    eigenvector matrix is well conditioned and whose exponentials come out
+    real; any other node takes one scaling-and-squaring exponential per
+    step.  Source nodes are filled in chunks, so the complex temporary
+    stays near ``_CHUNK_BYTES``.
+    """
     n, d = a_stack.shape[:2]
     table = np.zeros((n * d, n * d))
     blocks = _blocks(table, d)
-    for j in range(n):
-        blocks[j:, j] = _expm_stack(a_stack[j], tau[j:] - tau[j])
-        blocks[j, j] = np.eye(d)
+    try:
+        lam, vec = np.linalg.eig(a_stack)
+        cond = np.linalg.cond(vec)
+    except np.linalg.LinAlgError:
+        lam, vec = np.zeros((n, d)), np.broadcast_to(np.eye(d), (n, d, d))
+        cond = np.full(n, np.inf)
+    use_eig = np.isfinite(cond) & (cond < _EIG_COND_LIMIT)
+    vinv = np.linalg.inv(np.where(use_eig[:, None, None], vec, np.eye(d)))
+    # exp(-dt A_j) = sum_b exp(-dt lam_jb) P_jb with the eigenprojectors
+    # P_jb = vec_j[:, b] vinv_j[b, :]
+    proj = np.einsum("jab,jbc->jbac", vec, vinv).reshape(n, d, d * d)
+    step = max(1, _CHUNK_BYTES // (16 * n * d * d))
+    for j0 in range(0, n, step):
+        cols = slice(j0, min(n, j0 + step))
+        dt = tau[None, j0:] - tau[cols, None]    # negative above the diagonal
+        above = dt < 0.0
+        out = np.exp(-np.where(above, 0.0, dt)[..., None]
+                     * lam[cols, None, :]) @ proj[cols]
+        out[above] = 0.0
+        imag = np.max(np.abs(out.imag), axis=(1, 2))
+        scale = np.maximum(1.0, np.max(np.abs(out.real), axis=(1, 2)))
+        use_eig[cols] &= imag < 1e-9 * scale
+        blocks[j0:, cols] = out.real.reshape(-1, n - j0, d, d).transpose(
+            1, 0, 2, 3)
+    for j in np.flatnonzero(~use_eig):
+        blocks[j:, j] = np.stack([expm(-dt * a_stack[j])
+                                  for dt in tau[j:] - tau[j]])
+    nodes = np.arange(n)
+    blocks[nodes, nodes] = np.eye(d)
     return table
-
-
-@dataclass
-class KernelTable:
-    """Volterra kernel and its resolvent on the grid.
-
-    ``kernel[i, j]`` holds ``(A(t_j) - A(t_i)) S_{t_j}(t_i - t_j)`` exactly
-    as assembled; ``resolvent`` solves the discretized second-kind equation
-    on the stored columns.  Entries with i <= j (and columns that were not
-    requested) are zero.  Both are ``(n, n, d, d)`` block views of
-    ``(n*d, n*d)`` block-lower-triangular matrices.
-    """
-
-    grid: TimeGrid
-    kernel: np.ndarray
-    resolvent: np.ndarray
-    n_terms_used: int
-    series_tail_norm: float
-    columns: tuple | None = None
-
-    def column_indices(self):
-        return range(self.grid.n_nodes) if self.columns is None else self.columns
 
 
 def _kernel_table_raw(a_stack: np.ndarray, semigroups: np.ndarray) -> np.ndarray:
     """Block matrix with K[i, j] = (A_j - A_i) S[i, j].
 
     ``A_j - A_i`` stays the left factor: it vanishes exactly on the block
-    diagonal and for a constant family, so K is exactly zero there.
+    diagonal and for a constant family, so K is exactly zero there.  Rows
+    are filled in chunks, each only up to its last diagonal block, so the
+    coefficient differences never take a third ``(n*d, n*d)`` array.
     """
-    d = a_stack.shape[1]
-    kern = np.empty_like(semigroups)
-    np.matmul(a_stack[None, :] - a_stack[:, None], _blocks(semigroups, d),
-              out=_blocks(kern, d))
+    n, d = a_stack.shape[:2]
+    kern = np.zeros_like(semigroups)
+    sem, out = _blocks(semigroups, d), _blocks(kern, d)
+    step = max(1, _CHUNK_BYTES // (8 * n * d * d))
+    for i0 in range(0, n, step):
+        i1 = min(n, i0 + step)
+        np.matmul(a_stack[None, :i1] - a_stack[i0:i1, None], sem[i0:i1, :i1],
+                  out=out[i0:i1, :i1])
     return kern
 
 
-def _max_norm(table):
-    return float(np.sqrt(np.max(np.sum(table**2, axis=(-2, -1)))))
+def _log_norm_bound(a_stack: np.ndarray, grid: TimeGrid) -> float:
+    """``exp(int max(0, mu_2(-A(tau))) dtau)`` over the grid, by trapezoid.
+
+    ``mu_2(-A)``, the largest eigenvalue of ``-(A + A^T)/2``, is the
+    logarithmic 2-norm; its integral bounds the growth of every evolution
+    operator between two times of the window (Soderlind, BIT 46, 2006).
+    """
+    sym = -0.5 * (a_stack + a_stack.transpose(0, 2, 1))
+    mu = np.linalg.eigvalsh(sym)[:, -1]
+    return float(np.exp(grid.weights() @ np.maximum(mu, 0.0)))
+
+
+@dataclass
+class KernelTable:
+    """Volterra kernel of the dense backend; applies its resolvent.
+
+    ``kernel[i, j]`` holds ``(A(t_j) - A(t_i)) S_{t_j}(t_i - t_j)`` exactly
+    as assembled.  It is the ``(n, n, d, d)`` block view of the strictly
+    block-lower-triangular ``(n*d, n*d)`` matrix K, so entries with i <= j
+    are zero.  The resolvent R of the discrete equation ``R = K + h K R``
+    is never stored; :meth:`apply` returns ``R v``.  ``n_terms_used`` and
+    ``series_tail_norm`` are the largest series term count and the largest
+    final relative term norm over the applications so far (both stay zero
+    on the direct route).
+    """
+
+    grid: TimeGrid
+    kernel: np.ndarray
+    method: str
+    kernel_tol: float
+    max_terms: int
+    n_terms_used: int = 0
+    series_tail_norm: float = 0.0
+    _lower: np.ndarray | None = field(init=False, repr=False, default=None)
+
+    def __post_init__(self):
+        if self.method not in ("series", "direct"):
+            raise ValueError(f"unknown kernel method {self.method!r}")
+        if self.method == "direct":
+            # K is strictly lower triangular, so with unit_diagonal the solve
+            # reads only -hK: the strictly lower part of I - hK
+            self._lower = -self.grid.h * _flat(self.kernel)
+
+    def apply(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """R rhs, or R^T rhs with ``transpose``; rhs is (n*d,) or (n*d, k).
+
+        The direct route solves ``(I - h K) w = K rhs`` with one unit lower
+        triangular solve, exact at machine precision.  The series route
+        sums ``(h K)^m K rhs``, one product per term, until the newest
+        term's norm is at most ``kernel_tol`` times that of ``K rhs`` (the
+        truncated sum's residual in the discrete equation is the next
+        term).  Raises :class:`ConvergenceError` if that takes more than
+        ``max_terms`` terms.
+        """
+        kern = _flat(self.kernel)
+        if transpose:
+            kern = kern.T
+        first = kern @ np.asarray(rhs, dtype=float)
+        if self.method == "direct":
+            return solve_triangular(self._lower, first, lower=True,
+                                    trans="T" if transpose else "N",
+                                    unit_diagonal=True, check_finite=False)
+        h = self.grid.h
+        term, total = first, first.copy()
+        scale = float(np.linalg.norm(first))
+        tail, n_terms = (1.0 if scale > 0.0 else 0.0), 1
+        while tail > self.kernel_tol:
+            if n_terms >= self.max_terms:
+                raise ConvergenceError(
+                    f"kernel series did not reach {self.kernel_tol} within "
+                    f"{self.max_terms} terms (last relative term norm "
+                    f"{tail:.3e})",
+                    last_norm=tail,
+                )
+            term = kern @ term
+            term *= h
+            total += term
+            tail = float(np.linalg.norm(term)) / scale
+            n_terms += 1
+        self.n_terms_used = max(self.n_terms_used, n_terms)
+        self.series_tail_norm = max(self.series_tail_norm, tail)
+        return total
 
 
 def build_kernel(family: OperatorFamily,
@@ -247,22 +346,16 @@ def build_kernel(family: OperatorFamily,
                  max_terms: int = 40,
                  kernel_tol: float = 1e-8,
                  method: str = "series",
-                 columns: Sequence[int] | None = None,
                  _frozen: tuple | None = None) -> KernelTable:
-    """Solve the discrete Volterra kernel equation ``R = K + h K R`` on the grid.
+    """Assemble the Volterra kernel K on the grid; the table applies R.
 
-    ``method="series"`` sums iterated kernels ``K, hK K, (hK)^2 K, ...``, one
-    matrix product per term, until the newest term's max block norm drops
-    below ``kernel_tol`` (the truncated-series residual of the discrete
-    equation equals the next term, so this bounds the residual).
-    ``method="direct"`` solves ``(I - hK) R = K`` with one unit lower
-    triangular solve, exact at machine precision; it serves as the discrete
-    oracle for the series route.
-
-    ``columns`` restricts the solve to selected source nodes j (the full
-    table is the default): the same product or solve with fewer right-hand
-    sides.  Raises :class:`ConvergenceError` if the series does not reach
-    the tolerance within ``max_terms``.
+    ``method`` selects how :meth:`KernelTable.apply` solves the discrete
+    equation ``R = K + h K R`` for each right-hand side: ``"series"`` sums
+    iterated kernels to ``kernel_tol`` within ``max_terms`` terms, and
+    ``"direct"`` takes one unit lower triangular solve, the discrete oracle
+    for the series route.  Raises :class:`DomainError` for a spectral
+    family, fewer than three nodes, or a grid whose tables would not fit in
+    physical memory.
     """
     if family.kind != "dense_matrix":
         raise DomainError("kernel construction applies to the dense backend")
@@ -271,51 +364,23 @@ def build_kernel(family: OperatorFamily,
     a_stack, semigroups = (_frozen_tables(family, grid)
                            if _frozen is None else _frozen)
     kern = _kernel_table_raw(a_stack, semigroups)
-    d, h = family.dim, grid.h
-    cols = None if columns is None else tuple(columns)
-    entries = _entries(cols, d)
-    rhs = kern[:, entries]
-
-    if method == "direct":
-        # K is strictly lower triangular, so with unit_diagonal the solve
-        # reads only -hK: the strictly lower part of I - hK
-        part = solve_triangular(-h * kern, rhs, lower=True,
-                                unit_diagonal=True, check_finite=False)
-        n_terms, tail = 0, 0.0
-    elif method == "series":
-        term, part = rhs, rhs.copy()
-        tail = _max_norm(_blocks(term, d))
-        n_terms = 1
-        while tail > kernel_tol:
-            if n_terms >= max_terms:
-                raise ConvergenceError(
-                    f"kernel series did not reach {kernel_tol} within "
-                    f"{max_terms} terms (last term norm {tail:.3e})",
-                    last_norm=tail,
-                )
-            term = kern @ term
-            term *= h
-            part += term
-            tail = _max_norm(_blocks(term, d))
-            n_terms += 1
-    else:
-        raise ValueError(f"unknown kernel method {method!r}")
-
-    return KernelTable(grid, _blocks(kern, d),
-                       _blocks(_embed(part, entries), d), n_terms, tail, cols)
+    return KernelTable(grid, _blocks(kern, family.dim), method, kernel_tol,
+                       max_terms)
 
 
-def kernel_residual(table: KernelTable) -> float:
-    """Max spectral norm of ``R - K - hKR`` over stored blocks below the diagonal."""
-    n, d = table.grid.n_nodes, table.kernel.shape[-1]
-    entries = _entries(table.columns, d)
+def kernel_residual(table: KernelTable, rhs: np.ndarray) -> float:
+    """Certificate ``||w - hKw - Kv|| / ||Kv||`` of an application ``w = R v``.
+
+    ``rhs`` is v, of shape (n*d,) or (n*d, k); norms are Euclidean
+    (Frobenius for several right-hand sides).  When ``K v`` vanishes the
+    absolute residual is returned.
+    """
     kern = _flat(table.kernel)
-    res = _flat(table.resolvent)[:, entries]
-    resid = res - kern[:, entries] - table.grid.h * (kern @ res)
-    cols = np.asarray(table.column_indices())
-    below = np.arange(n)[:, None] > cols[None, :]
-    norms = np.linalg.norm(_blocks(resid, d)[below], 2, axis=(-2, -1))
-    return float(np.max(norms, initial=0.0))
+    rhs = np.asarray(rhs, dtype=float)
+    first = kern @ rhs
+    w = table.apply(rhs)
+    resid = w - table.grid.h * (kern @ w) - first
+    return float(np.linalg.norm(resid)) / (float(np.linalg.norm(first)) or 1.0)
 
 
 @dataclass
@@ -332,7 +397,6 @@ class SpectralPropagatorTable:
     family: SpectralHeatFamily
     potential_cumint: np.ndarray = field(init=False, repr=False)
     norm_bound: float = field(init=False)
-    columns = None
 
     def __post_init__(self):
         p = np.array([self.family.potential(t) for t in self.grid.t_nodes])
@@ -392,72 +456,88 @@ class SpectralPropagatorTable:
 
 @dataclass
 class DensePropagatorTable:
-    """Tabulated evolution operators for a dense matrix family.
+    """Evolution operators of a dense matrix family, kept as S and K.
 
-    ``matrices[i, j]`` is the operator from node j to node i (i >= j).
-    When built with a column restriction only those source columns are
-    populated; accessing anything else raises ``IndexError``.
+    ``semigroups`` is the ``(n*d, n*d)`` frozen-semigroup matrix S, and
+    ``kernel_table`` applies the resolvent; the propagator Psi is applied
+    through them and never formed (see the module docstring).
+    ``matrix(i, j)``, the operator from node j to node i, reads block
+    column j of Psi, which is solved on first use and cached.
+    ``norm_bound`` is the logarithmic-norm bound on every operator of the
+    window.
     """
 
     grid: TimeGrid
     family: DenseMatrixFamily
-    matrices: np.ndarray
+    semigroups: np.ndarray
     kernel_table: KernelTable
-    columns: tuple | None = None
-    norm_bound: float = field(init=False)
-
-    def __post_init__(self):
-        # Frobenius norms upper-bound the spectral norms, which keeps the
-        # recorded envelope a valid bound at a fraction of the cost.
-        if self.columns is None:
-            sel = self.matrices
-        else:
-            sel = self.matrices[:, list(self.columns)]
-        self.norm_bound = _max_norm(sel)
+    norm_bound: float
+    _columns: dict = field(init=False, repr=False, default_factory=dict)
 
     @property
     def dim(self) -> int:
         return self.family.dim
 
-    def _check(self, i, j):
-        if j > i:
-            raise IndexError("source node must not exceed target node")
-        if self.columns is not None and j not in self.columns:
-            raise IndexError(f"column {j} was not built (columns={self.columns})")
+    def propagate(self, v: np.ndarray) -> np.ndarray:
+        """``Psi v`` for stacked node values v of shape (n*d,) or (n*d, k)."""
+        h = self.grid.h
+        w = self.kernel_table.apply(v)
+        out = self.semigroups @ (v + h * w)
+        out -= (0.5 * h) * w
+        return out
+
+    def _column(self, j: int) -> np.ndarray:
+        """Block column j of Psi, shape (n_nodes, d, d), solved once."""
+        if j not in self._columns:
+            n, d = self.grid.n_nodes, self.dim
+            self._columns[j] = self.propagate(
+                _unit_block(n, d, j)).reshape(n, d, d)
+        return self._columns[j]
 
     def matrix(self, i: int, j: int) -> np.ndarray:
-        self._check(i, j)
-        return self.matrices[i, j]
+        if not 0 <= j <= i < self.grid.n_nodes:
+            raise IndexError(f"node pair ({i}, {j}) needs 0 <= j <= i < "
+                             f"{self.grid.n_nodes}")
+        return self._column(j)[i]
 
     def apply(self, i: int, j: int, x: np.ndarray) -> np.ndarray:
-        self._check(i, j)
-        return self.matrices[i, j] @ np.asarray(x, dtype=float)
+        return self.matrix(i, j) @ np.asarray(x, dtype=float)
 
     def homogeneous(self, x0: np.ndarray) -> np.ndarray:
-        """``op(i, 0) x0`` at every node i, shape (n_nodes, dim)."""
-        self._check(0, 0)
-        return self.matrices[:, 0] @ np.asarray(x0, dtype=float)
+        """``op(i, 0) x0`` at every node i, shape (n_nodes, dim).
+
+        Reads the cached block column 0, so it agrees exactly with
+        ``apply(i, 0, x0)``.
+        """
+        return self._column(0) @ np.asarray(x0, dtype=float)
 
     def accumulate(self, values: np.ndarray) -> np.ndarray:
         """Trapezoid ``int_0^{tau_i} op(i, r) values[r] dtau_r`` at every node i.
 
-        One block matvec ``h Psi v`` over nodes 0..i, less half the two
-        endpoint terms; ``Psi[i, i]`` is the identity, so row 0 is exactly 0.
+        One application of Psi to the weighted values (weight h, and h/2 at
+        node 0), less the half weight of the r = i term; ``Psi[i, i]`` is
+        the identity, so row 0 is exactly 0.
         """
-        if self.columns is not None:
-            raise IndexError("accumulation needs a full propagator table")
         values = np.asarray(values, dtype=float)
         half = 0.5 * self.grid.h
-        acc = (_flat(self.matrices) @ values.ravel()).reshape(values.shape)
-        acc *= self.grid.h
+        weighted = self.grid.h * values
+        weighted[0] = half * values[0]
+        acc = self.propagate(weighted.ravel()).reshape(values.shape)
         acc -= half * values
-        acc -= half * self.homogeneous(values[0])
         return acc
 
     def final_stack(self) -> np.ndarray:
-        if self.columns is not None:
-            raise IndexError("final row needs a full propagator table")
-        return self.matrices[-1]
+        """Final block row ``Psi[n-1, j]`` for every j, shape (n_nodes, d, d).
+
+        ``Psi[n-1, :]^T = S[n-1, :]^T + R^T u^T`` with
+        ``u = h S[n-1, :] - h/2 E[n-1]``: one transposed application.
+        """
+        n, d, h = self.grid.n_nodes, self.dim, self.grid.h
+        row = self.semigroups[-d:].T
+        seed = h * row
+        seed[-d:] -= 0.5 * h * np.eye(d)
+        out = row + self.kernel_table.apply(seed, transpose=True)
+        return out.reshape(n, d, d).transpose(0, 2, 1)
 
 
 PropagatorTable = Union[SpectralPropagatorTable, DensePropagatorTable]
@@ -468,19 +548,18 @@ def build_propagator(family: OperatorFamily,
                      *,
                      kernel_tol: float = 1e-8,
                      max_terms: int = 40,
-                     kernel_method: str = "series",
-                     columns: Sequence[int] | None = None) -> PropagatorTable:
+                     kernel_method: str = "series") -> PropagatorTable:
     """Construct the evolution-operator table on ``grid``.
 
     The spectral backend evaluates its closed per-mode form (the kernel
-    options are ignored).  The dense backend solves the kernel equation and
-    assembles, with trapezoid weights in tau,
+    options are ignored).  The dense backend builds S and K and applies,
+    with trapezoid weights in tau,
 
         op(i, j) = S_j(tau_i - tau_j)
-                   + int_{tau_j}^{tau_i} S_r(tau_i - tau_r) resolvent(r, j) dr.
+                   + int_{tau_j}^{tau_i} S_r(tau_i - tau_r) resolvent(r, j) dr
 
-    ``columns`` restricts the dense table to selected source nodes, which
-    is much cheaper when only propagation from the window start is needed.
+    through kernel solves; it raises :class:`DomainError` before allocating
+    when the tables would not fit in physical memory.
     """
     if family.kind == "spectral_heat":
         return SpectralPropagatorTable(grid, family)
@@ -488,21 +567,10 @@ def build_propagator(family: OperatorFamily,
     frozen = _frozen_tables(family, grid)
     ktab = build_kernel(family, grid, max_terms=max_terms,
                         kernel_tol=kernel_tol, method=kernel_method,
-                        columns=columns, _frozen=frozen)
-    semigroups = frozen[1]
-    d, h = family.dim, grid.h
-    entries = _entries(ktab.columns, d)
-    res = _flat(ktab.resolvent)[:, entries]
-    # the trapezoid sum over r = j..i is h (S R)[i, j] less half its r = i
-    # term, R[i, j] (S[i, i] = I); its r = j term vanishes with R[j, j]
-    part = semigroups @ res
-    part *= h
-    part -= (0.5 * h) * res
-    part += semigroups[:, entries]
-    matrices = _blocks(_embed(part, entries), d)
-    diag = np.asarray(ktab.column_indices())
-    matrices[diag, diag] = np.eye(d)
-    return DensePropagatorTable(grid, family, matrices, ktab, ktab.columns)
+                        _frozen=frozen)
+    a_stack, semigroups = frozen
+    return DensePropagatorTable(grid, family, semigroups, ktab,
+                                _log_norm_bound(a_stack, grid))
 
 
 def propagate_oracle(family: OperatorFamily,
@@ -601,8 +669,8 @@ def regularized_residuals(family: DenseMatrixFamily,
     """
     grid = kernel_table.grid
     tau, tn = grid.tau_nodes, grid.t_nodes
-    h = grid.h
-    res = kernel_table.resolvent
+    h, n, d = grid.h, grid.n_nodes, family.dim
+    res = kernel_table.apply(_unit_block(n, d, j)).reshape(n, d, d)
 
     def pulled_back_op(ii, m):
         upper = max(ii - m, j)
@@ -611,7 +679,7 @@ def regularized_residuals(family: DenseMatrixFamily,
             for r in range(j, upper + 1):
                 w = 0.5 if r in (j, upper) else 1.0
                 acc = acc + h * w * frozen_semigroup(
-                    family, tn[r], tau[ii] - tau[r]) @ res[r, j]
+                    family, tn[r], tau[ii] - tau[r]) @ res[r]
         return acc
 
     out = []

@@ -39,6 +39,28 @@ def make_dense_family(rng, dim, drift=0.4, base=0.5):
     return DenseMatrixFamily(mat, dim)
 
 
+def block_view(mat, d):
+    """``(n*d, n*d)`` matrix as its ``(n, n, d, d)`` block view."""
+    n = mat.shape[0] // d
+    return mat.reshape(n, d, n, d).transpose(0, 2, 1, 3)
+
+
+def materialise_resolvent(kernel_table):
+    """The resolvent R of a kernel table as ``(n, n, d, d)`` blocks.
+
+    Applies the table to the ``n*d`` identity columns; the oracle for single
+    applications.
+    """
+    n, _, d, _ = kernel_table.kernel.shape
+    return block_view(kernel_table.apply(np.eye(n * d)), d)
+
+
+def materialise(table):
+    """The propagator Psi of a dense table as ``(n, n, d, d)`` blocks."""
+    nd = table.grid.n_nodes * table.dim
+    return block_view(table.propagate(np.eye(nd)), table.dim)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240801)

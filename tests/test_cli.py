@@ -1,6 +1,7 @@
 """Scenario files, pipelines, output formats, and exit codes."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -197,8 +198,9 @@ def test_bad_input_is_one_config_error(tmp_path, capsys, overrides):
     assert len(err) == 1 and err[0].startswith("ERROR CONFIG: line ")
 
 
-@pytest.mark.parametrize("table", ["0\n1\n", "0,1\n1,nan\n"],
-                         ids=["one_column", "nan_value"])
+@pytest.mark.parametrize("table", ["0\n1\n", "0,1\n1,nan\n",
+                                   "1,3\n0.5,2\n0,1\n"],
+                         ids=["one_column", "nan_value", "tau_not_increasing"])
 def test_malformed_tabulated_potential_is_one_config_error(tmp_path, capsys,
                                                            table):
     path = tmp_path / "pot.csv"
@@ -208,6 +210,23 @@ def test_malformed_tabulated_potential_is_one_config_error(tmp_path, capsys,
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("ERROR CONFIG: line ")
+
+
+def test_dense_table_over_memory_is_one_domain_error(tmp_path, capsys):
+    # S, K and one workspace of (3 * 300000)**2 doubles: about 19 TB
+    cfg = write_cfg(tmp_path, backend="dense_matrix", n_nodes="300000",
+                    dense_family="coupled_3x3 0.5", x0="ones 1.0")
+    tracemalloc.start()
+    try:
+        rc = main(["evolve", "--config", cfg, "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR DOMAIN: ")
+    assert "physical memory" in err[0]
+    assert peak < 32e6
 
 
 def test_out_path_naming_a_file_is_config_error(tmp_path, capsys):

@@ -7,10 +7,11 @@ from cfcontrol import (ConvergenceError, DenseMatrixFamily, DomainError,
                        FractionalOrder, SpectralHeatFamily, TimeGrid,
                        adjoint_residual, build_kernel, build_propagator,
                        conformable_residual, frozen_semigroup,
-                       kernel_residual, propagate_oracle,
+                       kernel_residual, parse_config, propagate_oracle,
                        regularized_residuals)
 
-from conftest import make_dense_family
+from conftest import (make_dense_family, materialise,
+                      materialise_resolvent)
 
 ORDER = FractionalOrder(0.75)
 
@@ -59,7 +60,7 @@ def test_constant_family_has_zero_kernel():
     fam = DenseMatrixFamily(lambda t: np.diag([1.0, 2.0]), 2)
     table = build_kernel(fam, window(41))
     assert np.max(np.abs(table.kernel)) == 0.0
-    assert np.max(np.abs(table.resolvent)) == 0.0
+    assert np.max(np.abs(materialise_resolvent(table))) == 0.0
 
 
 def test_kernel_series_matches_direct_solve():
@@ -67,24 +68,26 @@ def test_kernel_series_matches_direct_solve():
     grid = window(81)
     series = build_kernel(fam, grid, method="series")
     direct = build_kernel(fam, grid, method="direct")
-    assert np.max(np.abs(series.resolvent - direct.resolvent)) < 1e-7
-    assert kernel_residual(series) < 1e-8
-    assert kernel_residual(direct) < 1e-12
+    assert np.max(np.abs(materialise_resolvent(series)
+                         - materialise_resolvent(direct))) < 1e-7
+    every_column = np.eye(grid.n_nodes * fam.dim)
+    assert kernel_residual(series, every_column) < 1e-8
+    assert kernel_residual(direct, every_column) < 1e-12
 
 
 def test_kernel_residual_random_family(rng):
     fam = make_dense_family(rng, 3)
     table = build_kernel(fam, window(81), kernel_tol=1e-8)
-    assert kernel_residual(table) <= 1e-8
+    assert kernel_residual(table, rng.standard_normal(81 * 3)) <= 1e-8
 
 
 def test_kernel_column_restriction_consistent(rng):
+    # one block column of R, solved alone, against the materialised table
     fam = make_dense_family(rng, 3)
     grid = window(61)
-    full = build_kernel(fam, grid)
-    col = build_kernel(fam, grid, columns=[0])
-    assert np.allclose(full.resolvent[:, 0], col.resolvent[:, 0],
-                       atol=1e-13)
+    table = build_kernel(fam, grid)
+    col = table.apply(np.eye(61 * 3)[:, :3]).reshape(61, 3, 3)
+    assert np.allclose(materialise_resolvent(table)[:, 0], col, atol=1e-13)
 
 
 def test_kernel_series_terms_eventually_decreasing():
@@ -93,31 +96,38 @@ def test_kernel_series_terms_eventually_decreasing():
     grid = window(81)
     norms = []
     for max_terms in range(1, 7):
+        table = build_kernel(fam, grid, max_terms=max_terms, kernel_tol=0.0)
         with pytest.raises(ConvergenceError) as info:
-            build_kernel(fam, grid, max_terms=max_terms, kernel_tol=0.0)
+            table.apply(np.eye(81 * 2))
         norms.append(info.value.last_norm)
     assert all(norms[i + 1] < norms[i] for i in range(1, len(norms) - 1))
 
 
 @pytest.mark.parametrize("method", ["series", "direct"])
 def test_column_restriction_matches_full_table(rng, method):
+    # block columns solved one at a time against the materialised table
     fam = make_dense_family(rng, 3)
     n = 41
     grid = window(n)
     cols = (0, 17, n - 2)
-    full = build_propagator(fam, grid, kernel_method=method)
-    part = build_propagator(fam, grid, kernel_method=method, columns=cols)
-    for got, want in ((part.kernel_table.resolvent, full.kernel_table.resolvent),
-                      (part.matrices, full.matrices)):
-        assert np.max(np.abs(got[:, cols] - want[:, cols])) < 1e-13
+    table = build_propagator(fam, grid, kernel_method=method)
+    psi, res = materialise(table), materialise_resolvent(table.kernel_table)
+    units = [np.eye(n * 3)[:, 3 * j:3 * j + 3] for j in cols]
+    got_res = np.stack([table.kernel_table.apply(u).reshape(n, 3, 3)
+                        for u in units], axis=1)
+    got_psi = np.stack([[table.matrix(i, j) if i >= j else np.zeros((3, 3))
+                         for j in cols] for i in range(n)])
+    for got, want in ((got_res, res), (got_psi, psi)):
+        assert np.max(np.abs(got - want[:, cols])) < 1e-13
     bound = 1e-8 if method == "series" else 1e-12
-    assert kernel_residual(part.kernel_table) <= bound
+    assert kernel_residual(table.kernel_table, np.hstack(units)) <= bound
 
 
 def test_kernel_nonconvergence_error_carries_tail():
     fam = commuting_family()
+    table = build_kernel(fam, window(81), max_terms=2, kernel_tol=1e-14)
     with pytest.raises(ConvergenceError) as info:
-        build_kernel(fam, window(81), max_terms=2, kernel_tol=1e-14)
+        table.apply(np.ones(81 * 2))
     assert info.value.last_norm is not None
     assert info.value.last_norm > 1e-14
 
@@ -168,7 +178,7 @@ def test_dense_matches_oracle_with_second_order_convergence(rng):
                            steps=3000)
     errs = []
     for n in (101, 201):
-        table = build_propagator(fam, window(n), columns=[0])
+        table = build_propagator(fam, window(n))
         got = table.apply(n - 1, 0, x)
         errs.append(np.linalg.norm(got - ref) / np.linalg.norm(ref))
     assert errs[0] < 1e-4
@@ -325,20 +335,21 @@ def test_regularized_residual_decreases_with_pullback():
 
 
 def test_column_table_guards(rng):
+    # node pairs outside 0 <= j <= i < n are refused; a query solves only
+    # the block column it reads
     fam = make_dense_family(rng, 2)
-    table = build_propagator(fam, window(41), columns=[0])
+    table = build_propagator(fam, window(41))
     table.matrix(10, 0)
-    with pytest.raises(IndexError):
-        table.matrix(10, 3)
-    with pytest.raises(IndexError):
-        table.final_stack()
-    with pytest.raises(IndexError):
-        table.accumulate(np.ones((41, 2)))
+    assert list(table._columns) == [0]
+    for i, j in ((3, 10), (41, 0), (10, -1)):
+        with pytest.raises(IndexError):
+            table.matrix(i, j)
+    assert list(table._columns) == [0]
 
 
 def test_column_table_homogeneous_matches_apply(rng):
     fam = make_dense_family(rng, 3)
-    table = build_propagator(fam, window(41), columns=[0])
+    table = build_propagator(fam, window(41))
     x0 = rng.standard_normal(3)
     expect = np.stack([table.apply(i, 0, x0) for i in range(41)])
     assert np.allclose(table.homogeneous(x0), expect, rtol=1e-14, atol=1e-15)
@@ -368,7 +379,7 @@ def test_defective_family_uses_exponential_fallback():
     fam = DenseMatrixFamily(
         lambda t: np.array([[1.0, 1.0 + 0.2 * np.sin(t)], [0.0, 1.0]]), 2)
     grid = window(201)
-    table = build_propagator(fam, grid, columns=[0])
+    table = build_propagator(fam, grid)
     x = np.array([0.7, -0.4])
     ref = propagate_oracle(fam, ORDER, grid.t_start, grid.t_end, x,
                            steps=2000)
@@ -406,9 +417,82 @@ def test_dense_operator_matrix_matches_oracle_columns():
     a1 = rng.standard_normal((4, 4)) * 0.2
     fam = DenseMatrixFamily(lambda t: a0 + np.sin(1.1 * t) * a1, 4)
     grid = window(201)
-    table = build_propagator(fam, grid, columns=[0])
+    table = build_propagator(fam, grid)
     columns = [propagate_oracle(fam, ORDER, grid.t_start, grid.t_end, e,
                                 steps=2000) for e in np.eye(4)]
     oracle = np.stack(columns, axis=1)
     got = table.matrix(200, 0)
     assert np.linalg.norm(got - oracle, 2) / np.linalg.norm(oracle, 2) < 1e-5
+
+
+# --- operator applications against the materialised oracle ------------------
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_series_route_matches_direct_per_application(dim):
+    rng = np.random.default_rng(40 + dim)
+    fam = make_dense_family(rng, dim)
+    grid = window(81)
+    series = build_propagator(fam, grid, kernel_method="series")
+    direct = build_propagator(fam, grid, kernel_method="direct")
+    for rhs in (rng.standard_normal(81 * dim),
+                rng.standard_normal((81 * dim, 3))):
+        for transpose in (False, True):
+            want = direct.kernel_table.apply(rhs, transpose=transpose)
+            got = series.kernel_table.apply(rhs, transpose=transpose)
+            assert np.max(np.abs(got - want)) < 1e-7 * np.max(np.abs(want))
+        assert kernel_residual(series.kernel_table, rhs) <= 1e-8
+        assert kernel_residual(direct.kernel_table, rhs) <= 1e-12
+        want = direct.propagate(rhs)
+        assert np.max(np.abs(series.propagate(rhs) - want)) \
+            < 1e-7 * np.max(np.abs(want))
+    assert series.kernel_table.n_terms_used > 1
+    assert direct.kernel_table.n_terms_used == 0
+
+
+@pytest.mark.parametrize("method", ["series", "direct"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_applications_match_materialised_oracle(method, dim):
+    # each application against Psi built from identity right-hand sides; the
+    # series runs to 1e-14 so its truncation stays below the tolerance
+    rng = np.random.default_rng(50 + dim)
+    fam = make_dense_family(rng, dim)
+    grid = window(61)
+    h = grid.h
+    table = build_propagator(fam, grid, kernel_method=method,
+                             kernel_tol=1e-14)
+    psi = materialise(table)
+    x0 = rng.standard_normal(dim)
+    values = rng.standard_normal((61, dim))
+    assert np.max(np.abs(table.homogeneous(x0) - psi[:, 0] @ x0)) <= 1e-12
+    flat = psi.transpose(0, 2, 1, 3).reshape(61 * dim, 61 * dim)
+    expect = h * (flat @ values.ravel()).reshape(61, dim) - 0.5 * h * (
+        values + psi[:, 0] @ values[0])
+    got = table.accumulate(values)
+    assert np.max(np.abs(got - expect)) <= 1e-12
+    assert np.array_equal(got[0], np.zeros(dim))
+    assert np.max(np.abs(table.final_stack() - psi[-1])) <= 1e-12
+
+
+def test_log_norm_bound_dominates_discrete_blocks():
+    # exp(int max(0, mu_2(-A))) bounds the continuous evolution operator;
+    # it must also cover every block of the discrete one
+    for seed in range(9):
+        rng = np.random.default_rng(seed)
+        dim = 2 + seed % 2
+        fam = make_dense_family(rng, dim)
+        for n in (81, 161):
+            table = build_propagator(fam, window(n), kernel_method="direct")
+            psi = materialise(table)
+            worst = float(np.max(np.linalg.norm(psi, 2, axis=(-2, -1))))
+            assert worst <= table.norm_bound
+
+
+def test_log_norm_bound_is_one_for_shipped_families(tmp_path):
+    # A(t) + A(t)^T is positive definite on every named dense family
+    for name in ("commuting_diagonal", "rotation_drift", "coupled_3x3"):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text("schema_version = 1\nalpha = 0.8\ntau_start = 0\n"
+                        "tau_end = 1\nn_nodes = 41\nbackend = dense_matrix\n"
+                        f"dense_family = {name} 0.5\nx0 = ones 1.0\n")
+        cfg = parse_config(path)
+        assert build_propagator(cfg.family(), cfg.grid()).norm_bound == 1.0
