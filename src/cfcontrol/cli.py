@@ -52,11 +52,11 @@ def _fmt(value):
     return repr(float(value))
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, columns):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for row in np.column_stack(columns).tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def _write_summary(path, entries):
@@ -67,11 +67,6 @@ def _write_summary(path, entries):
             fh.write(f"{key}={_fmt(value)}\n")
         for key in sorted(extras):
             fh.write(f"{key}={_fmt(extras[key])}\n")
-
-
-def _trajectory_rows(grid, values):
-    for i in range(grid.n_nodes):
-        yield (grid.tau_nodes[i], grid.t_nodes[i], *values[i])
 
 
 def _state_header(dim, prefix="x"):
@@ -103,7 +98,7 @@ def run_scenario(config: ScenarioConfig, pipeline: str, out_dir: str,
         x0 = config.initial_state(dim)
         values = table.homogeneous(x0)
         _write_csv(os.path.join(out_dir, "trajectory.csv"),
-                   _state_header(dim), _trajectory_rows(grid, values))
+                   _state_header(dim), (grid.tau_nodes, grid.t_nodes, values))
         for i, j in (dump_pairs or []):
             if not 0 <= j <= i < grid.n_nodes:
                 raise DomainError(
@@ -111,7 +106,7 @@ def run_scenario(config: ScenarioConfig, pipeline: str, out_dir: str,
                     f"{grid.n_nodes} nodes")
             mat = table.matrix(i, j)
             _write_csv(os.path.join(out_dir, f"psi_{i}_{j}.csv"),
-                       [f"c{c}" for c in range(dim)], mat)
+                       [f"c{c}" for c in range(dim)], (mat,))
         summary.update(final_state_norm=float(np.linalg.norm(values[-1])),
                        iterations=0, propagator_bound=table.norm_bound)
         _write_summary(os.path.join(out_dir, "summary.txt"), summary)
@@ -129,7 +124,7 @@ def run_scenario(config: ScenarioConfig, pipeline: str, out_dir: str,
         result = picard_solve(problem, table)
         values = result.trajectory.values
         _write_csv(os.path.join(out_dir, "trajectory.csv"),
-                   _state_header(dim), _trajectory_rows(grid, values))
+                   _state_header(dim), (grid.tau_nodes, grid.t_nodes, values))
         summary.update(final_state_norm=float(np.linalg.norm(values[-1])),
                        iterations=result.iterations,
                        picard_residual=result.residual)
@@ -140,8 +135,8 @@ def run_scenario(config: ScenarioConfig, pipeline: str, out_dir: str,
         gramian = build_gramian(family, b_matrix, table)
         horizon = config.tau_end - config.tau_start
         rng = np.random.default_rng(seed)
-        outcome = verify_null_inequality(gramian, table, horizon,
-                                         config.trials, rng=rng)
+        outcome = verify_null_inequality(gramian, horizon, config.trials,
+                                         rng=rng)
         summary.update(gamma_emp=outcome.gamma_emp,
                        gamma_threshold=horizon / (horizon + 1.0),
                        trials=config.trials, iterations=0)
@@ -162,7 +157,7 @@ def run_scenario(config: ScenarioConfig, pipeline: str, out_dir: str,
                        gain_norm=report.gain_norm,
                        gramian_jitter=gramian.jitter)
         try:
-            result = exact_null_control_semilinear(problem, gramian, table,
+            result = exact_null_control_semilinear(problem, gramian,
                                                    null_tol=config.null_tol)
         except NullControlFailed as exc:
             if exc.result is not None:
@@ -178,10 +173,10 @@ def run_scenario(config: ScenarioConfig, pipeline: str, out_dir: str,
             raise
         values = result.closed_loop_trajectory.values
         _write_csv(os.path.join(out_dir, "trajectory.csv"),
-                   _state_header(dim), _trajectory_rows(grid, values))
+                   _state_header(dim), (grid.tau_nodes, grid.t_nodes, values))
         _write_csv(os.path.join(out_dir, "control.csv"),
                    _state_header(result.control.dim, prefix="u"),
-                   _trajectory_rows(grid, result.control.values))
+                   (grid.tau_nodes, grid.t_nodes, result.control.values))
         summary.update(final_state_norm=result.final_state_norm,
                        control_energy=result.control_energy,
                        iterations=result.iterations)

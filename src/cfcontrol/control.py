@@ -19,6 +19,10 @@ roundoff): W is the controllability Gramian and L^* W^{-1} is the concrete
 minimum-norm representative of the inverse of L restricted to the
 orthogonal complement of its kernel.
 
+L and N are each one call of the table's ``final_row``, and the adjoint
+``L^* y = B^T op(end, s)^T y`` of its ``final_row_adjoint``; the Gramian is
+``L(L^*(I))``, and the gain norm is the exact top eigenvalue of a pencil.
+
 The Gramian is factorized with an escalating-jitter Cholesky; exceeding the
 jitter cap means the truncated system is not exactly null controllable and
 raises :class:`ControllabilityError`.
@@ -34,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg import cho_factor, cho_solve, LinAlgError, solve_triangular
 
 from .errors import ControllabilityError, DomainError, NullControlFailed
 from .grids import GridFunction
@@ -54,26 +58,21 @@ __all__ = [
 
 _JITTER_START = 1e-14
 _JITTER_CAP = 1e-8
-_POWER_ITERATIONS = 20
-_POWER_TOL = 1e-6
 
 
 @dataclass
 class GramianSolve:
-    """Discretized reachability data and the factorized Gramian.
+    """Reachability map of a propagator table and its factorized Gramian.
 
-    ``control_maps[r]`` is ``op(end, s_r) B``; together with ``weights``
-    it represents the reachability map.  ``response_row[r]`` is
-    ``op(end, s_r)`` and feeds the free-response map.  ``gain_norm_est``
-    is a power-iteration estimate of the norm of the state-to-control
-    gain operator.
+    The reachability map L and its adjoint ``L^* y = B^T op(end, s)^T y``
+    (adjoint in the trapezoid-weighted inner product) are the table's
+    ``final_row`` and ``final_row_adjoint``; nothing node-by-node is
+    stored here.  ``gramian`` is ``W = L L^*``, and ``gain_norm_est`` is the
+    exact norm of the state-to-control gain operator.
     """
 
     propagator: PropagatorTable
     b_matrix: np.ndarray
-    weights: np.ndarray
-    control_maps: np.ndarray
-    response_row: np.ndarray
     gramian: np.ndarray
     jitter: float
     gain_norm_est: float = field(init=False, default=0.0)
@@ -85,17 +84,17 @@ class GramianSolve:
 
     def apply_reachability(self, u_values: np.ndarray) -> np.ndarray:
         """Final state produced by a control trajectory (the map L)."""
-        return np.einsum("r,rab,rb->a", self.weights, self.control_maps,
-                         u_values)
+        drive = self.grid.weights()[:, None] * (u_values @ self.b_matrix.T)
+        return self.propagator.final_row(drive)
 
     def free_response(self, z0: np.ndarray,
                       forcing: Optional[np.ndarray] = None) -> np.ndarray:
         """Final state of the uncontrolled system (the map N)."""
-        out = self.response_row[0] @ np.asarray(z0, dtype=float)
+        values = np.zeros((self.grid.n_nodes, np.size(z0)))
         if forcing is not None:
-            out = out + np.einsum("r,rab,rb->a", self.weights,
-                                  self.response_row, forcing)
-        return out
+            values += self.grid.weights()[:, None] * forcing
+        values[0] += z0
+        return self.propagator.final_row(values)
 
     def solve_gramian(self, rhs: np.ndarray) -> np.ndarray:
         return cho_solve(self._chol, rhs)
@@ -103,31 +102,13 @@ class GramianSolve:
     def control_from_target(self, target: np.ndarray) -> np.ndarray:
         """Minimum-norm control whose reachability image is -target."""
         y = self.solve_gramian(target)
-        return -np.einsum("rab,a->rb", self.control_maps, y)
-
-
-def _power_iteration(mat: np.ndarray) -> float:
-    d = mat.shape[0]
-    v = np.ones(d) / np.sqrt(d)
-    lam = 0.0
-    for _ in range(_POWER_ITERATIONS):
-        w = mat @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        new_lam = float(v @ (mat @ v))
-        if abs(new_lam - lam) <= _POWER_TOL * max(abs(new_lam), 1e-30):
-            lam = new_lam
-            break
-        lam = new_lam
-    return max(lam, 0.0)
+        return -self.propagator.final_row_adjoint(y) @ self.b_matrix
 
 
 def build_gramian(family: OperatorFamily,
                   b_matrix: np.ndarray,
                   propagator: PropagatorTable) -> GramianSolve:
-    """Assemble and factorize the controllability Gramian.
+    """Assemble and factorize the controllability Gramian ``W = L L^*``.
 
     Parameters
     ----------
@@ -149,10 +130,12 @@ def build_gramian(family: OperatorFamily,
     if b_matrix.shape[0] != d:
         raise DomainError(
             f"input matrix has {b_matrix.shape[0]} rows, expected {d}")
-    response_row = propagator.final_stack()
-    control_maps = response_row @ b_matrix
-    weights = propagator.grid.weights()
-    gram = np.einsum("r,rab,rcb->ac", weights, control_maps, control_maps)
+    # rows[k, r] is row k of op(end, s_r), so rows @ B is L^*(I); L maps it
+    # to W = L(L^*(I)) through the weighted drive B B^T op(end, s_r)^T e_k
+    rows = propagator.final_row_adjoint(np.eye(d))
+    weights = propagator.grid.weights()[:, None]
+    drive = rows @ (b_matrix @ b_matrix.T)
+    gram = propagator.final_row(np.multiply(drive, weights, out=drive))
     gram = 0.5 * (gram + gram.T)
 
     scale = float(np.trace(gram)) / d
@@ -175,17 +158,18 @@ def build_gramian(family: OperatorFamily,
             "controllable at this truncation"
         )
 
-    solve = GramianSolve(propagator, b_matrix, weights, control_maps,
-                         response_row, gram, jitter)
+    solve = GramianSolve(propagator, b_matrix, gram, jitter)
     solve._chol = chol
 
-    # ||H||^2 = lambda_max( W^{-1} (Psi_end0 Psi_end0^T + W_I) ) where W_I is
-    # the Gramian taken with identity input; the nonzero spectrum of the
-    # composed gain operator collapses onto this small matrix.
-    w_ident = np.einsum("r,rab,rcb->ac", weights, response_row, response_row)
-    outer0 = response_row[0] @ response_row[0].T
-    gain_sq = _power_iteration(cho_solve(chol, outer0 + w_ident))
-    solve.gain_norm_est = float(np.sqrt(gain_sq))
+    # ||H||^2 is the top eigenvalue of the pencil (P P^T + W_I, W), with
+    # P = op(end, 0) and W_I the Gramian taken with identity input; the
+    # nonzero spectrum of the composed gain operator collapses onto it.
+    # With C the Cholesky factor above, it is that of C^-1 (P P^T + W_I) C^-T.
+    w_ident = propagator.final_row(np.multiply(rows, weights, out=drive))
+    half = solve_triangular(chol[0], rows[:, 0] @ rows[:, 0].T + w_ident,
+                            lower=True)
+    top = np.linalg.eigvalsh(solve_triangular(chol[0], half.T, lower=True))
+    solve.gain_norm_est = float(np.sqrt(max(top[-1], 0.0)))
     return solve
 
 
@@ -240,23 +224,23 @@ def _closed_loop(grid, u_values, traj, iterations=1):
 
 
 def verify_null_inequality(gramian: GramianSolve,
-                           propagator: PropagatorTable,
                            horizon: float,
                            trials: int,
                            rng: Optional[np.random.Generator] = None,
                            tol_ineq: float = 1e-6) -> VerifyResult:
     """Empirical constant of the null-controllability inequality.
 
-    Over random unit vectors z compares the integrated response energy
-    against the free-response energy plus itself:
+    Over random unit vectors z compares, in the adjoint form, the response
+    energy ``z^T W z`` against the free-response energy plus itself:
 
-        ratio(z) = int ||op(end, s) z||^2 dtau_s
-                   / ( ||op(end, 0) z||^2 + int ||op(end, s) z||^2 dtau_s )
+        ratio(z) = int ||op(end, s)^T z||^2 dtau_s
+                   / ( ||op(end, 0)^T z||^2 + int ||op(end, s)^T z||^2 dtau_s )
 
     and returns the smallest ratio together with the verdict
     ``gamma_emp >= T/(T+1) - tol_ineq``.  Requires an identity input
     matrix (so the input-weighted response equals the response itself).
     """
+    propagator = gramian.propagator
     d = propagator.dim
     if gramian.b_matrix.shape != (d, d) or not np.allclose(
             gramian.b_matrix, np.eye(d)):
@@ -271,10 +255,9 @@ def verify_null_inequality(gramian: GramianSolve,
     z = rng.standard_normal((trials, d))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
 
-    # squared response norms per node and trial
-    sq = np.einsum("rab,tb->rta", gramian.response_row, z)
-    sq = np.sum(sq**2, axis=2)                        # (n_nodes, trials)
-    lhs = gramian.weights @ sq
+    # squared adjoint response norms per node and trial
+    sq = np.sum(propagator.final_row_adjoint(z) ** 2, axis=2).T
+    lhs = propagator.grid.weights() @ sq
     inner = sq[0] + lhs
     ratios = lhs / inner
     gamma_emp = float(np.min(ratios))
@@ -284,7 +267,6 @@ def verify_null_inequality(gramian: GramianSolve,
 
 def exact_null_control_semilinear(problem: ControlProblem,
                                   gramian: GramianSolve,
-                                  propagator: PropagatorTable,
                                   null_tol: float = 1e-6) -> NullControlResult:
     """Close the loop on the semilinear system.
 
@@ -314,6 +296,7 @@ def exact_null_control_semilinear(problem: ControlProblem,
         _check_tolerance(result, problem.x0, null_tol)
         return result
 
+    propagator = gramian.propagator
     if propagator.grid is not problem.grid:
         raise DomainError("propagator and problem must share the same grid")
     hom = propagator.homogeneous(problem.x0)

@@ -44,15 +44,19 @@ An independent brute-force oracle integrates the substituted ODE with a
 classical fourth-order one-step method; every propagator test is anchored
 to it.
 
-Table construction is single-threaded.  Applying a dense table caches
-block columns and records series term counts on it, so a dense table
-shared between threads needs a lock; spectral tables are immutable.
+Both tables apply their final row, forwards (``final_row``) and
+transposed (``final_row_adjoint``); the Gramian reads nothing else.
+
+Table construction is single-threaded.  A dense table caches the blocks it
+solves and records series term counts on itself, so a dense table shared
+between threads needs a lock; spectral tables are immutable.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -412,6 +416,7 @@ class SpectralPropagatorTable:
         suffix_min = np.minimum.accumulate(exponents[::-1], axis=0)[::-1]
         self.norm_bound = float(np.exp(np.max(exponents - suffix_min)))
         self._steps = self._between(np.s_[1:], np.s_[:-1])
+        self._final = self._between(-1, np.s_[:])
 
     @property
     def dim(self) -> int:
@@ -450,8 +455,13 @@ class SpectralPropagatorTable:
             acc[i] = step * (acc[i - 1] + half[i - 1]) + half[i]
         return acc
 
-    def final_stack(self) -> np.ndarray:
-        return self._between(-1, np.s_[:])[:, :, None] * np.eye(self.dim)
+    def final_row(self, values: np.ndarray) -> np.ndarray:
+        """``sum_r op(n-1, r) values[r]``; values (..., n_nodes, modes)."""
+        return np.einsum("rm,...rm->...m", self._final, values)
+
+    def final_row_adjoint(self, y: np.ndarray) -> np.ndarray:
+        """``op(n-1, r)^T y`` at every node r, shape (..., n_nodes, modes)."""
+        return self._final * np.asarray(y, dtype=float)[..., None, :]
 
 
 @dataclass
@@ -526,18 +536,28 @@ class DensePropagatorTable:
         acc -= half * values
         return acc
 
-    def final_stack(self) -> np.ndarray:
-        """Final block row ``Psi[n-1, j]`` for every j, shape (n_nodes, d, d).
+    @cached_property
+    def _final_t(self) -> np.ndarray:
+        """``Psi[n-1, :]^T``, shape (n_nodes*d, d), solved on first use.
 
         ``Psi[n-1, :]^T = S[n-1, :]^T + R^T u^T`` with
         ``u = h S[n-1, :] - h/2 E[n-1]``: one transposed application.
         """
-        n, d, h = self.grid.n_nodes, self.dim, self.grid.h
+        d, h = self.dim, self.grid.h
         row = self.semigroups[-d:].T
         seed = h * row
         seed[-d:] -= 0.5 * h * np.eye(d)
-        out = row + self.kernel_table.apply(seed, transpose=True)
-        return out.reshape(n, d, d).transpose(0, 2, 1)
+        return row + self.kernel_table.apply(seed, transpose=True)
+
+    def final_row(self, values: np.ndarray) -> np.ndarray:
+        """``sum_r Psi[n-1, r] values[r]``; values (..., n_nodes, d)."""
+        values = np.asarray(values, dtype=float)
+        return values.reshape(*values.shape[:-2], -1) @ self._final_t
+
+    def final_row_adjoint(self, y: np.ndarray) -> np.ndarray:
+        """``Psi[n-1, r]^T y`` at every node r, shape (..., n_nodes, d)."""
+        out = np.asarray(y, dtype=float) @ self._final_t.T
+        return out.reshape(*out.shape[:-1], self.grid.n_nodes, self.dim)
 
 
 PropagatorTable = Union[SpectralPropagatorTable, DensePropagatorTable]

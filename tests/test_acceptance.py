@@ -517,7 +517,7 @@ def test_criterion_08_inequality_constant():
         table = build_propagator(fam, grid)
         gram = build_gramian(fam, np.eye(6), table)
         outcome = verify_null_inequality(
-            gram, table, 1.0, 500,
+            gram, 1.0, 500,
             rng=np.random.default_rng(4000 + int(alpha * 10)))
         worst = min(worst, outcome.gamma_emp)
         assert outcome.passes

@@ -79,9 +79,7 @@ def test_gain_norm_estimate_close_to_spectral_value():
     w = np.diag(gram.gramian)
     psi0 = np.exp(-rates)
     exact = np.sqrt(np.max((psi0**2 + w) / w))
-    # the fixed 20-sweep power iteration resolves the close top eigenpair
-    # to about a percent
-    assert gram.gain_norm_est == pytest.approx(exact, rel=0.05)
+    assert gram.gain_norm_est == pytest.approx(exact, rel=1e-12)
 
 
 # --- null-control synthesis ----------------------------------------------------
@@ -162,7 +160,7 @@ def test_inequality_single_mode_closed_form():
     grid = TimeGrid.from_tau_horizon(FractionalOrder(1.0), 0.0, 1.0, 1601)
     table = build_propagator(fam, grid)
     gram = build_gramian(fam, np.eye(1), table)
-    outcome = verify_null_inequality(gram, table, 1.0, 5,
+    outcome = verify_null_inequality(gram, 1.0, 5,
                                      rng=np.random.default_rng(0))
     assert outcome.gamma_emp == pytest.approx(0.7615941559557649, abs=1e-7)
     assert outcome.passes
@@ -171,24 +169,42 @@ def test_inequality_single_mode_closed_form():
 def test_inequality_heat_demo_clears_threshold():
     fam, grid, table = heat_setup()
     gram = build_gramian(fam, np.eye(6), table)
-    outcome = verify_null_inequality(gram, table, 1.0, 200,
+    outcome = verify_null_inequality(gram, 1.0, 200,
                                      rng=np.random.default_rng(11))
     assert outcome.gamma_emp >= 0.5 - 1e-6
     assert outcome.passes
+
+
+def test_dense_inequality_reads_its_own_gramian(rng):
+    # on a non-normal family only the adjoint form int ||op(end, s)^T z||^2
+    # equals z^T W z; the direct route makes every block exact to roundoff
+    from conftest import make_dense_family
+    fam = make_dense_family(rng, 3)
+    grid = TimeGrid.from_tau_horizon(FractionalOrder(0.75), 0.0, 1.0, 121)
+    table = build_propagator(fam, grid, kernel_method="direct")
+    gram = build_gramian(fam, np.eye(3), table)
+    outcome = verify_null_inequality(gram, 1.0, 40,
+                                     rng=np.random.default_rng(5))
+    z = np.random.default_rng(5).standard_normal((40, 3))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    energy = np.einsum("ta,ab,tb->t", z, gram.gramian, z)
+    free = np.sum((z @ table.matrix(120, 0)) ** 2, axis=1)
+    expect = np.min(energy / (free + energy))
+    assert outcome.gamma_emp == pytest.approx(expect, rel=1e-12)
 
 
 def test_inequality_requires_identity_input():
     fam, grid, table = heat_setup(n=101)
     gram = build_gramian(fam, 0.5 * np.eye(6), table)
     with pytest.raises(DomainError):
-        verify_null_inequality(gram, table, 1.0, 10)
+        verify_null_inequality(gram, 1.0, 10)
 
 
 def test_inequality_checks_horizon_consistency():
     fam, grid, table = heat_setup(n=101)
     gram = build_gramian(fam, np.eye(6), table)
     with pytest.raises(DomainError):
-        verify_null_inequality(gram, table, 2.0, 10)
+        verify_null_inequality(gram, 2.0, 10)
 
 
 def test_inequality_pass_implies_gramian_built_and_zero_input_fails_both():
@@ -196,7 +212,7 @@ def test_inequality_pass_implies_gramian_built_and_zero_input_fails_both():
     # map fails the gramian build outright
     fam, grid, table = heat_setup(n=201)
     gram = build_gramian(fam, np.eye(6), table)
-    outcome = verify_null_inequality(gram, table, 1.0, 50,
+    outcome = verify_null_inequality(gram, 1.0, 50,
                                      rng=np.random.default_rng(2))
     assert outcome.gamma_emp > 0.0
     assert gram.jitter == 0.0
@@ -213,7 +229,7 @@ def test_semilinear_zero_gain_reduces_to_linear_synthesis():
     x0[0] = 1.0
     problem = ControlProblem(family=fam, grid=grid, x0=x0,
                              b_matrix=np.eye(6))
-    looped = exact_null_control_semilinear(problem, gram, table)
+    looped = exact_null_control_semilinear(problem, gram)
     direct = synthesize_null_control(gram, x0)
     assert np.array_equal(looped.control.values, direct.control.values)
 
@@ -227,8 +243,7 @@ def test_semilinear_small_gain_converges():
                              b_matrix=np.eye(6),
                              nonlinearity=lambda t, x: 0.05 * x,
                              picard_tol=1e-9)
-    result = exact_null_control_semilinear(problem, gram, table,
-                                           null_tol=1e-5)
+    result = exact_null_control_semilinear(problem, gram, null_tol=1e-5)
     assert result.final_state_norm <= 1e-5
     assert result.iterations <= 20
 
@@ -244,8 +259,7 @@ def test_semilinear_demo_is_a_fixed_point_of_the_closed_loop_map():
                              nonlinearity=fun, picard_tol=cfg.picard_tol,
                              max_iter=cfg.max_iter)
     result = exact_null_control_semilinear(
-        problem, build_gramian(fam, b_matrix, table), table,
-        null_tol=cfg.null_tol)
+        problem, build_gramian(fam, b_matrix, table), null_tol=cfg.null_tol)
     x = result.closed_loop_trajectory.values
     forcing = np.stack([fun(t, x[r]) for r, t in enumerate(grid.t_nodes)])
     image = table.homogeneous(problem.x0) + table.accumulate(
@@ -262,7 +276,7 @@ def test_semilinear_rejects_a_table_on_another_grid():
                              b_matrix=np.eye(6),
                              nonlinearity=lambda t, x: 0.05 * x)
     with pytest.raises(DomainError):
-        exact_null_control_semilinear(problem, gram, table)
+        exact_null_control_semilinear(problem, gram)
 
 
 def test_semilinear_over_gain_reports_failure():
@@ -275,7 +289,7 @@ def test_semilinear_over_gain_reports_failure():
                              nonlinearity=lambda t, x: 5.0 * x,
                              picard_tol=1e-9, max_iter=40)
     with pytest.raises((ConvergenceError, NullControlFailed)):
-        exact_null_control_semilinear(problem, gram, table)
+        exact_null_control_semilinear(problem, gram)
 
 
 def test_inequality_fails_for_destabilizing_potential():
@@ -285,7 +299,7 @@ def test_inequality_fails_for_destabilizing_potential():
     grid = TimeGrid.from_tau_horizon(FractionalOrder(1.0), 0.0, 1.0, 801)
     table = build_propagator(fam, grid)
     gram = build_gramian(fam, np.eye(1), table)
-    outcome = verify_null_inequality(gram, table, 1.0, 10,
+    outcome = verify_null_inequality(gram, 1.0, 10,
                                      rng=np.random.default_rng(0))
     lhs = (np.exp(2.0) - 1.0) / 2.0
     assert outcome.gamma_emp == pytest.approx(lhs / (np.exp(2.0) + lhs),
@@ -302,6 +316,6 @@ def test_tolerance_miss_raises_with_result_attached():
                              b_matrix=np.eye(6),
                              nonlinearity=lambda t, x: 0.05 * x)
     with pytest.raises(NullControlFailed) as info:
-        exact_null_control_semilinear(problem, gram, table, null_tol=1e-20)
+        exact_null_control_semilinear(problem, gram, null_tol=1e-20)
     assert info.value.result is not None
     assert info.value.result.final_state_norm > 0.0

@@ -470,7 +470,28 @@ def test_applications_match_materialised_oracle(method, dim):
     got = table.accumulate(values)
     assert np.max(np.abs(got - expect)) <= 1e-12
     assert np.array_equal(got[0], np.zeros(dim))
-    assert np.max(np.abs(table.final_stack() - psi[-1])) <= 1e-12
+    check_final_row(table, psi[-1], values, rng.standard_normal(dim))
+
+
+def check_final_row(table, final, values, y):
+    """Both final-row applications against the blocks ``final[r]``."""
+    got = table.final_row(values)
+    assert np.max(np.abs(got - np.einsum("rab,rb->a", final, values))) <= 1e-12
+    got = table.final_row_adjoint(y)
+    assert np.max(np.abs(got - np.einsum("rab,a->rb", final, y))) <= 1e-12
+    # leading axes batch: row k of every final block at once
+    rows = table.final_row_adjoint(np.eye(table.dim))
+    assert np.max(np.abs(rows - final.transpose(1, 0, 2))) <= 1e-12
+
+
+def test_spectral_final_row_matches_node_pair_matrices():
+    fam = SpectralHeatFamily(lambda t: 1.0 + 0.3 * np.sin(t), 5)
+    grid = window(61)
+    table = build_propagator(fam, grid)
+    final = np.stack([table.matrix(60, r) for r in range(61)])
+    rng = np.random.default_rng(55)
+    check_final_row(table, final, rng.standard_normal((61, 5)),
+                    rng.standard_normal(5))
 
 
 def test_log_norm_bound_dominates_discrete_blocks():
