@@ -94,7 +94,7 @@ def run_scenario(config: ScenarioConfig, pipeline: str, out_dir: str,
     summary: dict = {}
 
     if pipeline == "evolve":
-        table = build_propagator(family, grid, kernel_tol=config.kernel_tol)
+        table = build_propagator(family, grid)
         x0 = config.initial_state(dim)
         values = table.homogeneous(x0)
         _write_csv(os.path.join(out_dir, "trajectory.csv"),
@@ -112,7 +112,7 @@ def run_scenario(config: ScenarioConfig, pipeline: str, out_dir: str,
         _write_summary(os.path.join(out_dir, "summary.txt"), summary)
         return 0
 
-    table = build_propagator(family, grid, kernel_tol=config.kernel_tol)
+    table = build_propagator(family, grid)
     b_matrix = config.control_matrix(dim)
     fun, gamma_growth = config.nonlinearity()
     problem = ControlProblem(family=family, grid=grid,
@@ -132,7 +132,7 @@ def run_scenario(config: ScenarioConfig, pipeline: str, out_dir: str,
         return 0
 
     if pipeline == "verify":
-        gramian = build_gramian(family, b_matrix, table)
+        gramian = build_gramian(b_matrix, table)
         horizon = config.tau_end - config.tau_start
         rng = np.random.default_rng(seed)
         outcome = verify_null_inequality(gramian, horizon, config.trials,
@@ -148,8 +148,8 @@ def run_scenario(config: ScenarioConfig, pipeline: str, out_dir: str,
         return 0
 
     if pipeline == "control":
-        gramian = build_gramian(family, b_matrix, table)
-        report = contraction_report(problem, table, gramian,
+        gramian = build_gramian(b_matrix, table)
+        report = contraction_report(problem, gramian,
                                     gamma_growth=gamma_growth)
         summary.update(contraction_lhs=report.lhs,
                        contraction_satisfied=int(report.satisfied),

@@ -20,7 +20,7 @@ Recognized keys (see README for the full schema):
     control          identity | scalar C | diag V1 V2 ...
     nonlinearity     zero | linear C
     x0               first_mode AMP | ones AMP | values V1 V2 ...
-    kernel_tol, picard_tol, null_tol    positive tolerances
+    picard_tol, null_tol    positive tolerances
     max_iter         iteration cap (>= 1)
     seed             RNG seed for randomized checks
     trials           sample count for the inequality check
@@ -44,8 +44,8 @@ __all__ = ["ScenarioConfig", "parse_config"]
 _KNOWN_KEYS = {
     "schema_version", "alpha", "k", "tau_start", "tau_end", "n_nodes",
     "backend", "n_modes", "dense_family", "potential", "control",
-    "nonlinearity", "x0", "kernel_tol", "picard_tol", "null_tol",
-    "max_iter", "seed", "trials", "out_dir",
+    "nonlinearity", "x0", "picard_tol", "null_tol", "max_iter", "seed",
+    "trials", "out_dir",
 }
 
 _DEFAULTS = {
@@ -56,7 +56,6 @@ _DEFAULTS = {
     "control": "identity",
     "nonlinearity": "zero",
     "x0": "first_mode 1.0",
-    "kernel_tol": "1e-8",
     "picard_tol": "1e-9",
     "null_tol": "1e-6",
     "max_iter": "50",
@@ -84,7 +83,6 @@ class ScenarioConfig:
     control_spec: str
     nonlinearity_spec: str
     x0_spec: str
-    kernel_tol: float
     picard_tol: float
     null_tol: float
     max_iter: int
@@ -301,9 +299,6 @@ def parse_config(path) -> ScenarioConfig:
         control_spec=raw["control"],
         nonlinearity_spec=raw["nonlinearity"],
         x0_spec=raw["x0"],
-        kernel_tol=_parse_scalar(raw["kernel_tol"], lines.get("kernel_tol"),
-                                 "kernel_tol", float, lambda v: v > 0.0,
-                                 "must be positive"),
         picard_tol=_parse_scalar(raw["picard_tol"], lines.get("picard_tol"),
                                  "picard_tol", float, lambda v: v > 0.0,
                                  "must be positive"),

@@ -42,7 +42,7 @@ from scipy.linalg import cho_factor, cho_solve, LinAlgError, solve_triangular
 
 from .errors import ControllabilityError, DomainError, NullControlFailed
 from .grids import GridFunction
-from .evolution import OperatorFamily, PropagatorTable
+from .evolution import PropagatorTable
 from .mild import ControlProblem, iterate_fixed_point, nonlinearity_values
 
 __all__ = [
@@ -105,14 +105,12 @@ class GramianSolve:
         return -self.propagator.final_row_adjoint(y) @ self.b_matrix
 
 
-def build_gramian(family: OperatorFamily,
-                  b_matrix: np.ndarray,
+def build_gramian(b_matrix: np.ndarray,
                   propagator: PropagatorTable) -> GramianSolve:
     """Assemble and factorize the controllability Gramian ``W = L L^*``.
 
     Parameters
     ----------
-    family : OperatorFamily
     b_matrix : ndarray
         Control-to-state matrix, shape (dim, n_inputs).
     propagator : PropagatorTable
@@ -126,7 +124,7 @@ def build_gramian(family: OperatorFamily,
         null controllable.
     """
     b_matrix = np.atleast_2d(np.asarray(b_matrix, dtype=float))
-    d = family.dim
+    d = propagator.dim
     if b_matrix.shape[0] != d:
         raise DomainError(
             f"input matrix has {b_matrix.shape[0]} rows, expected {d}")

@@ -21,24 +21,23 @@ Two backends:
 
   discretized with trapezoid weights (Nystrom).  The table keeps two
   ``(n*d, n*d)`` block-lower-triangular matrices, the frozen semigroups S
-  and the kernel K, whose block (i, j) acts from node j to node i.  K
-  vanishes on the block diagonal, so the discrete equation
-  ``R = K + h K R`` gives ``I + h R = (I - h K)^{-1}``, and the propagator
-  ``Psi = S (I + h R) - h/2 R`` is applied without forming R or Psi:
+  and the kernel, stored scaled as ``-h K``; block (i, j) acts from node j
+  to node i.  K vanishes on the block diagonal, so the discrete equation
+  ``R = K + h K R`` is the unit lower triangular system
+  ``I + h R = (I - h K)^{-1}``, and the propagator
+  ``Psi = S (I + h R) - h/2 R = (S - I/2) (I - h K)^{-1} + I/2`` is applied
+  by one triangular solve and one product with S, never formed:
 
-      Psi v = S (v + h w) - h/2 w,              w = R v,
-      Psi[n-1, :] = S[n-1, :] + u R,            u = h S[n-1, :] - h/2 E[n-1],
+      Psi v = S y - (y - v)/2,                      y = (I - h K)^{-1} v,
+      Psi[n-1, :]^T = (I - h K)^{-T} (S[n-1, :]^T - E/2) + E/2,
 
-  where ``E[n-1]`` picks the last node; the final block row is one
-  transposed application.  ``R v`` takes either one unit lower triangular
-  solve of ``(I - h K) w = K v`` (direct route) or the terminating series
-  ``sum_m (h K)^m K v``, one matrix-vector product per term and a stopping
-  test per application (series route); the tests cross-check the two.
-  A block column of Psi, for node-pair queries, is one application to d
-  unit vectors and is cached on the table.  The table's ``norm_bound`` is
-  the logarithmic-norm bound ``exp(int max(0, mu_2(-A)) dtau)``, which
-  needs no block of Psi.  A grid whose tables would not fit in physical
-  memory is refused before anything large is allocated.
+  where ``E`` holds the identity at the last node; the final block row is
+  one transposed solve.  A block column of Psi, for node-pair queries, is
+  one application to d unit vectors and is cached on the table.  The
+  table's ``norm_bound`` is the logarithmic-norm bound
+  ``exp(int max(0, mu_2(-A)) dtau)``, which needs no block of Psi.  A grid
+  whose tables would not fit in physical memory is refused before
+  anything large is allocated.
 
 An independent brute-force oracle integrates the substituted ODE with a
 classical fourth-order one-step method; every propagator test is anchored
@@ -47,9 +46,9 @@ to it.
 Both tables apply their final row, forwards (``final_row``) and
 transposed (``final_row_adjoint``); the Gramian reads nothing else.
 
-Table construction is single-threaded.  A dense table caches the blocks it
-solves and records series term counts on itself, so a dense table shared
-between threads needs a lock; spectral tables are immutable.
+Table construction is single-threaded.  A dense table caches the block
+columns and the final row it solves, so a dense table shared between
+threads needs a lock; spectral tables are immutable.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 from scipy.linalg import expm, solve_triangular
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .grids import TimeGrid
 
 __all__ = [
@@ -84,7 +83,7 @@ __all__ = [
 
 _EIG_COND_LIMIT = 1e7
 _CHUNK_BYTES = 1 << 20
-_TABLE_COPIES = 3
+_TABLE_COPIES = 2
 
 
 @dataclass(frozen=True)
@@ -159,12 +158,6 @@ def _blocks(mat: np.ndarray, d: int) -> np.ndarray:
     return mat.reshape(mat.shape[0] // d, d, -1, d).transpose(0, 2, 1, 3)
 
 
-def _flat(blocks: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_blocks`; a view when ``blocks`` came from it."""
-    rows, cols, d, _ = blocks.shape
-    return blocks.transpose(0, 2, 1, 3).reshape(rows * d, cols * d)
-
-
 def _unit_block(n: int, d: int, j: int) -> np.ndarray:
     """``(n*d, d)`` stacked block column holding the identity at node j."""
     out = np.zeros((n * d, d))
@@ -175,9 +168,8 @@ def _unit_block(n: int, d: int, j: int) -> np.ndarray:
 def _check_memory(n: int, d: int) -> None:
     """Refuse a dense table whose predicted footprint exceeds physical memory.
 
-    A table keeps S and K, and the direct route a third matrix of the same
-    size, ``-hK``: ``_TABLE_COPIES`` matrices of ``(n*d)**2`` doubles,
-    counted for either route.  Nothing is allocated to find out.
+    A table keeps S and ``-hK``: ``_TABLE_COPIES`` matrices of
+    ``(n*d)**2`` doubles.  Nothing is allocated to find out.
     """
     need = _TABLE_COPIES * (n * d) ** 2 * 8
     try:
@@ -229,10 +221,12 @@ def _semigroup_table(a_stack: np.ndarray, tau: np.ndarray) -> np.ndarray:
         out = np.exp(-np.where(above, 0.0, dt)[..., None]
                      * lam[cols, None, :]) @ proj[cols]
         out[above] = 0.0
-        imag = np.max(np.abs(out.imag), axis=(1, 2))
-        scale = np.maximum(1.0, np.max(np.abs(out.real), axis=(1, 2)))
-        use_eig[cols] &= imag < 1e-9 * scale
-        blocks[j0:, cols] = out.real.reshape(-1, n - j0, d, d).transpose(
+        if np.iscomplexobj(out):
+            imag = np.max(np.abs(out.imag), axis=(1, 2))
+            scale = np.maximum(1.0, np.max(np.abs(out.real), axis=(1, 2)))
+            use_eig[cols] &= imag < 1e-9 * scale
+            out = out.real
+        blocks[j0:, cols] = out.reshape(-1, n - j0, d, d).transpose(
             1, 0, 2, 3)
     for j in np.flatnonzero(~use_eig):
         blocks[j:, j] = np.stack([expm(-dt * a_stack[j])
@@ -242,13 +236,15 @@ def _semigroup_table(a_stack: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return table
 
 
-def _kernel_table_raw(a_stack: np.ndarray, semigroups: np.ndarray) -> np.ndarray:
-    """Block matrix with K[i, j] = (A_j - A_i) S[i, j].
+def _scaled_kernel(a_stack: np.ndarray, semigroups: np.ndarray,
+                   h: float) -> np.ndarray:
+    """Block matrix ``-h K`` with K[i, j] = (A_j - A_i) S[i, j].
 
     ``A_j - A_i`` stays the left factor: it vanishes exactly on the block
     diagonal and for a constant family, so K is exactly zero there.  Rows
     are filled in chunks, each only up to its last diagonal block, so the
-    coefficient differences never take a third ``(n*d, n*d)`` array.
+    coefficient differences never take a third ``(n*d, n*d)`` array; the
+    scale ``-h`` is applied in place.
     """
     n, d = a_stack.shape[:2]
     kern = np.zeros_like(semigroups)
@@ -258,6 +254,7 @@ def _kernel_table_raw(a_stack: np.ndarray, semigroups: np.ndarray) -> np.ndarray
         i1 = min(n, i0 + step)
         np.matmul(a_stack[None, :i1] - a_stack[i0:i1, None], sem[i0:i1, :i1],
                   out=out[i0:i1, :i1])
+    kern *= -h
     return kern
 
 
@@ -275,91 +272,53 @@ def _log_norm_bound(a_stack: np.ndarray, grid: TimeGrid) -> float:
 
 @dataclass
 class KernelTable:
-    """Volterra kernel of the dense backend; applies its resolvent.
+    """Volterra kernel of the dense backend; solves its resolvent equation.
 
-    ``kernel[i, j]`` holds ``(A(t_j) - A(t_i)) S_{t_j}(t_i - t_j)`` exactly
-    as assembled.  It is the ``(n, n, d, d)`` block view of the strictly
-    block-lower-triangular ``(n*d, n*d)`` matrix K, so entries with i <= j
-    are zero.  The resolvent R of the discrete equation ``R = K + h K R``
-    is never stored; :meth:`apply` returns ``R v``.  ``n_terms_used`` and
-    ``series_tail_norm`` are the largest series term count and the largest
-    final relative term norm over the applications so far (both stay zero
-    on the direct route).
+    ``lower`` is the ``(n*d, n*d)`` matrix ``-h K``, the strictly lower
+    part of ``I - h K``, where K is strictly block lower triangular with
+    block ``K[i, j] = (A(t_j) - A(t_i)) S_{t_j}(t_i - t_j)``.  The discrete
+    equation ``R = K + h K R`` has the one solution
+    ``R = (I - h K)^{-1} K``; R is never stored.  ``n_terms_used`` is 0:
+    no series is summed (it stays for callers that read a term count).
     """
 
     grid: TimeGrid
-    kernel: np.ndarray
-    method: str
-    kernel_tol: float
-    max_terms: int
-    n_terms_used: int = 0
-    series_tail_norm: float = 0.0
-    _lower: np.ndarray | None = field(init=False, repr=False, default=None)
+    lower: np.ndarray
+    n_terms_used = 0
 
-    def __post_init__(self):
-        if self.method not in ("series", "direct"):
-            raise ValueError(f"unknown kernel method {self.method!r}")
-        if self.method == "direct":
-            # K is strictly lower triangular, so with unit_diagonal the solve
-            # reads only -hK: the strictly lower part of I - hK
-            self._lower = -self.grid.h * _flat(self.kernel)
+    @property
+    def kernel(self) -> np.ndarray:
+        """K as ``(n, n, d, d)`` blocks, recovered from ``lower`` (a copy)."""
+        d = self.lower.shape[0] // self.grid.n_nodes
+        return _blocks(self.lower / -self.grid.h, d)
+
+    def solve(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """``(I - h K)^{-1} rhs``, or ``(I - h K)^{-T} rhs`` (``transpose``).
+
+        One unit lower triangular solve; rhs is (n*d,) or (n*d, k).
+        """
+        return solve_triangular(self.lower, rhs, lower=True,
+                                trans="T" if transpose else "N",
+                                unit_diagonal=True, check_finite=False)
 
     def apply(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
         """R rhs, or R^T rhs with ``transpose``; rhs is (n*d,) or (n*d, k).
 
-        The direct route solves ``(I - h K) w = K rhs`` with one unit lower
-        triangular solve, exact at machine precision.  The series route
-        sums ``(h K)^m K rhs``, one product per term, until the newest
-        term's norm is at most ``kernel_tol`` times that of ``K rhs`` (the
-        truncated sum's residual in the discrete equation is the next
-        term).  Raises :class:`ConvergenceError` if that takes more than
-        ``max_terms`` terms.
+        Solves ``(I - h K) w = K rhs``; ``K rhs`` is read from ``-h K``.
         """
-        kern = _flat(self.kernel)
-        if transpose:
-            kern = kern.T
-        first = kern @ np.asarray(rhs, dtype=float)
-        if self.method == "direct":
-            return solve_triangular(self._lower, first, lower=True,
-                                    trans="T" if transpose else "N",
-                                    unit_diagonal=True, check_finite=False)
-        h = self.grid.h
-        term, total = first, first.copy()
-        scale = float(np.linalg.norm(first))
-        tail, n_terms = (1.0 if scale > 0.0 else 0.0), 1
-        while tail > self.kernel_tol:
-            if n_terms >= self.max_terms:
-                raise ConvergenceError(
-                    f"kernel series did not reach {self.kernel_tol} within "
-                    f"{self.max_terms} terms (last relative term norm "
-                    f"{tail:.3e})",
-                    last_norm=tail,
-                )
-            term = kern @ term
-            term *= h
-            total += term
-            tail = float(np.linalg.norm(term)) / scale
-            n_terms += 1
-        self.n_terms_used = max(self.n_terms_used, n_terms)
-        self.series_tail_norm = max(self.series_tail_norm, tail)
-        return total
+        lower = self.lower.T if transpose else self.lower
+        first = lower @ np.asarray(rhs, dtype=float)
+        first /= -self.grid.h
+        return self.solve(first, transpose)
 
 
 def build_kernel(family: OperatorFamily,
                  grid: TimeGrid,
-                 max_terms: int = 40,
-                 kernel_tol: float = 1e-8,
-                 method: str = "series",
                  _frozen: tuple | None = None) -> KernelTable:
-    """Assemble the Volterra kernel K on the grid; the table applies R.
+    """Assemble the Volterra kernel on the grid; the table solves for R.
 
-    ``method`` selects how :meth:`KernelTable.apply` solves the discrete
-    equation ``R = K + h K R`` for each right-hand side: ``"series"`` sums
-    iterated kernels to ``kernel_tol`` within ``max_terms`` terms, and
-    ``"direct"`` takes one unit lower triangular solve, the discrete oracle
-    for the series route.  Raises :class:`DomainError` for a spectral
-    family, fewer than three nodes, or a grid whose tables would not fit in
-    physical memory.
+    Raises :class:`DomainError` for a spectral family, fewer than three
+    nodes, or a grid whose tables would not fit in physical memory.
     """
     if family.kind != "dense_matrix":
         raise DomainError("kernel construction applies to the dense backend")
@@ -367,9 +326,7 @@ def build_kernel(family: OperatorFamily,
         raise DomainError("kernel construction needs at least three nodes")
     a_stack, semigroups = (_frozen_tables(family, grid)
                            if _frozen is None else _frozen)
-    kern = _kernel_table_raw(a_stack, semigroups)
-    return KernelTable(grid, _blocks(kern, family.dim), method, kernel_tol,
-                       max_terms)
+    return KernelTable(grid, _scaled_kernel(a_stack, semigroups, grid.h))
 
 
 def kernel_residual(table: KernelTable, rhs: np.ndarray) -> float:
@@ -379,11 +336,11 @@ def kernel_residual(table: KernelTable, rhs: np.ndarray) -> float:
     (Frobenius for several right-hand sides).  When ``K v`` vanishes the
     absolute residual is returned.
     """
-    kern = _flat(table.kernel)
+    lower = table.lower
     rhs = np.asarray(rhs, dtype=float)
-    first = kern @ rhs
+    first = (lower @ rhs) / -table.grid.h
     w = table.apply(rhs)
-    resid = w - table.grid.h * (kern @ w) - first
+    resid = w + lower @ w - first
     return float(np.linalg.norm(resid)) / (float(np.linalg.norm(first)) or 1.0)
 
 
@@ -466,10 +423,10 @@ class SpectralPropagatorTable:
 
 @dataclass
 class DensePropagatorTable:
-    """Evolution operators of a dense matrix family, kept as S and K.
+    """Evolution operators of a dense matrix family, kept as S and -hK.
 
     ``semigroups`` is the ``(n*d, n*d)`` frozen-semigroup matrix S, and
-    ``kernel_table`` applies the resolvent; the propagator Psi is applied
+    ``kernel_table`` solves with ``I - h K``; the propagator Psi is applied
     through them and never formed (see the module docstring).
     ``matrix(i, j)``, the operator from node j to node i, reads block
     column j of Psi, which is solved on first use and cached.
@@ -489,12 +446,13 @@ class DensePropagatorTable:
         return self.family.dim
 
     def propagate(self, v: np.ndarray) -> np.ndarray:
-        """``Psi v`` for stacked node values v of shape (n*d,) or (n*d, k)."""
-        h = self.grid.h
-        w = self.kernel_table.apply(v)
-        out = self.semigroups @ (v + h * w)
-        out -= (0.5 * h) * w
-        return out
+        """``Psi v`` for stacked node values v of shape (n*d,) or (n*d, k).
+
+        ``Psi v = S y - (y - v)/2`` with ``y = (I - h K)^{-1} v``.
+        """
+        v = np.asarray(v, dtype=float)
+        y = self.kernel_table.solve(v)
+        return self.semigroups @ y - 0.5 * (y - v)
 
     def _column(self, j: int) -> np.ndarray:
         """Block column j of Psi, shape (n_nodes, d, d), solved once."""
@@ -540,14 +498,15 @@ class DensePropagatorTable:
     def _final_t(self) -> np.ndarray:
         """``Psi[n-1, :]^T``, shape (n_nodes*d, d), solved on first use.
 
-        ``Psi[n-1, :]^T = S[n-1, :]^T + R^T u^T`` with
-        ``u = h S[n-1, :] - h/2 E[n-1]``: one transposed application.
+        ``(I - h K)^{-T} (S[n-1, :]^T - E/2) + E/2``, with E the identity
+        at the last node: one transposed solve.
         """
-        d, h = self.dim, self.grid.h
-        row = self.semigroups[-d:].T
-        seed = h * row
-        seed[-d:] -= 0.5 * h * np.eye(d)
-        return row + self.kernel_table.apply(seed, transpose=True)
+        d = self.dim
+        seed = self.semigroups[-d:].T.copy()
+        seed[-d:] -= 0.5 * np.eye(d)
+        out = self.kernel_table.solve(seed, transpose=True)
+        out[-d:] += 0.5 * np.eye(d)
+        return out
 
     def final_row(self, values: np.ndarray) -> np.ndarray:
         """``sum_r Psi[n-1, r] values[r]``; values (..., n_nodes, d)."""
@@ -564,30 +523,23 @@ PropagatorTable = Union[SpectralPropagatorTable, DensePropagatorTable]
 
 
 def build_propagator(family: OperatorFamily,
-                     grid: TimeGrid,
-                     *,
-                     kernel_tol: float = 1e-8,
-                     max_terms: int = 40,
-                     kernel_method: str = "series") -> PropagatorTable:
+                     grid: TimeGrid) -> PropagatorTable:
     """Construct the evolution-operator table on ``grid``.
 
-    The spectral backend evaluates its closed per-mode form (the kernel
-    options are ignored).  The dense backend builds S and K and applies,
-    with trapezoid weights in tau,
+    The spectral backend evaluates its closed per-mode form.  The dense
+    backend builds S and K and applies, with trapezoid weights in tau,
 
         op(i, j) = S_j(tau_i - tau_j)
                    + int_{tau_j}^{tau_i} S_r(tau_i - tau_r) resolvent(r, j) dr
 
-    through kernel solves; it raises :class:`DomainError` before allocating
-    when the tables would not fit in physical memory.
+    through triangular solves; it raises :class:`DomainError` before
+    allocating when the tables would not fit in physical memory.
     """
     if family.kind == "spectral_heat":
         return SpectralPropagatorTable(grid, family)
 
     frozen = _frozen_tables(family, grid)
-    ktab = build_kernel(family, grid, max_terms=max_terms,
-                        kernel_tol=kernel_tol, method=kernel_method,
-                        _frozen=frozen)
+    ktab = build_kernel(family, grid, _frozen=frozen)
     a_stack, semigroups = frozen
     return DensePropagatorTable(grid, family, semigroups, ktab,
                                 _log_norm_bound(a_stack, grid))

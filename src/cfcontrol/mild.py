@@ -239,11 +239,11 @@ def estimate_growth_constant(fun: Callable[[float, np.ndarray], np.ndarray],
 
 
 def contraction_report(problem: ControlProblem,
-                       propagator: PropagatorTable,
                        gramian,
                        gamma_growth: Optional[float] = None) -> ContractionReport:
     """Assemble the small-gain report for a problem.
 
+    M is the ``norm_bound`` of the Gramian's propagator table.
     ``gamma_growth`` should be the (pointwise) growth constant of the
     nonlinearity; when omitted it is estimated by sampling (zero when the
     problem has no nonlinearity).
@@ -254,7 +254,7 @@ def contraction_report(problem: ControlProblem,
         else:
             gamma_growth = estimate_growth_constant(
                 problem.nonlinearity, problem.grid, problem.family.dim)
-    m_bound = propagator.norm_bound
+    m_bound = gramian.propagator.norm_bound
     b_norm = float(np.linalg.norm(problem.b_matrix, 2))
     h_norm = gramian.gain_norm_est
     n_const = horizon_factor(problem.grid.order.alpha,

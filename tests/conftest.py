@@ -45,14 +45,51 @@ def block_view(mat, d):
     return mat.reshape(n, d, n, d).transpose(0, 2, 1, 3)
 
 
+def flat(blocks):
+    """``(n, n, d, d)`` blocks as the ``(n*d, n*d)`` matrix."""
+    n, _, d, _ = blocks.shape
+    return blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
+
+
+def kernel_series(kernel_table, rhs, transpose=False, tol=1e-8, max_terms=40):
+    """``R v`` (or ``R^T v``) as the Neumann series ``sum_m (hK)^m K v``.
+
+    K is read from ``kernel_table.kernel``.  Terms are added until the
+    newest one's norm is at most ``tol`` times that of ``K v``, or until
+    ``max_terms`` terms are summed; returns the sum and the relative norms
+    of its terms.  The reference for the table's triangular solve.
+    """
+    kern = flat(kernel_table.kernel)
+    if transpose:
+        kern = kern.T
+    h = kernel_table.grid.h
+    term = kern @ np.asarray(rhs, dtype=float)
+    total, scale = term.copy(), float(np.linalg.norm(term))
+    norms = [1.0 if scale > 0.0 else 0.0]
+    while norms[-1] > tol and len(norms) < max_terms:
+        term = h * (kern @ term)
+        total += term
+        norms.append(float(np.linalg.norm(term)) / scale)
+    return total, norms
+
+
+def kernel_equation_residual(kernel_table, rhs, w):
+    """``||w - hKw - Kv|| / ||Kv||`` for a candidate ``w = R v``."""
+    kern = flat(kernel_table.kernel)
+    first = kern @ np.asarray(rhs, dtype=float)
+    resid = w - kernel_table.grid.h * (kern @ w) - first
+    return float(np.linalg.norm(resid)) / float(np.linalg.norm(first))
+
+
 def materialise_resolvent(kernel_table):
     """The resolvent R of a kernel table as ``(n, n, d, d)`` blocks.
 
     Applies the table to the ``n*d`` identity columns; the oracle for single
     applications.
     """
-    n, _, d, _ = kernel_table.kernel.shape
-    return block_view(kernel_table.apply(np.eye(n * d)), d)
+    nd = kernel_table.lower.shape[0]
+    return block_view(kernel_table.apply(np.eye(nd)),
+                      nd // kernel_table.grid.n_nodes)
 
 
 def materialise(table):

@@ -27,7 +27,8 @@ from cfcontrol import (ControlProblem, DenseMatrixFamily, FractionalOrder,
                        synthesize_null_control, verify_null_inequality)
 from cfcontrol.cli import main
 
-from conftest import (make_dense_family, make_positive_fn, make_smooth_fn,
+from conftest import (kernel_equation_residual, kernel_series,
+                      make_dense_family, make_positive_fn, make_smooth_fn,
                       materialise_resolvent)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -362,7 +363,7 @@ def test_criterion_04_evolution_axioms():
 
 
 # --------------------------------------------------------------------------
-# 5. kernel construction, both routes
+# 5. kernel construction: the triangular solve against the Neumann series
 # --------------------------------------------------------------------------
 
 def test_criterion_05_kernel_construction():
@@ -385,22 +386,23 @@ def test_criterion_05_kernel_construction():
     families.append(make_dense_family(np.random.default_rng(55), 3))
 
     for fam in families:
-        series = build_kernel(fam, grid, kernel_tol=1e-8, method="series")
-        direct = build_kernel(fam, grid, method="direct")
+        table = build_kernel(fam, grid)
         every_column = np.eye(grid.n_nodes * fam.dim)
-        worst_series = max(worst_series, kernel_residual(series, every_column))
-        worst_direct = max(worst_direct, kernel_residual(direct, every_column))
+        series, _ = kernel_series(table, every_column, tol=1e-8)
+        worst_series = max(worst_series, kernel_equation_residual(
+            table, every_column, series))
+        worst_direct = max(worst_direct, kernel_residual(table, every_column))
         worst_gap = max(worst_gap, float(np.max(np.abs(
-            materialise_resolvent(series) - materialise_resolvent(direct)))))
+            series - table.apply(every_column)))))
 
-    ok = (const_zero and worst_series <= 1e-8 and worst_direct <= 1e-8
+    ok = (const_zero and worst_series <= 1e-8 and worst_direct <= 1e-12
           and worst_gap <= 1e-7)
     report(5, "kernel-construction", ok,
            f"series residual {worst_series:.1e}, direct residual "
            f"{worst_direct:.1e}, route gap {worst_gap:.1e}")
     assert const_zero
     assert worst_series <= 1e-8
-    assert worst_direct <= 1e-8
+    assert worst_direct <= 1e-12
     assert worst_gap <= 1e-7
 
 
@@ -429,14 +431,14 @@ def test_criterion_06_mild_solver():
     heat = SpectralHeatFamily(lambda t: 1.0, 6)
     hgrid = TimeGrid.from_tau_horizon(order, 0.0, 1.0, 201)
     htab = build_propagator(heat, hgrid)
-    gram = build_gramian(heat, np.eye(6), htab)
+    gram = build_gramian(np.eye(6), htab)
     x0 = np.zeros(6)
     x0[0] = 1.0
     hprob = ControlProblem(family=heat, grid=hgrid, x0=x0,
                            b_matrix=np.eye(6),
                            nonlinearity=lambda t, x: 0.2 * x,
                            picard_tol=1e-11)
-    rep = contraction_report(hprob, htab, gram, gamma_growth=0.2)
+    rep = contraction_report(hprob, gram, gamma_growth=0.2)
     start = np.random.default_rng(3).standard_normal((201, 6))
     updates = picard_solve(hprob, htab, x_init=start).update_norms
     tail_ratios = [updates[i + 1] / updates[i]
@@ -469,14 +471,14 @@ def test_criterion_07_linear_null_control():
     fam_s = DenseMatrixFamily(lambda t: np.array([[1.0]]), 1)
     grid_s = TimeGrid.from_tau_horizon(FractionalOrder(1.0), 0.0, 1.0, 801)
     tab_s = build_propagator(fam_s, grid_s)
-    gram_s = build_gramian(fam_s, np.eye(1), tab_s)
+    gram_s = build_gramian(np.eye(1), tab_s)
     res_s = synthesize_null_control(gram_s, np.array([1.0]))
 
     # six-mode heat case
     fam_h = SpectralHeatFamily(lambda t: 1.0, 6)
     grid_h = TimeGrid.from_tau_horizon(order, 0.0, 1.0, 401)
     tab_h = build_propagator(fam_h, grid_h)
-    gram_h = build_gramian(fam_h, np.eye(6), tab_h)
+    gram_h = build_gramian(np.eye(6), tab_h)
     x0 = np.zeros(6)
     x0[0] = 1.0
     res_h = synthesize_null_control(gram_h, x0)
@@ -515,7 +517,7 @@ def test_criterion_08_inequality_constant():
         fam = SpectralHeatFamily(lambda t: 1.0, 6)
         grid = TimeGrid.from_tau_horizon(order, 0.0, 1.0, 401)
         table = build_propagator(fam, grid)
-        gram = build_gramian(fam, np.eye(6), table)
+        gram = build_gramian(np.eye(6), table)
         outcome = verify_null_inequality(
             gram, 1.0, 500,
             rng=np.random.default_rng(4000 + int(alpha * 10)))

@@ -189,7 +189,8 @@ def test_evolve_final_state_decays(tmp_path):
     {"tau_end": "inf"},
     {"n_modes": "2", "x0": "values 1 nan"},
     {"potential": "tabulated absent.csv"},
-], ids=["tau_end_inf", "x0_nan", "tabulated_missing"])
+    {"kernel_tol": "1e-8"},
+], ids=["tau_end_inf", "x0_nan", "tabulated_missing", "kernel_tol_removed"])
 def test_bad_input_is_one_config_error(tmp_path, capsys, overrides):
     cfg = write_cfg(tmp_path, **overrides)
     rc = main(["evolve", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -213,7 +214,7 @@ def test_malformed_tabulated_potential_is_one_config_error(tmp_path, capsys,
 
 
 def test_dense_table_over_memory_is_one_domain_error(tmp_path, capsys):
-    # S, K and one workspace of (3 * 300000)**2 doubles: about 19 TB
+    # S and -hK, two matrices of (3 * 300000)**2 doubles: about 13 TB
     cfg = write_cfg(tmp_path, backend="dense_matrix", n_nodes="300000",
                     dense_family="coupled_3x3 0.5", x0="ones 1.0")
     tracemalloc.start()
@@ -227,6 +228,31 @@ def test_dense_table_over_memory_is_one_domain_error(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("ERROR DOMAIN: ")
     assert "physical memory" in err[0]
     assert peak < 32e6
+
+
+# the CLI commands of the README, and the over-gained demo, which exits 5
+SHIPPED_RUNS = {
+    "control": (["control", "--config", str(DEMO)], 0),
+    "verify": (["verify", "--config",
+                str(CONFIG_DIR / "verify_gamma.cfg")], 0),
+    "solve": (["solve", "--config", str(DEMO)], 0),
+    "evolve": (["evolve", "--config", str(CONFIG_DIR / "dense_evolve.cfg"),
+                "--dump-pair", "100", "0"], 0),
+    "over_gain": (["control", "--config",
+                   str(CONFIG_DIR / "heat_over_gain.cfg")], 5),
+}
+
+
+@pytest.mark.parametrize("name", list(SHIPPED_RUNS))
+def test_shipped_config_reruns_byte_identical(tmp_path, name):
+    argv, status = SHIPPED_RUNS[name]
+    outputs = []
+    for run in ("first", "second"):
+        out = tmp_path / run
+        assert main(argv + ["--out", str(out)]) == status
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert "summary.txt" in outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 def test_out_path_naming_a_file_is_config_error(tmp_path, capsys):

@@ -37,7 +37,7 @@ def heat_setup(n_modes=6, n=401, potential=1.0):
 def test_scalar_gramian_matches_closed_form():
     lam = 1.0
     fam, grid, table = scalar_setup(lam)
-    gram = build_gramian(fam, np.eye(1), table)
+    gram = build_gramian(np.eye(1), table)
     exact = (1.0 - np.exp(-2.0 * lam)) / (2.0 * lam)
     # trapezoid approximation of the closed-form integral, second order
     assert gram.gramian[0, 0] == pytest.approx(exact, abs=5e-7)
@@ -47,12 +47,12 @@ def test_scalar_gramian_matches_closed_form():
 def test_zero_input_matrix_not_controllable():
     fam, grid, table = scalar_setup()
     with pytest.raises(ControllabilityError):
-        build_gramian(fam, np.zeros((1, 1)), table)
+        build_gramian(np.zeros((1, 1)), table)
 
 
 def test_heat_gramian_diagonal_positive_definite():
     fam, grid, table = heat_setup(n=1601)
-    gram = build_gramian(fam, np.eye(6), table)
+    gram = build_gramian(np.eye(6), table)
     off = gram.gramian - np.diag(np.diag(gram.gramian))
     assert np.max(np.abs(off)) == 0.0
     rates = np.arange(1, 7) ** 2 + 1.0
@@ -66,14 +66,14 @@ def test_gramian_symmetry(rng):
     fam = make_dense_family(rng, 3)
     grid = TimeGrid.from_tau_horizon(FractionalOrder(0.75), 0.4, 1.4, 201)
     table = build_propagator(fam, grid)
-    gram = build_gramian(fam, rng.standard_normal((3, 2)), table)
+    gram = build_gramian(rng.standard_normal((3, 2)), table)
     w = gram.gramian
     assert np.linalg.norm(w - w.T) <= 1e-12 * np.linalg.norm(w)
 
 
 def test_gain_norm_estimate_close_to_spectral_value():
     fam, grid, table = heat_setup(n=401)
-    gram = build_gramian(fam, np.eye(6), table)
+    gram = build_gramian(np.eye(6), table)
     # exact value from the diagonal structure of the composed gain matrix
     rates = np.arange(1, 7) ** 2 + 1.0
     w = np.diag(gram.gramian)
@@ -86,7 +86,7 @@ def test_gain_norm_estimate_close_to_spectral_value():
 
 def test_trivial_null_control_is_zero():
     fam, grid, table = scalar_setup()
-    gram = build_gramian(fam, np.eye(1), table)
+    gram = build_gramian(np.eye(1), table)
     result = synthesize_null_control(gram, np.zeros(1))
     assert np.max(np.abs(result.control.values)) == 0.0
     assert result.final_state_norm == 0.0
@@ -96,7 +96,7 @@ def test_trivial_null_control_is_zero():
 def test_scalar_null_control_closed_form():
     lam = 1.0
     fam, grid, table = scalar_setup(lam)
-    gram = build_gramian(fam, np.eye(1), table)
+    gram = build_gramian(np.eye(1), table)
     result = synthesize_null_control(gram, np.array([1.0]))
     assert result.final_state_norm <= 1e-8
     expect = -np.exp(-lam * (1.0 - grid.tau_nodes)) \
@@ -106,7 +106,7 @@ def test_scalar_null_control_closed_form():
 
 def test_heat_first_mode_bump_steered_to_zero():
     fam, grid, table = heat_setup()
-    gram = build_gramian(fam, np.eye(6), table)
+    gram = build_gramian(np.eye(6), table)
     x0 = np.zeros(6)
     x0[0] = 1.0
     result = synthesize_null_control(gram, x0)
@@ -116,7 +116,7 @@ def test_heat_first_mode_bump_steered_to_zero():
 
 def test_null_transfer_with_forcing(rng):
     fam, grid, table = heat_setup(n=201)
-    gram = build_gramian(fam, np.eye(6), table)
+    gram = build_gramian(np.eye(6), table)
     forcing = GridFunction(grid, 0.3 * rng.standard_normal((grid.n_nodes, 6)))
     z0 = rng.standard_normal(6)
     result = synthesize_null_control(gram, z0, forcing)
@@ -125,7 +125,7 @@ def test_null_transfer_with_forcing(rng):
 
 def test_minimum_norm_among_kernel_perturbations(rng):
     fam, grid, table = heat_setup(n=201)
-    gram = build_gramian(fam, np.eye(6), table)
+    gram = build_gramian(np.eye(6), table)
     x0 = np.zeros(6)
     x0[0] = 1.0
     result = synthesize_null_control(gram, x0)
@@ -143,7 +143,7 @@ def test_mode_truncation_stability():
     finals = []
     for n_modes in (6, 12):
         fam, grid, table = heat_setup(n_modes=n_modes)
-        gram = build_gramian(fam, np.eye(n_modes), table)
+        gram = build_gramian(np.eye(n_modes), table)
         x0 = np.zeros(n_modes)
         x0[0] = 1.0
         finals.append(synthesize_null_control(gram, x0).final_state_norm)
@@ -159,7 +159,7 @@ def test_inequality_single_mode_closed_form():
     fam = SpectralHeatFamily(lambda t: 0.0, 1)
     grid = TimeGrid.from_tau_horizon(FractionalOrder(1.0), 0.0, 1.0, 1601)
     table = build_propagator(fam, grid)
-    gram = build_gramian(fam, np.eye(1), table)
+    gram = build_gramian(np.eye(1), table)
     outcome = verify_null_inequality(gram, 1.0, 5,
                                      rng=np.random.default_rng(0))
     assert outcome.gamma_emp == pytest.approx(0.7615941559557649, abs=1e-7)
@@ -168,7 +168,7 @@ def test_inequality_single_mode_closed_form():
 
 def test_inequality_heat_demo_clears_threshold():
     fam, grid, table = heat_setup()
-    gram = build_gramian(fam, np.eye(6), table)
+    gram = build_gramian(np.eye(6), table)
     outcome = verify_null_inequality(gram, 1.0, 200,
                                      rng=np.random.default_rng(11))
     assert outcome.gamma_emp >= 0.5 - 1e-6
@@ -177,12 +177,13 @@ def test_inequality_heat_demo_clears_threshold():
 
 def test_dense_inequality_reads_its_own_gramian(rng):
     # on a non-normal family only the adjoint form int ||op(end, s)^T z||^2
-    # equals z^T W z; the direct route makes every block exact to roundoff
+    # equals z^T W z; the triangular solve makes every block exact to
+    # roundoff
     from conftest import make_dense_family
     fam = make_dense_family(rng, 3)
     grid = TimeGrid.from_tau_horizon(FractionalOrder(0.75), 0.0, 1.0, 121)
-    table = build_propagator(fam, grid, kernel_method="direct")
-    gram = build_gramian(fam, np.eye(3), table)
+    table = build_propagator(fam, grid)
+    gram = build_gramian(np.eye(3), table)
     outcome = verify_null_inequality(gram, 1.0, 40,
                                      rng=np.random.default_rng(5))
     z = np.random.default_rng(5).standard_normal((40, 3))
@@ -195,14 +196,14 @@ def test_dense_inequality_reads_its_own_gramian(rng):
 
 def test_inequality_requires_identity_input():
     fam, grid, table = heat_setup(n=101)
-    gram = build_gramian(fam, 0.5 * np.eye(6), table)
+    gram = build_gramian(0.5 * np.eye(6), table)
     with pytest.raises(DomainError):
         verify_null_inequality(gram, 1.0, 10)
 
 
 def test_inequality_checks_horizon_consistency():
     fam, grid, table = heat_setup(n=101)
-    gram = build_gramian(fam, np.eye(6), table)
+    gram = build_gramian(np.eye(6), table)
     with pytest.raises(DomainError):
         verify_null_inequality(gram, 2.0, 10)
 
@@ -211,20 +212,20 @@ def test_inequality_pass_implies_gramian_built_and_zero_input_fails_both():
     # positive empirical constant goes with a regular gramian; a zero input
     # map fails the gramian build outright
     fam, grid, table = heat_setup(n=201)
-    gram = build_gramian(fam, np.eye(6), table)
+    gram = build_gramian(np.eye(6), table)
     outcome = verify_null_inequality(gram, 1.0, 50,
                                      rng=np.random.default_rng(2))
     assert outcome.gamma_emp > 0.0
     assert gram.jitter == 0.0
     with pytest.raises(ControllabilityError):
-        build_gramian(fam, np.zeros((6, 6)), table)
+        build_gramian(np.zeros((6, 6)), table)
 
 
 # --- semilinear closed loop -------------------------------------------------------
 
 def test_semilinear_zero_gain_reduces_to_linear_synthesis():
     fam, grid, table = heat_setup()
-    gram = build_gramian(fam, np.eye(6), table)
+    gram = build_gramian(np.eye(6), table)
     x0 = np.zeros(6)
     x0[0] = 1.0
     problem = ControlProblem(family=fam, grid=grid, x0=x0,
@@ -236,7 +237,7 @@ def test_semilinear_zero_gain_reduces_to_linear_synthesis():
 
 def test_semilinear_small_gain_converges():
     fam, grid, table = heat_setup()
-    gram = build_gramian(fam, np.eye(6), table)
+    gram = build_gramian(np.eye(6), table)
     x0 = np.zeros(6)
     x0[0] = 1.0
     problem = ControlProblem(family=fam, grid=grid, x0=x0,
@@ -259,7 +260,7 @@ def test_semilinear_demo_is_a_fixed_point_of_the_closed_loop_map():
                              nonlinearity=fun, picard_tol=cfg.picard_tol,
                              max_iter=cfg.max_iter)
     result = exact_null_control_semilinear(
-        problem, build_gramian(fam, b_matrix, table), null_tol=cfg.null_tol)
+        problem, build_gramian(b_matrix, table), null_tol=cfg.null_tol)
     x = result.closed_loop_trajectory.values
     forcing = np.stack([fun(t, x[r]) for r, t in enumerate(grid.t_nodes)])
     image = table.homogeneous(problem.x0) + table.accumulate(
@@ -270,7 +271,7 @@ def test_semilinear_demo_is_a_fixed_point_of_the_closed_loop_map():
 
 def test_semilinear_rejects_a_table_on_another_grid():
     fam, _, table = heat_setup(n=101)
-    gram = build_gramian(fam, np.eye(6), table)
+    gram = build_gramian(np.eye(6), table)
     other = TimeGrid.from_tau_horizon(ORDER, 0.0, 1.0, 101)
     problem = ControlProblem(family=fam, grid=other, x0=np.ones(6),
                              b_matrix=np.eye(6),
@@ -281,7 +282,7 @@ def test_semilinear_rejects_a_table_on_another_grid():
 
 def test_semilinear_over_gain_reports_failure():
     fam, grid, table = heat_setup()
-    gram = build_gramian(fam, np.eye(6), table)
+    gram = build_gramian(np.eye(6), table)
     x0 = np.zeros(6)
     x0[0] = 1.0
     problem = ControlProblem(family=fam, grid=grid, x0=x0,
@@ -298,7 +299,7 @@ def test_inequality_fails_for_destabilizing_potential():
     fam = SpectralHeatFamily(lambda t: -2.0, 1)
     grid = TimeGrid.from_tau_horizon(FractionalOrder(1.0), 0.0, 1.0, 801)
     table = build_propagator(fam, grid)
-    gram = build_gramian(fam, np.eye(1), table)
+    gram = build_gramian(np.eye(1), table)
     outcome = verify_null_inequality(gram, 1.0, 10,
                                      rng=np.random.default_rng(0))
     lhs = (np.exp(2.0) - 1.0) / 2.0
@@ -309,7 +310,7 @@ def test_inequality_fails_for_destabilizing_potential():
 
 def test_tolerance_miss_raises_with_result_attached():
     fam, grid, table = heat_setup(n=201)
-    gram = build_gramian(fam, np.eye(6), table)
+    gram = build_gramian(np.eye(6), table)
     x0 = np.zeros(6)
     x0[0] = 1.0
     problem = ControlProblem(family=fam, grid=grid, x0=x0,

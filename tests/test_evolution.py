@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from cfcontrol import (ConvergenceError, DenseMatrixFamily, DomainError,
+from cfcontrol import (DenseMatrixFamily, DomainError,
                        FractionalOrder, SpectralHeatFamily, TimeGrid,
                        adjoint_residual, build_kernel, build_propagator,
                        conformable_residual, frozen_semigroup,
                        kernel_residual, parse_config, propagate_oracle,
                        regularized_residuals)
 
-from conftest import (make_dense_family, materialise,
-                      materialise_resolvent)
+from conftest import (kernel_equation_residual, kernel_series,
+                      make_dense_family, materialise, materialise_resolvent)
 
 ORDER = FractionalOrder(0.75)
 
@@ -64,21 +64,22 @@ def test_constant_family_has_zero_kernel():
 
 
 def test_kernel_series_matches_direct_solve():
+    # the Neumann series of the kernel equation against the table's solve
     fam = commuting_family()
     grid = window(81)
-    series = build_kernel(fam, grid, method="series")
-    direct = build_kernel(fam, grid, method="direct")
-    assert np.max(np.abs(materialise_resolvent(series)
-                         - materialise_resolvent(direct))) < 1e-7
+    table = build_kernel(fam, grid)
     every_column = np.eye(grid.n_nodes * fam.dim)
-    assert kernel_residual(series, every_column) < 1e-8
-    assert kernel_residual(direct, every_column) < 1e-12
+    series, norms = kernel_series(table, every_column)
+    assert norms[-1] <= 1e-8
+    assert np.max(np.abs(series - table.apply(every_column))) < 1e-7
+    assert kernel_equation_residual(table, every_column, series) < 1e-8
+    assert kernel_residual(table, every_column) < 1e-12
 
 
 def test_kernel_residual_random_family(rng):
     fam = make_dense_family(rng, 3)
-    table = build_kernel(fam, window(81), kernel_tol=1e-8)
-    assert kernel_residual(table, rng.standard_normal(81 * 3)) <= 1e-8
+    table = build_kernel(fam, window(81))
+    assert kernel_residual(table, rng.standard_normal(81 * 3)) <= 1e-12
 
 
 def test_kernel_column_restriction_consistent(rng):
@@ -91,26 +92,21 @@ def test_kernel_column_restriction_consistent(rng):
 
 
 def test_kernel_series_terms_eventually_decreasing():
-    # a series cut at m terms reports the norm of its m-th term
+    # norms of the first six Neumann-series terms, relative to K v
     fam = commuting_family()
-    grid = window(81)
-    norms = []
-    for max_terms in range(1, 7):
-        table = build_kernel(fam, grid, max_terms=max_terms, kernel_tol=0.0)
-        with pytest.raises(ConvergenceError) as info:
-            table.apply(np.eye(81 * 2))
-        norms.append(info.value.last_norm)
+    table = build_kernel(fam, window(81))
+    _, norms = kernel_series(table, np.eye(81 * 2), tol=0.0, max_terms=6)
+    assert len(norms) == 6
     assert all(norms[i + 1] < norms[i] for i in range(1, len(norms) - 1))
 
 
-@pytest.mark.parametrize("method", ["series", "direct"])
-def test_column_restriction_matches_full_table(rng, method):
+def test_column_restriction_matches_full_table(rng):
     # block columns solved one at a time against the materialised table
     fam = make_dense_family(rng, 3)
     n = 41
     grid = window(n)
     cols = (0, 17, n - 2)
-    table = build_propagator(fam, grid, kernel_method=method)
+    table = build_propagator(fam, grid)
     psi, res = materialise(table), materialise_resolvent(table.kernel_table)
     units = [np.eye(n * 3)[:, 3 * j:3 * j + 3] for j in cols]
     got_res = np.stack([table.kernel_table.apply(u).reshape(n, 3, 3)
@@ -119,17 +115,7 @@ def test_column_restriction_matches_full_table(rng, method):
                          for j in cols] for i in range(n)])
     for got, want in ((got_res, res), (got_psi, psi)):
         assert np.max(np.abs(got - want[:, cols])) < 1e-13
-    bound = 1e-8 if method == "series" else 1e-12
-    assert kernel_residual(table.kernel_table, np.hstack(units)) <= bound
-
-
-def test_kernel_nonconvergence_error_carries_tail():
-    fam = commuting_family()
-    table = build_kernel(fam, window(81), max_terms=2, kernel_tol=1e-14)
-    with pytest.raises(ConvergenceError) as info:
-        table.apply(np.ones(81 * 2))
-    assert info.value.last_norm is not None
-    assert info.value.last_norm > 1e-14
+    assert kernel_residual(table.kernel_table, np.hstack(units)) <= 1e-12
 
 
 def test_kernel_requires_dense_backend():
@@ -429,37 +415,53 @@ def test_dense_operator_matrix_matches_oracle_columns():
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_series_route_matches_direct_per_application(dim):
+    # the Neumann series, plain and transposed, against the table's solve,
+    # and Psi v = S (v + h R v) - h/2 R v with the series R against propagate
     rng = np.random.default_rng(40 + dim)
     fam = make_dense_family(rng, dim)
     grid = window(81)
-    series = build_propagator(fam, grid, kernel_method="series")
-    direct = build_propagator(fam, grid, kernel_method="direct")
+    table = build_propagator(fam, grid)
+    kt, h = table.kernel_table, grid.h
     for rhs in (rng.standard_normal(81 * dim),
                 rng.standard_normal((81 * dim, 3))):
         for transpose in (False, True):
-            want = direct.kernel_table.apply(rhs, transpose=transpose)
-            got = series.kernel_table.apply(rhs, transpose=transpose)
+            want = kt.apply(rhs, transpose=transpose)
+            got, _ = kernel_series(kt, rhs, transpose=transpose)
             assert np.max(np.abs(got - want)) < 1e-7 * np.max(np.abs(want))
-        assert kernel_residual(series.kernel_table, rhs) <= 1e-8
-        assert kernel_residual(direct.kernel_table, rhs) <= 1e-12
-        want = direct.propagate(rhs)
-        assert np.max(np.abs(series.propagate(rhs) - want)) \
-            < 1e-7 * np.max(np.abs(want))
-    assert series.kernel_table.n_terms_used > 1
-    assert direct.kernel_table.n_terms_used == 0
+        w, norms = kernel_series(kt, rhs)
+        assert len(norms) > 1
+        assert kernel_equation_residual(kt, rhs, w) <= 1e-8
+        assert kernel_residual(kt, rhs) <= 1e-12
+        want = table.propagate(rhs)
+        got = table.semigroups @ (rhs + h * w) - 0.5 * h * w
+        assert np.max(np.abs(got - want)) < 1e-7 * np.max(np.abs(want))
+    assert kt.n_terms_used == 0
 
 
-@pytest.mark.parametrize("method", ["series", "direct"])
 @pytest.mark.parametrize("dim", [2, 3])
-def test_applications_match_materialised_oracle(method, dim):
-    # each application against Psi built from identity right-hand sides; the
-    # series runs to 1e-14 so its truncation stays below the tolerance
+def test_propagate_independent_of_column_grouping(dim):
+    # a block of right-hand sides, one of them a million times smaller,
+    # gives each column what that column gives alone
+    rng = np.random.default_rng(60 + dim)
+    fam = make_dense_family(rng, dim)
+    table = build_propagator(fam, window(81))
+    block = rng.standard_normal((81 * dim, 4))
+    block[:, 2] *= 1e-6
+    together = table.propagate(block)
+    for k in range(4):
+        alone = table.propagate(block[:, k])
+        assert np.max(np.abs(together[:, k] - alone)) \
+            <= 1e-14 * np.max(np.abs(alone))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_applications_match_materialised_oracle(dim):
+    # each application against Psi built from identity right-hand sides
     rng = np.random.default_rng(50 + dim)
     fam = make_dense_family(rng, dim)
     grid = window(61)
     h = grid.h
-    table = build_propagator(fam, grid, kernel_method=method,
-                             kernel_tol=1e-14)
+    table = build_propagator(fam, grid)
     psi = materialise(table)
     x0 = rng.standard_normal(dim)
     values = rng.standard_normal((61, dim))
@@ -502,7 +504,7 @@ def test_log_norm_bound_dominates_discrete_blocks():
         dim = 2 + seed % 2
         fam = make_dense_family(rng, dim)
         for n in (81, 161):
-            table = build_propagator(fam, window(n), kernel_method="direct")
+            table = build_propagator(fam, window(n))
             psi = materialise(table)
             worst = float(np.max(np.linalg.norm(psi, 2, axis=(-2, -1))))
             assert worst <= table.norm_bound

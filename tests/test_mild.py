@@ -62,14 +62,14 @@ def test_heat_linear_gain_matches_shifted_potential():
 
 def test_updates_decrease_geometrically_under_small_gain(rng):
     fam, grid, table = heat_setup(n_nodes=201)
-    gram = build_gramian(fam, np.eye(6), table)
+    gram = build_gramian(np.eye(6), table)
     x0 = np.zeros(6)
     x0[0] = 1.0
     problem = ControlProblem(family=fam, grid=grid, x0=x0,
                              b_matrix=np.eye(6),
                              nonlinearity=lambda t, x: 0.2 * x,
                              picard_tol=1e-11)
-    report = contraction_report(problem, table, gram, gamma_growth=0.2)
+    report = contraction_report(problem, gram, gamma_growth=0.2)
     assert report.satisfied
     for _ in range(3):
         start = rng.standard_normal((grid.n_nodes, 6)) * 0.5
@@ -187,10 +187,10 @@ def test_horizon_factor_divergence_and_validation():
 
 def test_contraction_report_zero_gain_always_satisfied():
     fam, grid, table = heat_setup(n_nodes=201)
-    gram = build_gramian(fam, np.eye(6), table)
+    gram = build_gramian(np.eye(6), table)
     problem = ControlProblem(family=fam, grid=grid, x0=np.zeros(6),
                              b_matrix=np.eye(6))
-    report = contraction_report(problem, table, gram)
+    report = contraction_report(problem, gram)
     assert report.lhs == 0.0
     assert report.satisfied
     assert report.gamma_growth == 0.0
@@ -198,11 +198,11 @@ def test_contraction_report_zero_gain_always_satisfied():
 
 def test_contraction_report_formula():
     fam, grid, table = heat_setup(n_nodes=201)
-    gram = build_gramian(fam, np.eye(6), table)
+    gram = build_gramian(np.eye(6), table)
     problem = ControlProblem(family=fam, grid=grid, x0=np.zeros(6),
                              b_matrix=np.eye(6),
                              nonlinearity=lambda t, x: 0.05 * x)
-    report = contraction_report(problem, table, gram, gamma_growth=0.05)
+    report = contraction_report(problem, gram, gamma_growth=0.05)
     n_const = horizon_factor(0.8, grid.t_start, grid.t_end)
     expect = 0.05 * report.propagator_bound * n_const \
         * (report.input_norm * report.gain_norm + 1.0)
