@@ -98,6 +98,23 @@ def materialise(table):
     return block_view(table.propagate(np.eye(nd)), table.dim)
 
 
+def materialise_series(table):
+    """Psi and R of a dense table as ``(n, n, d, d)`` blocks, by the series.
+
+    R is the Neumann series of ``kernel_series`` on the identity columns,
+    summed until its terms vanish (hK is strictly block-lower-triangular,
+    so at most ``n`` terms), and Psi = S (I + hR) - h/2 R.  An oracle for
+    the table's triangular solve that shares no code with it; returns
+    ``(psi, res)``.
+    """
+    kt, h = table.kernel_table, table.grid.h
+    eye = np.eye(table.grid.n_nodes * table.dim)
+    res, _ = kernel_series(kt, eye, tol=0.0,
+                           max_terms=table.grid.n_nodes + 1)
+    psi = table.semigroups @ (eye + h * res) - 0.5 * h * res
+    return block_view(psi, table.dim), block_view(res, table.dim)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240801)

@@ -11,7 +11,8 @@ from cfcontrol import (DenseMatrixFamily, DomainError,
                        regularized_residuals)
 
 from conftest import (kernel_equation_residual, kernel_series,
-                      make_dense_family, materialise, materialise_resolvent)
+                      make_dense_family, materialise, materialise_resolvent,
+                      materialise_series)
 
 ORDER = FractionalOrder(0.75)
 
@@ -100,14 +101,20 @@ def test_kernel_series_terms_eventually_decreasing():
     assert all(norms[i + 1] < norms[i] for i in range(1, len(norms) - 1))
 
 
-def test_column_restriction_matches_full_table(rng):
-    # block columns solved one at a time against the materialised table
+@pytest.mark.parametrize("oracle", ["series", "direct"])
+def test_column_restriction_matches_full_table(rng, oracle):
+    # block columns solved one at a time against the full table, materialised
+    # by the table's own solve or by the Neumann series
     fam = make_dense_family(rng, 3)
     n = 41
     grid = window(n)
     cols = (0, 17, n - 2)
     table = build_propagator(fam, grid)
-    psi, res = materialise(table), materialise_resolvent(table.kernel_table)
+    if oracle == "series":
+        psi, res = materialise_series(table)
+    else:
+        psi = materialise(table)
+        res = materialise_resolvent(table.kernel_table)
     units = [np.eye(n * 3)[:, 3 * j:3 * j + 3] for j in cols]
     got_res = np.stack([table.kernel_table.apply(u).reshape(n, 3, 3)
                         for u in units], axis=1)
@@ -454,15 +461,18 @@ def test_propagate_independent_of_column_grouping(dim):
             <= 1e-14 * np.max(np.abs(alone))
 
 
+@pytest.mark.parametrize("oracle", ["series", "direct"])
 @pytest.mark.parametrize("dim", [2, 3])
-def test_applications_match_materialised_oracle(dim):
-    # each application against Psi built from identity right-hand sides
+def test_applications_match_materialised_oracle(dim, oracle):
+    # each application against Psi built from identity right-hand sides, by
+    # the table's own solve or by the Neumann series
     rng = np.random.default_rng(50 + dim)
     fam = make_dense_family(rng, dim)
     grid = window(61)
     h = grid.h
     table = build_propagator(fam, grid)
-    psi = materialise(table)
+    psi = (materialise_series(table)[0] if oracle == "series"
+           else materialise(table))
     x0 = rng.standard_normal(dim)
     values = rng.standard_normal((61, dim))
     assert np.max(np.abs(table.homogeneous(x0) - psi[:, 0] @ x0)) <= 1e-12
