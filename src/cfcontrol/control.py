@@ -23,9 +23,10 @@ L and N are each one call of the table's ``final_row``, and the adjoint
 ``L^* y = B^T op(end, s)^T y`` of its ``final_row_adjoint``; the Gramian is
 ``L(L^*(I))``, and the gain norm is the exact top eigenvalue of a pencil.
 
-The Gramian is factorized with an escalating-jitter Cholesky; exceeding the
-jitter cap means the truncated system is not exactly null controllable and
-raises :class:`ControllabilityError`.
+The d x d Gramian is factorized by numpy's Cholesky with escalating jitter,
+so a spectral pipeline needs no scipy; exceeding the jitter cap means the
+truncated system is not exactly null controllable and raises
+:class:`ControllabilityError`.
 
 The semilinear closed loop is the fixed point of one map, x -> the mild
 solution ``hom + V[B u(x) + F(x)]`` under the nonlinearity F and the
@@ -38,9 +39,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError, solve_triangular
 
-from .errors import ControllabilityError, DomainError, NullControlFailed
+from .errors import (ControllabilityError, DomainError, NullControlFailed,
+                     NumericError)
 from .grids import GridFunction
 from .evolution import PropagatorTable
 from .mild import ControlProblem, iterate_fixed_point, nonlinearity_values
@@ -76,7 +77,7 @@ class GramianSolve:
     gramian: np.ndarray
     jitter: float
     gain_norm_est: float = field(init=False, default=0.0)
-    _chol: tuple = field(init=False, repr=False, default=None)
+    _chol: np.ndarray = field(init=False, repr=False, default=None)
 
     @property
     def grid(self):
@@ -97,7 +98,8 @@ class GramianSolve:
         return self.propagator.final_row(values)
 
     def solve_gramian(self, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve(self._chol, rhs)
+        """``W^{-1} rhs`` through the lower Cholesky factor L, ``W = L L^T``."""
+        return np.linalg.solve(self._chol.T, np.linalg.solve(self._chol, rhs))
 
     def control_from_target(self, target: np.ndarray) -> np.ndarray:
         """Minimum-norm control whose reachability image is -target."""
@@ -122,6 +124,8 @@ def build_gramian(b_matrix: np.ndarray,
         When the Gramian stays numerically indefinite past the jitter cap
         (e.g. a zero input matrix): the truncated system is not exactly
         null controllable.
+    NumericError
+        When the Gramian or its trace is not finite.
     """
     b_matrix = np.atleast_2d(np.asarray(b_matrix, dtype=float))
     d = propagator.dim
@@ -137,13 +141,17 @@ def build_gramian(b_matrix: np.ndarray,
     gram = 0.5 * (gram + gram.T)
 
     scale = float(np.trace(gram)) / d
+    # numpy's Cholesky passes a NaN through instead of failing, and a
+    # non-finite scale would keep the jitter loop below from ending
+    if not (np.isfinite(gram).all() and np.isfinite(scale)):
+        raise NumericError("the controllability Gramian is not finite")
     jitter = 0.0
     chol = None
     while True:
         try:
-            chol = cho_factor(gram + jitter * np.eye(d), lower=True)
+            chol = np.linalg.cholesky(gram + jitter * np.eye(d))
             break
-        except LinAlgError:
+        except np.linalg.LinAlgError:
             if scale <= 0.0:
                 break
             jitter = _JITTER_START * scale if jitter == 0.0 else jitter * 10.0
@@ -162,11 +170,10 @@ def build_gramian(b_matrix: np.ndarray,
     # ||H||^2 is the top eigenvalue of the pencil (P P^T + W_I, W), with
     # P = op(end, 0) and W_I the Gramian taken with identity input; the
     # nonzero spectrum of the composed gain operator collapses onto it.
-    # With C the Cholesky factor above, it is that of C^-1 (P P^T + W_I) C^-T.
+    # With L the Cholesky factor above, it is that of L^-1 (P P^T + W_I) L^-T.
     w_ident = propagator.final_row(np.multiply(rows, weights, out=drive))
-    half = solve_triangular(chol[0], rows[:, 0] @ rows[:, 0].T + w_ident,
-                            lower=True)
-    top = np.linalg.eigvalsh(solve_triangular(chol[0], half.T, lower=True))
+    half = np.linalg.solve(chol, rows[:, 0] @ rows[:, 0].T + w_ident)
+    top = np.linalg.eigvalsh(np.linalg.solve(chol, half.T))
     solve.gain_norm_est = float(np.sqrt(max(top[-1], 0.0)))
     return solve
 

@@ -36,8 +36,10 @@ Two backends:
   one application to d unit vectors and is cached on the table.  The
   table's ``norm_bound`` is the logarithmic-norm bound
   ``exp(int max(0, mu_2(-A)) dtau)``, which needs no block of Psi.  A grid
-  whose tables would not fit in physical memory is refused before
-  anything large is allocated.
+  whose tables would not fit in memory (the smallest of physical memory,
+  the soft ``RLIMIT_AS`` and the cgroup limit) is refused before anything
+  large is allocated.  ``scipy.linalg`` is imported by the first dense
+  solve, so a spectral run needs numpy only.
 
 An independent brute-force oracle integrates the substituted ODE with a
 classical fourth-order one-step method; every propagator test is anchored
@@ -59,10 +61,14 @@ from functools import cached_property
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.linalg import expm, solve_triangular
 
 from .errors import DomainError
 from .grids import TimeGrid
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 __all__ = [
     "SpectralHeatFamily",
@@ -84,6 +90,8 @@ __all__ = [
 _EIG_COND_LIMIT = 1e7
 _CHUNK_BYTES = 1 << 20
 _TABLE_COPIES = 2
+_CGROUP_MEMORY_FILES = ("/sys/fs/cgroup/memory.max",
+                        "/sys/fs/cgroup/memory/memory.limit_in_bytes")
 
 
 @dataclass(frozen=True)
@@ -150,6 +158,7 @@ def frozen_semigroup(family: OperatorFamily, s: float, dt_tau: float) -> np.ndar
         raise DomainError(f"elapsed tau must be >= 0, got {dt_tau}")
     if family.kind == "spectral_heat":
         return np.diag(np.exp(-dt_tau * family.mode_rates(s)))
+    from scipy.linalg import expm
     return expm(-dt_tau * family.a_matrix(s))
 
 
@@ -165,22 +174,49 @@ def _unit_block(n: int, d: int, j: int) -> np.ndarray:
     return out
 
 
+def _memory_limits() -> list[tuple[int, str]]:
+    """The memory limits this process can read, as ``(bytes, label)``.
+
+    Physical memory, the soft address-space limit (``RLIMIT_AS``) and the
+    cgroup limit (v2 ``memory.max``, v1 ``memory.limit_in_bytes``), each
+    read only; an unlimited, ``max`` or absent value is left out.
+    """
+    limits = []
+    try:
+        limits.append((os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"),
+                       "of physical memory"))
+    except (AttributeError, ValueError, OSError):
+        pass
+    if resource is not None:
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if soft != resource.RLIM_INFINITY:
+            limits.append((soft, "address-space limit (RLIMIT_AS)"))
+    for path in _CGROUP_MEMORY_FILES:
+        try:
+            with open(path, encoding="ascii") as fh:
+                limits.append((int(fh.read()), "cgroup memory limit"))
+        except (OSError, ValueError):  # absent, or "max"
+            pass
+    return limits
+
+
 def _check_memory(n: int, d: int) -> None:
-    """Refuse a dense table whose predicted footprint exceeds physical memory.
+    """Refuse a dense table whose predicted footprint exceeds the memory limit.
 
     A table keeps S and ``-hK``: ``_TABLE_COPIES`` matrices of
-    ``(n*d)**2`` doubles.  Nothing is allocated to find out.
+    ``(n*d)**2`` doubles.  The limit is the smallest of
+    :func:`_memory_limits`.  Nothing is allocated to find out.
     """
     need = _TABLE_COPIES * (n * d) ** 2 * 8
-    try:
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
+    limits = _memory_limits()
+    if not limits:
         return
+    have, label = min(limits, key=lambda limit: limit[0])
     if need > have:
         raise DomainError(
             f"a dense table of {n} nodes in dimension {d} needs about "
-            f"{need / 1e9:.3g} GB, more than the {have / 1e9:.3g} GB of "
-            "physical memory")
+            f"{need / 1e9:.3g} GB, more than the {have / 1e9:.3g} GB "
+            f"{label}")
 
 
 def _frozen_tables(family: DenseMatrixFamily, grid: TimeGrid):
@@ -229,6 +265,7 @@ def _semigroup_table(a_stack: np.ndarray, tau: np.ndarray) -> np.ndarray:
         blocks[j0:, cols] = out.reshape(-1, n - j0, d, d).transpose(
             1, 0, 2, 3)
     for j in np.flatnonzero(~use_eig):
+        from scipy.linalg import expm
         blocks[j:, j] = np.stack([expm(-dt * a_stack[j])
                                   for dt in tau[j:] - tau[j]])
     nodes = np.arange(n)
@@ -297,6 +334,7 @@ class KernelTable:
 
         One unit lower triangular solve; rhs is (n*d,) or (n*d, k).
         """
+        from scipy.linalg import solve_triangular
         return solve_triangular(self.lower, rhs, lower=True,
                                 trans="T" if transpose else "N",
                                 unit_diagonal=True, check_finite=False)
@@ -318,7 +356,7 @@ def build_kernel(family: OperatorFamily,
     """Assemble the Volterra kernel on the grid; the table solves for R.
 
     Raises :class:`DomainError` for a spectral family, fewer than three
-    nodes, or a grid whose tables would not fit in physical memory.
+    nodes, or a grid whose tables would not fit in memory.
     """
     if family.kind != "dense_matrix":
         raise DomainError("kernel construction applies to the dense backend")
@@ -533,7 +571,7 @@ def build_propagator(family: OperatorFamily,
                    + int_{tau_j}^{tau_i} S_r(tau_i - tau_r) resolvent(r, j) dr
 
     through triangular solves; it raises :class:`DomainError` before
-    allocating when the tables would not fit in physical memory.
+    allocating when the tables would not fit in memory.
     """
     if family.kind == "spectral_heat":
         return SpectralPropagatorTable(grid, family)

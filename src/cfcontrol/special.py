@@ -18,6 +18,8 @@ The reduction forms are the production path (the classical gamma is the
 precision anchor); the defining integrals are kept as quadrature
 cross-checks, evaluated after the flattening substitution tau = t**a / a
 with the upper limit truncated once the tail weight drops below 1e-14.
+The ``quadrature`` route imports ``scipy.integrate`` on first use; the
+reduction route needs only the standard library and numpy.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import DomainError
 
@@ -113,6 +114,8 @@ def conformable_gamma(p: float, params: SpecfunParams,
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
 
+    from scipy.integrate import IntegrationWarning, quad
+
     alpha, s = params.alpha, params.scale
     T = _gamma_truncation(p, params)
     tau_top = T**alpha / alpha
@@ -148,6 +151,8 @@ def conformable_beta(x: float, y: float, params: SpecfunParams,
         return _classical_beta(a1, b1) / s
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
+
+    from scipy.integrate import IntegrationWarning, quad
 
     alpha = params.alpha
 

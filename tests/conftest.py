@@ -115,6 +115,53 @@ def materialise_series(table):
     return block_view(psi, table.dim), block_view(res, table.dim)
 
 
+def cholesky_reference(gram):
+    """scipy's Cholesky of a Gramian, with the jitter schedule of ``build_gramian``.
+
+    Jitter 0, then ``1e-14`` times the mean diagonal, growing tenfold up to
+    ``1e-8`` times it.  Returns ``(cho_factor output, jitter)``; raises
+    scipy's ``LinAlgError`` past the cap.  The reference for the package's
+    numpy factorisation.
+    """
+    from scipy.linalg import LinAlgError, cho_factor
+
+    d = gram.shape[0]
+    scale = float(np.trace(gram)) / d
+    jitter = 0.0
+    while True:
+        try:
+            return cho_factor(gram + jitter * np.eye(d), lower=True), jitter
+        except LinAlgError:
+            jitter = 1e-14 * scale if jitter == 0.0 else jitter * 10.0
+            if scale <= 0.0 or jitter > 1e-8 * scale:
+                raise
+
+
+def limit_sources(monkeypatch, tmp_path, cgroup_v2=None, cgroup_v1=None,
+                  soft_as=None):
+    """Point the memory guard at files and an ``RLIMIT_AS`` made up here.
+
+    A cgroup value of None leaves its file absent; ``soft_as`` None reads
+    as unlimited.
+    """
+    from cfcontrol import evolution
+    root = tmp_path / "limits"
+    root.mkdir(exist_ok=True)
+    files = []
+    for name, text in (("memory.max", cgroup_v2),
+                       ("memory.limit_in_bytes", cgroup_v1)):
+        path = root / name
+        if text is not None:
+            path.write_text(text + "\n")
+        files.append(str(path))
+    monkeypatch.setattr(evolution, "_CGROUP_MEMORY_FILES", tuple(files))
+    unlimited = evolution.resource.RLIM_INFINITY
+    soft = unlimited if soft_as is None else soft_as
+    monkeypatch.setattr(evolution.resource, "getrlimit",
+                        lambda which: (soft, unlimited))
+    return evolution
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240801)

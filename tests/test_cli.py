@@ -10,6 +10,8 @@ import pytest
 from cfcontrol import ConfigError, parse_config
 from cfcontrol.cli import main
 
+from conftest import limit_sources
+
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 DEMO = CONFIG_DIR / "heat_null_control.cfg"
 
@@ -145,6 +147,22 @@ def test_over_gain_config_fails_loudly(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_over_gain_config_converges_with_a_larger_budget(tmp_path):
+    # the small-gain condition is only sufficient: the map of the shipped
+    # over-gained scenario converges once it may take more than 50 sweeps
+    text = (CONFIG_DIR / "heat_over_gain.cfg").read_text()
+    assert "max_iter = 50\n" in text
+    cfg = tmp_path / "over_gain_200.cfg"
+    cfg.write_text(text.replace("max_iter = 50\n", "max_iter = 200\n"))
+    out = str(tmp_path / "out")
+    assert main(["control", "--config", str(cfg), "--out", out]) == 0
+    summary = read_summary(out)
+    assert summary["contraction_satisfied"] == "0"
+    assert float(summary["contraction_lhs"]) > 1.0
+    assert 50 < int(summary["iterations"]) <= 200
+    assert float(summary["final_state_norm"]) <= parse_config(cfg).null_tol
+
+
 def test_zero_input_map_exits_with_controllability_code(tmp_path, capsys):
     cfg = write_cfg(tmp_path, control="scalar 0")
     rc = main(["control", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -213,8 +231,11 @@ def test_malformed_tabulated_potential_is_one_config_error(tmp_path, capsys,
     assert len(err) == 1 and err[0].startswith("ERROR CONFIG: line ")
 
 
-def test_dense_table_over_memory_is_one_domain_error(tmp_path, capsys):
-    # S and -hK, two matrices of (3 * 300000)**2 doubles: about 13 TB
+def test_dense_table_over_memory_is_one_domain_error(tmp_path, capsys,
+                                                     monkeypatch):
+    # S and -hK, two matrices of (3 * 300000)**2 doubles: about 13 TB; no
+    # cgroup or address-space limit, so physical memory is the one named
+    limit_sources(monkeypatch, tmp_path)
     cfg = write_cfg(tmp_path, backend="dense_matrix", n_nodes="300000",
                     dense_family="coupled_3x3 0.5", x0="ones 1.0")
     tracemalloc.start()
@@ -228,6 +249,19 @@ def test_dense_table_over_memory_is_one_domain_error(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("ERROR DOMAIN: ")
     assert "physical memory" in err[0]
     assert peak < 32e6
+
+
+def test_dense_table_over_cgroup_limit_is_one_domain_error(tmp_path, capsys,
+                                                           monkeypatch):
+    # 2 * (3 * 201)**2 * 8 B = 5.8 MB of tables against a 4 MB cgroup limit
+    limit_sources(monkeypatch, tmp_path, cgroup_v2="4000000")
+    cfg = write_cfg(tmp_path, backend="dense_matrix", n_nodes="201",
+                    dense_family="coupled_3x3 0.5", x0="ones 1.0")
+    rc = main(["evolve", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR DOMAIN: ")
+    assert err[0].endswith("more than the 0.004 GB cgroup memory limit")
 
 
 # the CLI commands of the README, and the over-gained demo, which exits 5

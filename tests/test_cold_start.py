@@ -1,0 +1,65 @@
+"""Which libraries each run imports, seen from a fresh interpreter.
+
+pytest has scipy loaded already, so each check runs a new Python process
+with ``PYTHONPATH=src`` and reads its ``sys.modules``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
+
+# runs the CLI on each argument list, then prints the scipy modules loaded
+PROBE = """
+import json, sys
+import cfcontrol, cfcontrol.cli
+for argv in json.loads(sys.argv[1]):
+    status = cfcontrol.cli.main(argv)
+    assert status == 0, (argv, status)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def scipy_loaded_by(runs):
+    """The scipy modules a fresh interpreter holds after the CLI runs."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(runs)],
+                          env=env, cwd=ROOT, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # the first lines are whatever the runs printed
+    return proc.stdout.splitlines()[:-1], set(
+        json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_spectral_runs_import_no_scipy(tmp_path):
+    demo = str(CONFIGS / "heat_null_control.cfg")
+    _, loaded = scipy_loaded_by([
+        ["control", "--config", demo, "--out", str(tmp_path / "control")],
+        ["solve", "--config", demo, "--out", str(tmp_path / "solve")],
+        ["verify", "--config", str(CONFIGS / "verify_gamma.cfg"),
+         "--out", str(tmp_path / "verify")]])
+    assert loaded == set()
+
+
+def test_dense_run_imports_scipy_linalg_only(tmp_path):
+    _, loaded = scipy_loaded_by([
+        ["evolve", "--config", str(CONFIGS / "dense_evolve.cfg"),
+         "--dump-pair", "100", "0", "--out", str(tmp_path)]])
+    assert "scipy.linalg" in loaded
+    assert "scipy.integrate" not in loaded
+
+
+def test_specfun_quadrature_imports_scipy_integrate():
+    printed, loaded = scipy_loaded_by([
+        ["specfun", "gamma", "--alpha", "0.5", "--k", "1", "--p", "2",
+         "--method", "quadrature"]])
+    # gamma_{1/2,1}(2) = (1/2)**2 * Gamma(3) = 0.5
+    assert printed == ["0.500000000000"]
+    assert "scipy.integrate" in loaded

@@ -7,14 +7,15 @@ import pytest
 
 from cfcontrol import (ControllabilityError, ControlProblem, ConvergenceError,
                        DenseMatrixFamily, DomainError, FractionalOrder,
-                       GridFunction, NullControlFailed, SpectralHeatFamily,
-                       TimeGrid, build_gramian, build_propagator,
-                       exact_null_control_semilinear,
+                       GridFunction, NullControlFailed, NumericError,
+                       SpectralHeatFamily, TimeGrid, build_gramian,
+                       build_propagator, exact_null_control_semilinear,
                        kernel_space_perturbation, synthesize_null_control,
                        parse_config, verify_null_inequality)
 
 ORDER = FractionalOrder(0.8)
 DEMO = Path(__file__).resolve().parents[1] / "configs" / "heat_null_control.cfg"
+DENSE = DEMO.with_name("dense_evolve.cfg")
 
 
 def scalar_setup(lam=1.0, n=801, alpha=1.0):
@@ -45,9 +46,15 @@ def test_scalar_gramian_matches_closed_form():
 
 
 def test_zero_input_matrix_not_controllable():
+    from scipy.linalg import LinAlgError
+
+    from conftest import cholesky_reference
     fam, grid, table = scalar_setup()
     with pytest.raises(ControllabilityError):
         build_gramian(np.zeros((1, 1)), table)
+    # the scipy reference fails on the same (zero) Gramian
+    with pytest.raises(LinAlgError):
+        cholesky_reference(np.zeros((1, 1)))
 
 
 def test_heat_gramian_diagonal_positive_definite():
@@ -80,6 +87,57 @@ def test_gain_norm_estimate_close_to_spectral_value():
     psi0 = np.exp(-rates)
     exact = np.sqrt(np.max((psi0**2 + w) / w))
     assert gram.gain_norm_est == pytest.approx(exact, rel=1e-12)
+
+
+def gramian_oracle_cases():
+    """A spectral and a dense table, each with a regular and a singular input."""
+    _, _, heat = heat_setup(n=201)
+    grid = TimeGrid.from_tau_horizon(ORDER, 0.0, 1.0, 41)
+    # A = I/2, so every operator is a scalar multiple of I and W is a
+    # multiple of B B^T: rank 2 up to 1e-20 for this B
+    flat = build_propagator(
+        DenseMatrixFamily(lambda t: 0.5 * np.eye(3), 3), grid)
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))
+    return {
+        "spectral": (heat, np.eye(6)),
+        "spectral_zero_row": (heat, np.diag([1.0] * 5 + [0.0])),
+        "dense": (build_propagator(parse_config(DENSE).family(), grid),
+                  np.array([[1.0, 0.3], [-0.2, 0.7]])),
+        "dense_nearly_singular": (flat, q * [1.0, 1.0, 1e-10]),
+    }
+
+
+@pytest.mark.parametrize("case", ["spectral", "spectral_zero_row", "dense",
+                                  "dense_nearly_singular"])
+def test_gramian_factor_matches_scipy_reference(case):
+    from scipy.linalg import cho_solve, eigh
+
+    from conftest import cholesky_reference
+    table, b_matrix = gramian_oracle_cases()[case]
+    gram = build_gramian(b_matrix, table)
+    cho, jitter = cholesky_reference(gram.gramian)
+    assert gram.jitter == jitter
+    assert (jitter > 0.0) == case.endswith(("zero_row", "singular"))
+
+    rhs = np.random.default_rng(1).standard_normal((table.dim, 3))
+    expect = cho_solve(cho, rhs)
+    assert np.linalg.norm(gram.solve_gramian(rhs) - expect) \
+        <= 1e-12 * np.linalg.norm(expect)
+    assert np.allclose(gram.solve_gramian(rhs[:, 0]), expect[:, 0],
+                       rtol=1e-12, atol=0.0)
+
+    # the gain norm as the generalised eigenvalue of (P P^T + W_I, W)
+    p = table.matrix(table.grid.n_nodes - 1, 0)
+    w_ident = build_gramian(np.eye(table.dim), table).gramian
+    top = eigh(p @ p.T + w_ident, gram.gramian + jitter * np.eye(table.dim),
+               eigvals_only=True)[-1]
+    assert gram.gain_norm_est == pytest.approx(np.sqrt(top), rel=1e-12)
+
+
+def test_non_finite_gramian_is_numeric_error():
+    _, _, table = heat_setup(n=101, potential=float("nan"))
+    with pytest.raises(NumericError):
+        build_gramian(np.eye(6), table)
 
 
 # --- null-control synthesis ----------------------------------------------------

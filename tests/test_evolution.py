@@ -1,5 +1,8 @@
 """Evolution-operator tables, kernels, and the brute-force oracle."""
 
+import os
+import re
+
 import numpy as np
 import pytest
 
@@ -11,8 +14,8 @@ from cfcontrol import (DenseMatrixFamily, DomainError,
                        regularized_residuals)
 
 from conftest import (kernel_equation_residual, kernel_series,
-                      make_dense_family, materialise, materialise_resolvent,
-                      materialise_series)
+                      limit_sources, make_dense_family, materialise,
+                      materialise_resolvent, materialise_series)
 
 ORDER = FractionalOrder(0.75)
 
@@ -529,3 +532,29 @@ def test_log_norm_bound_is_one_for_shipped_families(tmp_path):
                         f"dense_family = {name} 0.5\nx0 = ones 1.0\n")
         cfg = parse_config(path)
         assert build_propagator(cfg.family(), cfg.grid()).norm_bound == 1.0
+
+
+# --- memory guard -------------------------------------------------------------
+
+@pytest.mark.parametrize("v2, v1, soft_as, expect", [
+    (None, None, None, None),
+    ("max", None, None, None),
+    ("max", "9223372036854771712", None, None),
+    ("1000000", None, None, (1_000_000, "cgroup memory limit")),
+    (None, "1200000", None, (1_200_000, "cgroup memory limit")),
+    ("3000000", None, 500_000,
+     (500_000, "address-space limit (RLIMIT_AS)")),
+], ids=["physical_only", "v2_max", "v1_unlimited", "v2", "v1", "rlimit_as"])
+def test_memory_guard_takes_smallest_readable_limit(monkeypatch, tmp_path,
+                                                    v2, v1, soft_as, expect):
+    evolution = limit_sources(monkeypatch, tmp_path, v2, v1, soft_as)
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    have, label = min(evolution._memory_limits(), key=lambda lim: lim[0])
+    assert (have, label) == (expect or (physical, "of physical memory"))
+    # two (n*d)**2 tables of doubles: 0.16 MB at n = 100, 1.44 MB at 300
+    evolution._check_memory(100, 1)
+    if expect is None:
+        evolution._check_memory(300, 1)
+        return
+    with pytest.raises(DomainError, match=re.escape(label)):
+        evolution._check_memory(300, 1)
