@@ -22,8 +22,7 @@ from .evolution import (DenseMatrixFamily, DensePropagatorTable, KernelTable,
                         OperatorFamily, SpectralHeatFamily,
                         SpectralPropagatorTable, adjoint_residual,
                         build_kernel, build_propagator, conformable_residual,
-                        frozen_semigroup, kernel_residual, propagate_oracle,
-                        regularized_residuals)
+                        frozen_semigroup, kernel_residual, propagate_oracle)
 from .mild import (ContractionReport, ControlProblem, PicardResult,
                    contraction_report, estimate_growth_constant,
                    horizon_factor, picard_solve)
@@ -47,7 +46,7 @@ __all__ = [
     "OperatorFamily", "SpectralHeatFamily", "SpectralPropagatorTable",
     "adjoint_residual", "build_kernel", "build_propagator",
     "conformable_residual", "frozen_semigroup", "kernel_residual",
-    "propagate_oracle", "regularized_residuals",
+    "propagate_oracle",
     "ContractionReport", "ControlProblem", "PicardResult",
     "contraction_report", "estimate_growth_constant", "horizon_factor",
     "picard_solve",

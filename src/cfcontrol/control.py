@@ -291,6 +291,9 @@ def exact_null_control_semilinear(problem: ControlProblem,
     ConvergenceError
         If an update of the map is non-finite or passes the divergence
         guard, or ``max_iter`` sweeps end above ``picard_tol``.
+    NumericError, DomainError
+        If the nonlinearity returns a non-finite value or an array of the
+        wrong shape (see :func:`~cfcontrol.mild.nonlinearity_values`).
     NullControlFailed
         If the converged loop misses ``null_tol * max(1, ||x0||)``; the
         offending result rides along on the exception.

@@ -9,7 +9,9 @@ Two backends:
 * ``spectral_heat`` -- the Dirichlet sine-mode family with eigenvalues
   ``n**2 + p(t)`` per mode.  The operator is diagonal with per-mode factors
   ``exp(-n**2 * (tau_t - tau_s) - int_{tau_s}^{tau_t} p dtau)`` where the
-  potential integral is accumulated by cumulative trapezoid.
+  potential integral is accumulated by cumulative trapezoid.  The
+  trapezoid Volterra sum over these factors is one cumulative sum per chunk
+  of nodes, with a carry between chunks.
 * ``dense_matrix`` -- a general smooth matrix family.  The operator is
   built from frozen-coefficient exponentials
   ``S_s(t - s) = exp(-(tau_t - tau_s) A(s))`` corrected by the resolvent
@@ -58,11 +60,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .grids import TimeGrid
 
 try:
@@ -84,11 +86,13 @@ __all__ = [
     "propagate_oracle",
     "conformable_residual",
     "adjoint_residual",
-    "regularized_residuals",
 ]
 
 _EIG_COND_LIMIT = 1e7
 _CHUNK_BYTES = 1 << 20
+# largest exponent change |E(r) - E(anchor)| inside one chunk of the spectral
+# scan; exp(64) ~ 6e27 leaves every scaled term far from overflow
+_SCAN_SPAN = 64.0
 _TABLE_COPIES = 2
 _CGROUP_MEMORY_FILES = ("/sys/fs/cgroup/memory.max",
                         "/sys/fs/cgroup/memory/memory.limit_in_bytes")
@@ -382,6 +386,26 @@ def kernel_residual(table: KernelTable, rhs: np.ndarray) -> float:
     return float(np.linalg.norm(resid)) / (float(np.linalg.norm(first)) or 1.0)
 
 
+def _scan_anchors(exponents: np.ndarray) -> list[int]:
+    """Chunk anchors ``0 = a_0 < a_1 < ... = n-1`` of the spectral scan.
+
+    Chunk k holds the nodes ``a_k < r <= a_{k+1}``.  Bounds
+    ``|E(r) - E(a_k)|`` there by the running sum of the largest exponent
+    step over the columns of ``exponents`` (n_nodes, modes) and keeps it
+    within ``_SCAN_SPAN``; a single step above the span makes a chunk of
+    one node.
+    """
+    n = exponents.shape[0]
+    reach = np.concatenate(
+        [[0.0], np.cumsum(np.max(np.abs(np.diff(exponents, axis=0)), axis=1))])
+    anchors = [0]
+    while anchors[-1] < n - 1:
+        a = anchors[-1]
+        b = int(np.searchsorted(reach, reach[a] + _SCAN_SPAN, side="right")) - 1
+        anchors.append(max(b, a + 1))
+    return anchors
+
+
 @dataclass
 class SpectralPropagatorTable:
     """Diagonal propagator for the sine-mode heat family.
@@ -389,7 +413,10 @@ class SpectralPropagatorTable:
     Stores the cumulative tau-integral of the potential; the factor of mode
     n between nodes j <= i is
     ``exp(-n**2 (tau_i - tau_j) - (P_i - P_j))``, so the composition law
-    holds exactly (the exponents telescope).
+    holds exactly (the exponents telescope).  ``accumulate`` is a chunked
+    scan over the nodes; the table keeps one ``(n_nodes, modes)`` array of
+    its scale factors.  A potential that is not finite at some node, or
+    whose integral overflows, raises :class:`NumericError`.
     """
 
     grid: TimeGrid
@@ -398,11 +425,19 @@ class SpectralPropagatorTable:
     norm_bound: float = field(init=False)
 
     def __post_init__(self):
-        p = np.array([self.family.potential(t) for t in self.grid.t_nodes])
+        p = np.array([self.family.potential(t) for t in self.grid.t_nodes],
+                     dtype=float)
+        if not np.all(np.isfinite(p)):
+            bad = int(np.argmin(np.isfinite(p)))
+            raise NumericError(f"potential is {p[bad]} at node {bad} "
+                               f"(t = {float(self.grid.t_nodes[bad])!r})")
         h = self.grid.h
-        self.potential_cumint = np.concatenate(
-            [[0.0], np.cumsum(0.5 * h * (p[1:] + p[:-1]))]
-        )
+        with np.errstate(over="ignore"):
+            self.potential_cumint = np.concatenate(
+                [[0.0], np.cumsum(0.5 * h * (p[1:] + p[:-1]))]
+            )
+        if not np.isfinite(self.potential_cumint[-1]):
+            raise NumericError("the tau-integral of the potential overflows")
         self._sq = np.arange(1, self.family.n_modes + 1, dtype=float) ** 2
         # per-mode exponent E_n(i) = n^2 tau_i + P_i; the largest factor over
         # pairs i >= j is exp(max_j (E_n(j) - min_{i>=j} E_n(i)))
@@ -410,7 +445,11 @@ class SpectralPropagatorTable:
             + self.potential_cumint[:, None]
         suffix_min = np.minimum.accumulate(exponents[::-1], axis=0)[::-1]
         self.norm_bound = float(np.exp(np.max(exponents - suffix_min)))
-        self._steps = self._between(np.s_[1:], np.s_[:-1])
+        # a step of E_n is affine in n^2, so the first and the last mode
+        # carry the largest step of every node
+        self._anchors = _scan_anchors(exponents[:, [0, -1]])
+        owner = np.repeat(self._anchors[:-1], np.diff(self._anchors))
+        self._decay = self._between(np.s_[:], np.concatenate([[0], owner]))
         self._final = self._between(-1, np.s_[:])
 
     @property
@@ -441,13 +480,32 @@ class SpectralPropagatorTable:
     def accumulate(self, values: np.ndarray) -> np.ndarray:
         """Trapezoid ``int_0^{tau_i} op(i, r) values[r] dtau_r`` at every node i.
 
-        Marches ``acc[i] = op(i, i-1) (acc[i-1] + h/2 v[i-1]) + h/2 v[i]``,
-        which is exact because the mode exponents telescope.
+        A chunked scan.  With ``G[i] = acc[i] + h/2 values[i]`` the full-
+        weight sum up to node i, the exponents telescope, so for nodes
+        ``a < i <= b`` of a chunk anchored at node a
+
+            acc[i] = D[i] (G[a] + sum_{a<r<i} h values[r] / D[r])
+                     + h/2 values[i],      D[r] = exp(-(E(r) - E(a))),
+
+        one cumulative sum per chunk, and the carry ``G[b]`` anchors the
+        next chunk.  ``D`` is stored on the table; the chunks keep
+        ``|E(r) - E(a)|`` within ``_SCAN_SPAN``, so no scaled term
+        overflows, and a step that alone exceeds it is a chunk of one node,
+        which divides by nothing.
         """
-        half = 0.5 * self.grid.h * np.asarray(values, dtype=float)
-        acc = np.zeros_like(half)
-        for i, step in enumerate(self._steps, start=1):
-            acc[i] = step * (acc[i - 1] + half[i - 1]) + half[i]
+        h = self.grid.h
+        values = np.asarray(values, dtype=float)
+        half = 0.5 * h * values
+        acc = np.empty_like(half)
+        acc[0] = 0.0
+        for a, b in zip(self._anchors[:-1], self._anchors[1:]):
+            run = np.empty((b - a,) + half.shape[1:])
+            run[0] = acc[a] + half[a]
+            np.divide(values[a + 1:b], self._decay[a + 1:b], out=run[1:])
+            run[1:] *= h
+            np.cumsum(run, axis=0, out=run)
+            acc[a + 1:b + 1] = self._decay[a + 1:b + 1] * run \
+                + half[a + 1:b + 1]
         return acc
 
     def final_row(self, values: np.ndarray) -> np.ndarray:
@@ -662,39 +720,3 @@ def adjoint_residual(table: PropagatorTable,
     diff = (table.matrix(i, j + 1) @ v - table.matrix(i, j - 1) @ v) / (2.0 * h)
     target = table.matrix(i, j) @ (family.a_matrix(table.grid.t_nodes[j]) @ v)
     return float(np.linalg.norm(diff - target))
-
-
-def regularized_residuals(family: DenseMatrixFamily,
-                          kernel_table: KernelTable,
-                          i: int,
-                          j: int,
-                          pullbacks: Sequence[int] = (8, 4, 2)) -> list[float]:
-    """Evolution-equation residuals of the pulled-back operator.
-
-    For each pullback m the correction integral is truncated m grid steps
-    short of the target node; the residual of the fractional equation is
-    then evaluated by central differences.  As the pullback shrinks the
-    residual must decrease toward the untruncated value (a proof-device
-    check, not a production path).
-    """
-    grid = kernel_table.grid
-    tau, tn = grid.tau_nodes, grid.t_nodes
-    h, n, d = grid.h, grid.n_nodes, family.dim
-    res = kernel_table.apply(_unit_block(n, d, j)).reshape(n, d, d)
-
-    def pulled_back_op(ii, m):
-        upper = max(ii - m, j)
-        acc = frozen_semigroup(family, tn[j], tau[ii] - tau[j])
-        if upper > j:
-            for r in range(j, upper + 1):
-                w = 0.5 if r in (j, upper) else 1.0
-                acc = acc + h * w * frozen_semigroup(
-                    family, tn[r], tau[ii] - tau[r]) @ res[r]
-        return acc
-
-    out = []
-    for m in pullbacks:
-        diff = (pulled_back_op(i + 1, m) - pulled_back_op(i - 1, m)) / (2.0 * h)
-        resid = diff + family.a_matrix(tn[i]) @ pulled_back_op(i, m)
-        out.append(float(np.linalg.norm(resid, 2)))
-    return out

@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, NumericError
 from .grids import GridFunction, TimeGrid
 from .evolution import OperatorFamily, PropagatorTable
 
@@ -53,20 +53,26 @@ __all__ = [
 _HALF_ORDER_TOL = 1e-8
 _DIVERGENCE_FACTOR = 1e8
 
+Nonlinearity = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
 
 @dataclass
 class ControlProblem:
     """Data of a semilinear control problem on a fixed grid.
 
-    ``nonlinearity`` maps (t, state) to a state increment; ``None`` means
-    zero.  ``control`` is a grid function of input values or ``None``.
+    ``nonlinearity`` maps (t, X) to the state increments ``F(t, X)`` at all
+    nodes at once: t is the ``(n_nodes, 1)`` column of node times and X
+    the ``(n_nodes, dim)`` trajectory, and the result has the shape of X.
+    An elementwise ``lambda t, x: c * x`` meets this contract.  It is
+    called once per fixed-point sweep; ``None`` means zero.  ``control``
+    is a grid function of input values or ``None``.
     """
 
     family: OperatorFamily
     grid: TimeGrid
     x0: np.ndarray
     b_matrix: np.ndarray
-    nonlinearity: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
+    nonlinearity: Optional[Nonlinearity] = None
     control: Optional[GridFunction] = None
     picard_tol: float = 1e-9
     max_iter: int = 50
@@ -109,13 +115,29 @@ class PicardResult(NamedTuple):
     update_norms: tuple = ()
 
 
-def nonlinearity_values(fun: Optional[Callable[[float, np.ndarray], np.ndarray]],
-                        grid: TimeGrid, x: np.ndarray) -> np.ndarray:
-    """``F(t_r, x[r])`` at every node r, shape (n_nodes, dim); zero for None."""
-    out = np.zeros_like(x)
-    if fun is not None:
-        for r, t in enumerate(grid.t_nodes):
-            out[r] = np.asarray(fun(t, x[r]), dtype=float)
+def nonlinearity_values(fun: Optional[Nonlinearity], grid: TimeGrid,
+                        x: np.ndarray) -> np.ndarray:
+    """``F(t_r, x[r])`` at every node r, shape (n_nodes, dim); zero for None.
+
+    One call ``fun(grid.t_nodes[:, None], x)`` over all nodes.
+
+    Raises
+    ------
+    DomainError
+        If ``fun`` returns an array of another shape than ``x``.
+    NumericError
+        If ``fun`` returns a non-finite value.
+    """
+    if fun is None:
+        return np.zeros_like(x)
+    out = np.asarray(fun(grid.t_nodes[:, None], x), dtype=float)
+    if out.shape != x.shape:
+        raise DomainError(f"nonlinearity returned shape {out.shape}, "
+                          f"expected {x.shape}")
+    if not np.all(np.isfinite(out)):
+        node = int(np.argmin(np.all(np.isfinite(out), axis=1)))
+        raise NumericError(f"nonlinearity is not finite at node {node} "
+                           f"(t = {float(grid.t_nodes[node])!r})")
     return out
 
 
@@ -175,6 +197,9 @@ def picard_solve(problem: ControlProblem,
     ConvergenceError
         If the update norms fail to reach ``picard_tol`` within
         ``max_iter`` sweeps or grow past a divergence guard.
+    NumericError, DomainError
+        If the nonlinearity returns a non-finite value or an array of the
+        wrong shape (see :func:`nonlinearity_values`).
     """
     if propagator.grid is not problem.grid:
         raise DomainError("propagator and problem must share the same grid")
@@ -214,7 +239,7 @@ def horizon_factor(alpha: float, t1: float, t2: float) -> float:
     return (t2**expo - t1**expo) / expo
 
 
-def estimate_growth_constant(fun: Callable[[float, np.ndarray], np.ndarray],
+def estimate_growth_constant(fun: Nonlinearity,
                              grid: TimeGrid,
                              dim: int,
                              radius: float = 1.0,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cfcontrol import DenseMatrixFamily
+from cfcontrol import DenseMatrixFamily, frozen_semigroup
 
 
 def make_smooth_fn(rng, scale=1.0):
@@ -113,6 +113,54 @@ def materialise_series(table):
                            max_terms=table.grid.n_nodes + 1)
     psi = table.semigroups @ (eye + h * res) - 0.5 * h * res
     return block_view(psi, table.dim), block_view(res, table.dim)
+
+
+def spectral_march(table, values):
+    """Trapezoid accumulation of a spectral table by the per-node march.
+
+    ``acc[i] = op(i, i-1) (acc[i-1] + h/2 v[i-1]) + h/2 v[i]``, exact
+    because the mode exponents telescope; one step per node.  The reference
+    for the table's chunked scan.
+    """
+    half = 0.5 * table.grid.h * np.asarray(values, dtype=float)
+    acc = np.zeros_like(half)
+    for i in range(1, table.grid.n_nodes):
+        acc[i] = table.factors(i, i - 1) * (acc[i - 1] + half[i - 1]) + half[i]
+    return acc
+
+
+def regularized_residuals(family, kernel_table, i, j, pullbacks=(8, 4, 2)):
+    """Evolution-equation residuals of the pulled-back operator.
+
+    For each pullback m the correction integral is truncated m grid steps
+    short of the target node; the residual of the fractional equation is
+    then evaluated by central differences.  As the pullback shrinks the
+    residual must decrease toward the untruncated value (a proof-device
+    check on a dense kernel table).
+    """
+    grid = kernel_table.grid
+    tau, tn = grid.tau_nodes, grid.t_nodes
+    h, n, d = grid.h, grid.n_nodes, family.dim
+    unit = np.zeros((n * d, d))
+    unit[j * d:(j + 1) * d] = np.eye(d)
+    res = kernel_table.apply(unit).reshape(n, d, d)
+
+    def pulled_back_op(ii, m):
+        upper = max(ii - m, j)
+        acc = frozen_semigroup(family, tn[j], tau[ii] - tau[j])
+        if upper > j:
+            for r in range(j, upper + 1):
+                w = 0.5 if r in (j, upper) else 1.0
+                acc = acc + h * w * frozen_semigroup(
+                    family, tn[r], tau[ii] - tau[r]) @ res[r]
+        return acc
+
+    out = []
+    for m in pullbacks:
+        diff = (pulled_back_op(i + 1, m) - pulled_back_op(i - 1, m)) / (2.0 * h)
+        resid = diff + family.a_matrix(tn[i]) @ pulled_back_op(i, m)
+        out.append(float(np.linalg.norm(resid, 2)))
+    return out
 
 
 def cholesky_reference(gram):

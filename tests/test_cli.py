@@ -170,6 +170,16 @@ def test_zero_input_map_exits_with_controllability_code(tmp_path, capsys):
     assert "ERROR CONTROLLABILITY" in capsys.readouterr().err
 
 
+def test_overflowing_potential_is_one_numeric_error(tmp_path, capsys):
+    # finite at every node, but its tau-integral overflows
+    cfg = write_cfg(tmp_path, potential="constant 1e308")
+    rc = main(["control", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 4
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["ERROR NUMERIC: the tau-integral of the potential "
+                   "overflows"]
+
+
 def test_solve_pipeline(tmp_path):
     cfg = write_cfg(tmp_path, nonlinearity="linear 0.1")
     out = str(tmp_path / "out")

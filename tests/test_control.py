@@ -135,9 +135,14 @@ def test_gramian_factor_matches_scipy_reference(case):
 
 
 def test_non_finite_gramian_is_numeric_error():
-    _, _, table = heat_setup(n=101, potential=float("nan"))
-    with pytest.raises(NumericError):
-        build_gramian(np.eye(6), table)
+    _, _, table = heat_setup(n=101)
+    b_matrix = np.eye(6)
+    b_matrix[2, 2] = float("nan")
+    with pytest.raises(NumericError, match="Gramian"):
+        build_gramian(b_matrix, table)
+    # a non-finite potential is refused earlier, by the table build
+    with pytest.raises(NumericError, match="potential"):
+        heat_setup(n=101, potential=float("nan"))
 
 
 # --- null-control synthesis ----------------------------------------------------

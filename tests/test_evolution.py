@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 
 from cfcontrol import (DenseMatrixFamily, DomainError,
-                       FractionalOrder, SpectralHeatFamily, TimeGrid,
+                       FractionalOrder, NumericError, SpectralHeatFamily,
+                       TimeGrid,
                        adjoint_residual, build_kernel, build_propagator,
                        conformable_residual, frozen_semigroup,
-                       kernel_residual, parse_config, propagate_oracle,
-                       regularized_residuals)
+                       kernel_residual, parse_config, propagate_oracle)
 
 from conftest import (kernel_equation_residual, kernel_series,
                       limit_sources, make_dense_family, materialise,
-                      materialise_resolvent, materialise_series)
+                      materialise_resolvent, materialise_series,
+                      regularized_residuals, spectral_march)
 
 ORDER = FractionalOrder(0.75)
 
@@ -351,22 +352,59 @@ def test_column_table_homogeneous_matches_apply(rng):
     assert np.allclose(table.homogeneous(x0), expect, rtol=1e-14, atol=1e-15)
 
 
-@pytest.mark.parametrize("backend", ["spectral", "dense"])
+# spectral scans: nodes, modes, potential; the window spans one unit of tau,
+# so the top mode's exponent rises by about modes**2 over it
+SPECTRAL_SCANS = {
+    "spectral": (31, 5, lambda t: 1.0 + 0.5 * np.sin(3.0 * t)),
+    "unit_chunks": (41, 64, lambda t: 1.0),
+    "many_chunks": (4001, 64, lambda t: 1.0),
+    "sign_changing": (201, 16, lambda t: 40.0 * np.sin(8.0 * t)),
+}
+
+
+@pytest.mark.parametrize("backend", ["dense", *SPECTRAL_SCANS])
 def test_accumulate_matches_trapezoid_sum(rng, backend):
-    grid = window(31)
-    if backend == "spectral":
-        fam = SpectralHeatFamily(lambda t: 1.0 + 0.5 * np.sin(3.0 * t), 5)
+    if backend == "dense":
+        grid, fam = window(31), make_dense_family(rng, 3)
     else:
-        fam = make_dense_family(rng, 3)
-    table = build_propagator(fam, grid)
+        n_nodes, n_modes, potential = SPECTRAL_SCANS[backend]
+        grid, fam = window(n_nodes), SpectralHeatFamily(potential, n_modes)
     values = rng.standard_normal((grid.n_nodes, fam.dim))
+    with np.errstate(over="raise", invalid="raise"):
+        table = build_propagator(fam, grid)
+        got = table.accumulate(values)
+        if backend != "dense":
+            march = spectral_march(table, values)
+            assert np.max(np.abs(got - march)) \
+                <= 1e-13 * np.max(np.abs(march))
+    if grid.n_nodes > 201:
+        return  # the brute-force sum below takes O(n**2) node-pair products
     expect = np.zeros_like(values)
     for i in range(1, grid.n_nodes):
         terms = [table.matrix(i, r) @ values[r] for r in range(i + 1)]
         expect[i] = grid.h * (0.5 * terms[0] + sum(terms[1:i])
                               + 0.5 * terms[i])
-    got = table.accumulate(values)
     assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
+def test_spectral_scan_chunks():
+    # the cases above reach one chunk, chunks of one node (every step of
+    # mode 64 is about 100, above the span), many chunks, and a chunked
+    # exponent that falls and rises again
+    lengths = {}
+    for name, (n_nodes, n_modes, potential) in SPECTRAL_SCANS.items():
+        table = build_propagator(SpectralHeatFamily(potential, n_modes),
+                                 window(n_nodes))
+        lengths[name] = np.diff(table._anchors)
+    assert list(lengths["spectral"]) == [30]
+    assert set(lengths["unit_chunks"]) == {1}
+    assert len(lengths["many_chunks"]) > 10
+    assert min(lengths["many_chunks"]) > 1
+    assert len(lengths["sign_changing"]) > 1
+    first_mode = table.potential_cumint + table.grid.tau_nodes
+    chunk_steps = [np.diff(first_mode[a:b + 1]) for a, b
+                   in zip(table._anchors[:-1], table._anchors[1:])]
+    assert any(st.min() < 0.0 < st.max() for st in chunk_steps)
 
 
 def test_defective_family_uses_exponential_fallback():
@@ -405,6 +443,16 @@ def test_tau_horizon_validation():
 def test_spectral_family_validation():
     with pytest.raises(DomainError):
         SpectralHeatFamily(lambda t: 1.0, 0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e308])
+def test_non_finite_potential_is_numeric_error(bad):
+    # the scan's chunk sizing reads the exponent steps, so the table refuses
+    # a potential that is not finite at some node, or whose integral
+    # overflows (1e308), without a RuntimeWarning
+    fam = SpectralHeatFamily(lambda t: bad if t > 1.0 else 1.0, 4)
+    with pytest.raises(NumericError, match="potential"):
+        build_propagator(fam, window(41))
 
 
 def test_dense_operator_matrix_matches_oracle_columns():

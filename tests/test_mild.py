@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from cfcontrol import (ControlProblem, ConvergenceError, DenseMatrixFamily,
-                       DomainError, FractionalOrder, SpectralHeatFamily,
-                       TimeGrid, build_gramian, build_propagator,
-                       contraction_report, estimate_growth_constant,
-                       horizon_factor, picard_solve)
+                       DomainError, FractionalOrder, NumericError,
+                       SpectralHeatFamily, TimeGrid, build_gramian,
+                       build_propagator, contraction_report,
+                       estimate_growth_constant,
+                       exact_null_control_semilinear, horizon_factor,
+                       picard_solve)
 
 ORDER = FractionalOrder(0.8)
 
@@ -138,6 +140,41 @@ def test_transient_blowup_trips_divergence_guard():
     with pytest.raises(ConvergenceError) as info:
         picard_solve(problem, table)
     assert "diverged" in str(info.value)
+
+
+def test_nonlinearity_called_once_per_sweep():
+    fam, grid, table = heat_setup(n_nodes=201)
+    calls = []
+
+    def fun(t, x):
+        calls.append((t.shape, x.shape))
+        return 0.05 * x
+
+    problem = ControlProblem(family=fam, grid=grid, x0=np.ones(6) / 6.0,
+                             b_matrix=np.eye(6), nonlinearity=fun)
+    result = picard_solve(problem, table)
+    # every sweep, and the one that measures the residual
+    assert calls == [((201, 1), (201, 6))] * (result.iterations + 1)
+    calls.clear()
+    closed = exact_null_control_semilinear(problem, build_gramian(np.eye(6),
+                                                                  table))
+    assert calls == [((201, 1), (201, 6))] * closed.iterations
+
+
+@pytest.mark.parametrize("fun, error", [
+    (lambda t, x: np.where(t > 0.5, np.inf, x), NumericError),
+    (lambda t, x: np.where(x > 0.0, np.nan, x), NumericError),
+    (lambda t, x: x[:, :1], DomainError),
+    (lambda t, x: 0.1, DomainError),
+], ids=["inf", "nan", "one_column", "scalar"])
+def test_bad_nonlinearity_values_are_refused(fun, error):
+    fam, grid, table = heat_setup(n_nodes=41)
+    problem = ControlProblem(family=fam, grid=grid, x0=np.ones(6) / 6.0,
+                             b_matrix=np.eye(6), nonlinearity=fun)
+    with pytest.raises(error, match="nonlinearity"):
+        picard_solve(problem, table)
+    with pytest.raises(error, match="nonlinearity"):
+        exact_null_control_semilinear(problem, build_gramian(np.eye(6), table))
 
 
 def test_problem_validation():
