@@ -22,26 +22,35 @@ Two backends:
       kernel(t, s)    = (A(s) - A(t)) S_s(t - s),
 
   discretized with trapezoid weights (Nystrom).  The table keeps two
-  ``(n*d, n*d)`` block-lower-triangular matrices, the frozen semigroups S
+  block-lower-triangular ``(n*d, n*d)`` matrices, the frozen semigroups S
   and the kernel, stored scaled as ``-h K``; block (i, j) acts from node j
-  to node i.  K vanishes on the block diagonal, so the discrete equation
-  ``R = K + h K R`` is the unit lower triangular system
-  ``I + h R = (I - h K)^{-1}``, and the propagator
+  to node i.  Each is stored as row panels: panel c holds the rows of the
+  nodes ``[s0, s1)`` and the columns of the nodes ``[0, s1)``, so the zero
+  upper half is never allocated.  K vanishes on the block diagonal, so
+  the discrete equation ``R = K + h K R`` is the unit lower triangular
+  system ``I + h R = (I - h K)^{-1}``, and the propagator
   ``Psi = S (I + h R) - h/2 R = (S - I/2) (I - h K)^{-1} + I/2`` is applied
-  by one triangular solve and one product with S, never formed:
+  by one block substitution over the panels and one product with S,
+  never formed:
 
       Psi v = S y - (y - v)/2,                      y = (I - h K)^{-1} v,
       Psi[n-1, :]^T = (I - h K)^{-T} (S[n-1, :]^T - E/2) + E/2,
 
   where ``E`` holds the identity at the last node; the final block row is
-  one transposed solve.  A block column of Psi, for node-pair queries, is
-  one application to d unit vectors and is cached on the table.  The
-  table's ``norm_bound`` is the logarithmic-norm bound
+  one backward substitution.  The substitutions are matrix products with
+  the panels and with the inverses of the panels' diagonal blocks of
+  ``I - h K``, taken once when the table is built, so the solves need
+  numpy only.  A block column of Psi, for node-pair queries, is one
+  application to d unit vectors and is cached on the table.  The table's
+  ``norm_bound`` is the logarithmic-norm bound
   ``exp(int max(0, mu_2(-A)) dtau)``, which needs no block of Psi.  A grid
   whose tables would not fit in memory (the smallest of physical memory,
   the soft ``RLIMIT_AS`` and the cgroup limit) is refused before anything
-  large is allocated.  ``scipy.linalg`` is imported by the first dense
-  solve, so a spectral run needs numpy only.
+  large is allocated.  A family whose ``A(t)``, tables or bound come out
+  non-finite raises :class:`NumericError` when the table is built, before
+  any solve.  ``scipy.linalg`` is imported only by ``frozen_semigroup``
+  and by the exponential fallback for a node without a usable
+  eigenbasis, so a run on the shipped families needs numpy only.
 
 An independent brute-force oracle integrates the substituted ODE with a
 classical fourth-order one-step method; every propagator test is anchored
@@ -89,11 +98,13 @@ __all__ = [
 ]
 
 _EIG_COND_LIMIT = 1e7
-_CHUNK_BYTES = 1 << 20
 # largest exponent change |E(r) - E(anchor)| inside one chunk of the spectral
 # scan; exp(64) ~ 6e27 leaves every scaled term far from overflow
 _SCAN_SPAN = 64.0
-_TABLE_COPIES = 2
+# nodes per row panel of a dense table: the substitutions take one product
+# per panel, and the panels' diagonal blocks, inverted at build time, are
+# (16 d)**2 doubles each
+_PANEL_NODES = 16
 _CGROUP_MEMORY_FILES = ("/sys/fs/cgroup/memory.max",
                         "/sys/fs/cgroup/memory/memory.limit_in_bytes")
 
@@ -178,6 +189,52 @@ def _unit_block(n: int, d: int, j: int) -> np.ndarray:
     return out
 
 
+def _panel_bounds(n: int) -> list[tuple[int, int]]:
+    """Node ranges ``[s0, s1)`` of the row panels; only the last is partial."""
+    return [(s0, min(n, s0 + _PANEL_NODES))
+            for s0 in range(0, n, _PANEL_NODES)]
+
+
+def _panel_product(panels: list[np.ndarray], x: np.ndarray,
+                   transpose: bool = False) -> np.ndarray:
+    """``M x``, or ``M^T x`` with ``transpose``, for M stored as row panels.
+
+    A panel of shape ``(rows, cols)`` holds the rows ``[cols - rows, cols)``
+    of the block-lower-triangular M and its columns ``[0, cols)``, where
+    every later column of those rows is zero; x is (n*d,) or (n*d, k).
+    """
+    out = np.zeros((panels[-1].shape[1],) + x.shape[1:])
+    for panel in panels:
+        rows, cols = panel.shape
+        if transpose:
+            out[:cols] += panel.T @ x[cols - rows:cols]
+        else:
+            out[cols - rows:cols] = panel @ x[:cols]
+    return out
+
+
+def _assemble(panels: list[np.ndarray]) -> np.ndarray:
+    """The ``(n*d, n*d)`` matrix held by row panels, zero above them."""
+    size = panels[-1].shape[1]
+    out = np.zeros((size, size))
+    for panel in panels:
+        rows, cols = panel.shape
+        out[cols - rows:cols, :cols] = panel
+    return out
+
+
+def _table_bytes(n: int, d: int) -> int:
+    """Bytes a dense table of n nodes in dimension d holds.
+
+    That is the row panels of S and ``-hK``, and the inverses of the
+    panels' diagonal blocks of ``I - hK``, padded to a common height.
+    """
+    bounds = _panel_bounds(n)
+    panel_nodes = sum((s1 - s0) * s1 for s0, s1 in bounds)
+    height = (bounds[0][1] - bounds[0][0]) * d
+    return 8 * (2 * panel_nodes * d * d + len(bounds) * height * height)
+
+
 def _memory_limits() -> list[tuple[int, str]]:
     """The memory limits this process can read, as ``(bytes, label)``.
 
@@ -205,13 +262,12 @@ def _memory_limits() -> list[tuple[int, str]]:
 
 
 def _check_memory(n: int, d: int) -> None:
-    """Refuse a dense table whose predicted footprint exceeds the memory limit.
+    """Refuse a dense table whose footprint exceeds the memory limit.
 
-    A table keeps S and ``-hK``: ``_TABLE_COPIES`` matrices of
-    ``(n*d)**2`` doubles.  The limit is the smallest of
+    The footprint is :func:`_table_bytes`; the limit is the smallest of
     :func:`_memory_limits`.  Nothing is allocated to find out.
     """
-    need = _TABLE_COPIES * (n * d) ** 2 * 8
+    need = _table_bytes(n, d)
     limits = _memory_limits()
     if not limits:
         return
@@ -223,25 +279,56 @@ def _check_memory(n: int, d: int) -> None:
             f"{label}")
 
 
+def _require_finite(what: str, values: np.ndarray, grid: TimeGrid,
+                    first: int = 0) -> None:
+    """Raise :class:`NumericError` at the first node with a non-finite value.
+
+    The leading axis of ``values`` runs over the nodes from ``first`` on.
+    """
+    finite = np.isfinite(values.reshape(values.shape[0], -1)).all(axis=1)
+    if not finite.all():
+        node = first + int(np.argmin(finite))
+        raise NumericError(f"{what} is not finite at node {node} "
+                           f"(t = {float(grid.t_nodes[node])!r})")
+
+
+def _require_finite_panels(what: str, panels: list[np.ndarray],
+                           grid: TimeGrid, d: int) -> None:
+    """:func:`_require_finite` on the rows of each row panel, node by node."""
+    for panel in panels:
+        rows, cols = panel.shape
+        _require_finite(what, panel.reshape(rows // d, -1), grid,
+                        (cols - rows) // d)
+
+
 def _frozen_tables(family: DenseMatrixFamily, grid: TimeGrid):
-    """``A(t_j)`` at every node, and the semigroup table built from it."""
+    """``A(t_j)`` at every node, and the row panels of S built from it.
+
+    Both are computed with numpy's floating-point warnings off; a value
+    that is not finite raises :class:`NumericError` naming its node.
+    """
     _check_memory(grid.n_nodes, family.dim)
-    a_stack = np.stack([family.a_matrix(t) for t in grid.t_nodes])
-    return a_stack, _semigroup_table(a_stack, grid.tau_nodes)
+    with np.errstate(all="ignore"):
+        a_stack = np.stack([family.a_matrix(t) for t in grid.t_nodes])
+        _require_finite("A(t)", a_stack, grid)
+        semigroups = _semigroup_table(a_stack, grid.tau_nodes)
+    _require_finite_panels("the frozen semigroup table", semigroups, grid,
+                           family.dim)
+    return a_stack, semigroups
 
 
-def _semigroup_table(a_stack: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Block matrix with S[i, j] = exp(-(tau_i - tau_j) A_j) for i >= j.
+def _semigroup_table(a_stack: np.ndarray,
+                     tau: np.ndarray) -> list[np.ndarray]:
+    """Row panels of the block matrix with S[i, j] = exp(-(tau_i - tau_j) A_j).
 
-    One batched eigendecomposition serves every source node j whose
-    eigenvector matrix is well conditioned and whose exponentials come out
-    real; any other node takes one scaling-and-squaring exponential per
-    step.  Source nodes are filled in chunks, so the complex temporary
-    stays near ``_CHUNK_BYTES``.
+    Block (i, j) is filled for i >= j and zero above.  One batched
+    eigendecomposition serves every source node j whose eigenvector matrix
+    is well conditioned and whose exponentials come out real; any other
+    node takes one scaling-and-squaring exponential per step.  Each panel
+    is one product of exponentials with eigenprojectors, so the complex
+    temporary is about twice the size of one panel.
     """
     n, d = a_stack.shape[:2]
-    table = np.zeros((n * d, n * d))
-    blocks = _blocks(table, d)
     try:
         lam, vec = np.linalg.eig(a_stack)
         cond = np.linalg.cond(vec)
@@ -253,50 +340,58 @@ def _semigroup_table(a_stack: np.ndarray, tau: np.ndarray) -> np.ndarray:
     # exp(-dt A_j) = sum_b exp(-dt lam_jb) P_jb with the eigenprojectors
     # P_jb = vec_j[:, b] vinv_j[b, :]
     proj = np.einsum("jab,jbc->jbac", vec, vinv).reshape(n, d, d * d)
-    step = max(1, _CHUNK_BYTES // (16 * n * d * d))
-    for j0 in range(0, n, step):
-        cols = slice(j0, min(n, j0 + step))
-        dt = tau[None, j0:] - tau[cols, None]    # negative above the diagonal
+    # largest imaginary part, and real part, of each source node's blocks
+    imag, real = np.zeros(n), np.ones(n)
+    panels = []
+    for s0, s1 in _panel_bounds(n):
+        # (source j, target i) pairs; negative above the diagonal
+        dt = tau[None, s0:s1] - tau[:s1, None]
         above = dt < 0.0
         out = np.exp(-np.where(above, 0.0, dt)[..., None]
-                     * lam[cols, None, :]) @ proj[cols]
+                     * lam[:s1, None, :]) @ proj[:s1]
         out[above] = 0.0
         if np.iscomplexobj(out):
-            imag = np.max(np.abs(out.imag), axis=(1, 2))
-            scale = np.maximum(1.0, np.max(np.abs(out.real), axis=(1, 2)))
-            use_eig[cols] &= imag < 1e-9 * scale
+            np.maximum(imag[:s1], np.max(np.abs(out.imag), axis=(1, 2)),
+                       out=imag[:s1])
+            np.maximum(real[:s1], np.max(np.abs(out.real), axis=(1, 2)),
+                       out=real[:s1])
             out = out.real
-        blocks[j0:, cols] = out.reshape(-1, n - j0, d, d).transpose(
-            1, 0, 2, 3)
+        panels.append(out.reshape(s1, s1 - s0, d, d).transpose(
+            1, 2, 0, 3).reshape((s1 - s0) * d, s1 * d))
+    use_eig &= imag < 1e-9 * real
     for j in np.flatnonzero(~use_eig):
         from scipy.linalg import expm
-        blocks[j:, j] = np.stack([expm(-dt * a_stack[j])
-                                  for dt in tau[j:] - tau[j]])
-    nodes = np.arange(n)
-    blocks[nodes, nodes] = np.eye(d)
-    return table
+        column = np.stack([expm(-dt * a_stack[j]) for dt in tau[j:] - tau[j]])
+        for (s0, s1), panel in zip(_panel_bounds(n), panels):
+            if s1 > j:
+                lo = max(s0, j)
+                _blocks(panel, d)[lo - s0:, j] = column[lo - j:s1 - j]
+    for (s0, s1), panel in zip(_panel_bounds(n), panels):
+        _blocks(panel, d)[np.arange(s1 - s0), np.arange(s0, s1)] = np.eye(d)
+    return panels
 
 
-def _scaled_kernel(a_stack: np.ndarray, semigroups: np.ndarray,
-                   h: float) -> np.ndarray:
-    """Block matrix ``-h K`` with K[i, j] = (A_j - A_i) S[i, j].
+def _scaled_kernel(a_stack: np.ndarray, semigroups: list[np.ndarray],
+                   h: float) -> list[np.ndarray]:
+    """Row panels of ``-h K`` with K[i, j] = (A_j - A_i) S[i, j].
 
     ``A_j - A_i`` stays the left factor: it vanishes exactly on the block
-    diagonal and for a constant family, so K is exactly zero there.  Rows
-    are filled in chunks, each only up to its last diagonal block, so the
-    coefficient differences never take a third ``(n*d, n*d)`` array; the
-    scale ``-h`` is applied in place.
+    diagonal and for a constant family, so K is exactly zero there.  Each
+    panel of ``-h K`` is filled from the panel of S with the same rows, so
+    the coefficient differences take one panel-sized temporary; the scale
+    ``-h`` is applied in place.
     """
-    n, d = a_stack.shape[:2]
-    kern = np.zeros_like(semigroups)
-    sem, out = _blocks(semigroups, d), _blocks(kern, d)
-    step = max(1, _CHUNK_BYTES // (8 * n * d * d))
-    for i0 in range(0, n, step):
-        i1 = min(n, i0 + step)
-        np.matmul(a_stack[None, :i1] - a_stack[i0:i1, None], sem[i0:i1, :i1],
-                  out=out[i0:i1, :i1])
-    kern *= -h
-    return kern
+    d = a_stack.shape[1]
+    panels = []
+    for sem in semigroups:
+        rows, cols = sem.shape
+        s0, s1 = (cols - rows) // d, cols // d
+        kern = np.empty_like(sem)
+        np.matmul(a_stack[None, :s1] - a_stack[s0:s1, None], _blocks(sem, d),
+                  out=_blocks(kern, d))
+        kern *= -h
+        panels.append(kern)
+    return panels
 
 
 def _log_norm_bound(a_stack: np.ndarray, grid: TimeGrid) -> float:
@@ -305,51 +400,91 @@ def _log_norm_bound(a_stack: np.ndarray, grid: TimeGrid) -> float:
     ``mu_2(-A)``, the largest eigenvalue of ``-(A + A^T)/2``, is the
     logarithmic 2-norm; its integral bounds the growth of every evolution
     operator between two times of the window (Soderlind, BIT 46, 2006).
+    A bound that overflows raises :class:`NumericError`.
     """
     sym = -0.5 * (a_stack + a_stack.transpose(0, 2, 1))
-    mu = np.linalg.eigvalsh(sym)[:, -1]
-    return float(np.exp(grid.weights() @ np.maximum(mu, 0.0)))
+    with np.errstate(all="ignore"):
+        mu = np.linalg.eigvalsh(sym)[:, -1]
+        bound = float(np.exp(grid.weights() @ np.maximum(mu, 0.0)))
+    if not np.isfinite(bound):
+        raise NumericError("the logarithmic-norm bound of the propagator "
+                           "is not finite")
+    return bound
 
 
 @dataclass
 class KernelTable:
     """Volterra kernel of the dense backend; solves its resolvent equation.
 
-    ``lower`` is the ``(n*d, n*d)`` matrix ``-h K``, the strictly lower
-    part of ``I - h K``, where K is strictly block lower triangular with
-    block ``K[i, j] = (A(t_j) - A(t_i)) S_{t_j}(t_i - t_j)``.  The discrete
+    ``lower`` holds the row panels (see :func:`_panel_product`) of the
+    ``(n*d, n*d)`` matrix ``-h K``, the strictly lower part of ``I - h K``,
+    where K is strictly block lower triangular with block
+    ``K[i, j] = (A(t_j) - A(t_i)) S_{t_j}(t_i - t_j)``.  The discrete
     equation ``R = K + h K R`` has the one solution
-    ``R = (I - h K)^{-1} K``; R is never stored.  ``n_terms_used`` is 0:
-    no series is summed (it stays for callers that read a term count).
+    ``R = (I - h K)^{-1} K``; R is never stored.  The inverse of each
+    panel's diagonal block of ``I - h K`` is taken when the table is
+    built, batched over the panels, and the solves are block substitutions
+    over the panels.  ``n_terms_used`` is 0: no series is summed (it stays
+    for callers that read a term count).
     """
 
     grid: TimeGrid
-    lower: np.ndarray
+    lower: list[np.ndarray]
     n_terms_used = 0
+
+    def __post_init__(self):
+        # a panel's diagonal block I + L of I - hK has identity d x d blocks
+        # on its diagonal (K vanishes there), so row block k of its inverse
+        # X is X_k = E_k - L_k,<k X_<k: one substitution over the nodes of a
+        # panel, batched over the panels.  The partial last block is padded
+        # with zero rows of L, which invert to the identity.
+        d = self.lower[-1].shape[1] // self.grid.n_nodes
+        height = self.lower[0].shape[0]
+        blocks = np.zeros((len(self.lower), height, height))
+        for block, panel in zip(blocks, self.lower):
+            rows = panel.shape[0]
+            block[:rows, :rows] = panel[:, -rows:]
+        inv = np.zeros_like(blocks)
+        eye = np.eye(height)
+        for k in range(0, height, d):
+            inv[:, k:k + d, :k + d] = eye[k:k + d, :k + d] \
+                - blocks[:, k:k + d, :k] @ inv[:, :k, :k + d]
+        self._diag_inv = inv
 
     @property
     def kernel(self) -> np.ndarray:
-        """K as ``(n, n, d, d)`` blocks, recovered from ``lower`` (a copy)."""
-        d = self.lower.shape[0] // self.grid.n_nodes
-        return _blocks(self.lower / -self.grid.h, d)
+        """K as ``(n, n, d, d)`` blocks, rebuilt from the panels (a copy)."""
+        d = self.lower[-1].shape[1] // self.grid.n_nodes
+        return _blocks(_assemble(self.lower) / -self.grid.h, d)
 
     def solve(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
         """``(I - h K)^{-1} rhs``, or ``(I - h K)^{-T} rhs`` (``transpose``).
 
-        One unit lower triangular solve; rhs is (n*d,) or (n*d, k).
+        A block forward substitution over the panels, or with ``transpose``
+        a backward one; rhs is (n*d,) or (n*d, k).
         """
-        from scipy.linalg import solve_triangular
-        return solve_triangular(self.lower, rhs, lower=True,
-                                trans="T" if transpose else "N",
-                                unit_diagonal=True, check_finite=False)
+        out = np.array(rhs, dtype=float)
+        if transpose:
+            for panel, inv in zip(self.lower[::-1], self._diag_inv[::-1]):
+                rows, cols = panel.shape
+                lo = cols - rows
+                out[lo:cols] = inv[:rows, :rows].T @ out[lo:cols]
+                out[:lo] -= panel[:, :lo].T @ out[lo:cols]
+        else:
+            for panel, inv in zip(self.lower, self._diag_inv):
+                rows, cols = panel.shape
+                lo = cols - rows
+                out[lo:cols] = inv[:rows, :rows] @ (
+                    out[lo:cols] - panel[:, :lo] @ out[:lo])
+        return out
 
     def apply(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
         """R rhs, or R^T rhs with ``transpose``; rhs is (n*d,) or (n*d, k).
 
         Solves ``(I - h K) w = K rhs``; ``K rhs`` is read from ``-h K``.
         """
-        lower = self.lower.T if transpose else self.lower
-        first = lower @ np.asarray(rhs, dtype=float)
+        first = _panel_product(self.lower, np.asarray(rhs, dtype=float),
+                               transpose)
         first /= -self.grid.h
         return self.solve(first, transpose)
 
@@ -360,7 +495,8 @@ def build_kernel(family: OperatorFamily,
     """Assemble the Volterra kernel on the grid; the table solves for R.
 
     Raises :class:`DomainError` for a spectral family, fewer than three
-    nodes, or a grid whose tables would not fit in memory.
+    nodes, or a grid whose tables would not fit in memory, and
+    :class:`NumericError` when ``A(t)`` or a table is not finite.
     """
     if family.kind != "dense_matrix":
         raise DomainError("kernel construction applies to the dense backend")
@@ -368,7 +504,10 @@ def build_kernel(family: OperatorFamily,
         raise DomainError("kernel construction needs at least three nodes")
     a_stack, semigroups = (_frozen_tables(family, grid)
                            if _frozen is None else _frozen)
-    return KernelTable(grid, _scaled_kernel(a_stack, semigroups, grid.h))
+    with np.errstate(all="ignore"):
+        lower = _scaled_kernel(a_stack, semigroups, grid.h)
+    _require_finite_panels("the kernel", lower, grid, family.dim)
+    return KernelTable(grid, lower)
 
 
 def kernel_residual(table: KernelTable, rhs: np.ndarray) -> float:
@@ -378,11 +517,10 @@ def kernel_residual(table: KernelTable, rhs: np.ndarray) -> float:
     (Frobenius for several right-hand sides).  When ``K v`` vanishes the
     absolute residual is returned.
     """
-    lower = table.lower
     rhs = np.asarray(rhs, dtype=float)
-    first = (lower @ rhs) / -table.grid.h
+    first = _panel_product(table.lower, rhs) / -table.grid.h
     w = table.apply(rhs)
-    resid = w + lower @ w - first
+    resid = w + _panel_product(table.lower, w) - first
     return float(np.linalg.norm(resid)) / (float(np.linalg.norm(first)) or 1.0)
 
 
@@ -425,8 +563,9 @@ class SpectralPropagatorTable:
     norm_bound: float = field(init=False)
 
     def __post_init__(self):
-        p = np.array([self.family.potential(t) for t in self.grid.t_nodes],
-                     dtype=float)
+        with np.errstate(all="ignore"):
+            p = np.array([self.family.potential(t)
+                          for t in self.grid.t_nodes], dtype=float)
         if not np.all(np.isfinite(p)):
             bad = int(np.argmin(np.isfinite(p)))
             raise NumericError(f"potential is {p[bad]} at node {bad} "
@@ -521,9 +660,10 @@ class SpectralPropagatorTable:
 class DensePropagatorTable:
     """Evolution operators of a dense matrix family, kept as S and -hK.
 
-    ``semigroups`` is the ``(n*d, n*d)`` frozen-semigroup matrix S, and
-    ``kernel_table`` solves with ``I - h K``; the propagator Psi is applied
-    through them and never formed (see the module docstring).
+    ``semigroups`` holds the row panels (see :func:`_panel_product`) of
+    the ``(n*d, n*d)`` frozen-semigroup matrix S, and ``kernel_table``
+    solves with ``I - h K``; the propagator Psi is applied through them
+    and never formed (see the module docstring).
     ``matrix(i, j)``, the operator from node j to node i, reads block
     column j of Psi, which is solved on first use and cached.
     ``norm_bound`` is the logarithmic-norm bound on every operator of the
@@ -532,7 +672,7 @@ class DensePropagatorTable:
 
     grid: TimeGrid
     family: DenseMatrixFamily
-    semigroups: np.ndarray
+    semigroups: list[np.ndarray]
     kernel_table: KernelTable
     norm_bound: float
     _columns: dict = field(init=False, repr=False, default_factory=dict)
@@ -548,7 +688,7 @@ class DensePropagatorTable:
         """
         v = np.asarray(v, dtype=float)
         y = self.kernel_table.solve(v)
-        return self.semigroups @ y - 0.5 * (y - v)
+        return _panel_product(self.semigroups, y) - 0.5 * (y - v)
 
     def _column(self, j: int) -> np.ndarray:
         """Block column j of Psi, shape (n_nodes, d, d), solved once."""
@@ -595,10 +735,11 @@ class DensePropagatorTable:
         """``Psi[n-1, :]^T``, shape (n_nodes*d, d), solved on first use.
 
         ``(I - h K)^{-T} (S[n-1, :]^T - E/2) + E/2``, with E the identity
-        at the last node: one transposed solve.
+        at the last node: one transposed solve.  ``S[n-1, :]`` is the last
+        d rows of the last panel.
         """
         d = self.dim
-        seed = self.semigroups[-d:].T.copy()
+        seed = self.semigroups[-1][-d:].T.copy()
         seed[-d:] -= 0.5 * np.eye(d)
         out = self.kernel_table.solve(seed, transpose=True)
         out[-d:] += 0.5 * np.eye(d)
@@ -628,8 +769,10 @@ def build_propagator(family: OperatorFamily,
         op(i, j) = S_j(tau_i - tau_j)
                    + int_{tau_j}^{tau_i} S_r(tau_i - tau_r) resolvent(r, j) dr
 
-    through triangular solves; it raises :class:`DomainError` before
-    allocating when the tables would not fit in memory.
+    through block substitutions; it raises :class:`DomainError` before
+    allocating when the tables would not fit in memory, and
+    :class:`NumericError` when ``A(t)``, a table or the norm bound is not
+    finite.
     """
     if family.kind == "spectral_heat":
         return SpectralPropagatorTable(grid, family)

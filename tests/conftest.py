@@ -51,6 +51,20 @@ def flat(blocks):
     return blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
 
 
+def assemble(panels):
+    """The ``(n*d, n*d)`` matrix a dense table holds as row panels.
+
+    A panel of shape ``(rows, cols)`` holds the rows ``[cols - rows, cols)``
+    and the columns ``[0, cols)``; the rest of the matrix is zero.
+    """
+    size = panels[-1].shape[1]
+    out = np.zeros((size, size))
+    for panel in panels:
+        rows, cols = panel.shape
+        out[cols - rows:cols, :cols] = panel
+    return out
+
+
 def kernel_series(kernel_table, rhs, transpose=False, tol=1e-8, max_terms=40):
     """``R v`` (or ``R^T v``) as the Neumann series ``sum_m (hK)^m K v``.
 
@@ -87,7 +101,7 @@ def materialise_resolvent(kernel_table):
     Applies the table to the ``n*d`` identity columns; the oracle for single
     applications.
     """
-    nd = kernel_table.lower.shape[0]
+    nd = kernel_table.lower[-1].shape[1]
     return block_view(kernel_table.apply(np.eye(nd)),
                       nd // kernel_table.grid.n_nodes)
 
@@ -111,7 +125,7 @@ def materialise_series(table):
     eye = np.eye(table.grid.n_nodes * table.dim)
     res, _ = kernel_series(kt, eye, tol=0.0,
                            max_terms=table.grid.n_nodes + 1)
-    psi = table.semigroups @ (eye + h * res) - 0.5 * h * res
+    psi = assemble(table.semigroups) @ (eye + h * res) - 0.5 * h * res
     return block_view(psi, table.dim), block_view(res, table.dim)
 
 

@@ -1,6 +1,9 @@
 """Scenario files, pipelines, output formats, and exit codes."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -12,7 +15,8 @@ from cfcontrol.cli import main
 
 from conftest import limit_sources
 
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG_DIR = ROOT / "configs"
 DEMO = CONFIG_DIR / "heat_null_control.cfg"
 
 
@@ -180,6 +184,46 @@ def test_overflowing_potential_is_one_numeric_error(tmp_path, capsys):
                    "overflows"]
 
 
+def run_fresh(argv):
+    """The CLI in a new interpreter, with Python's default warning filters.
+
+    pytest captures warnings itself, so only a fresh process shows what a
+    numpy ``RuntimeWarning`` adds to stderr.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run([sys.executable, "-m", "cfcontrol.cli", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def overflowing_configs(tmp_path):
+    """A dense family whose semigroups overflow, and the demo with an
+    affine potential that overflows at late nodes."""
+    dense = write_cfg(tmp_path, name="dense.cfg", backend="dense_matrix",
+                      n_nodes="41", n_modes=None, potential=None,
+                      dense_family="coupled_3x3 1e200",
+                      nonlinearity="linear 0.05", x0="ones 1.0")
+    demo = tmp_path / "demo.cfg"
+    demo.write_text(DEMO.read_text().replace(
+        "potential = constant 1.0", "potential = affine 1e308 1e308"))
+    return {"dense_family_1e200": dense, "affine_potential_1e308": str(demo)}
+
+
+@pytest.mark.parametrize("name", ["dense_family_1e200",
+                                  "affine_potential_1e308"])
+def test_overflow_in_a_table_build_is_one_numeric_line(tmp_path, name):
+    cfg = overflowing_configs(tmp_path)[name]
+    proc = run_fresh(["control", "--config", cfg,
+                      "--out", str(tmp_path / "out")])
+    assert proc.returncode == 4
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR NUMERIC: ")
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+
 def test_solve_pipeline(tmp_path):
     cfg = write_cfg(tmp_path, nonlinearity="linear 0.1")
     out = str(tmp_path / "out")
@@ -243,8 +287,9 @@ def test_malformed_tabulated_potential_is_one_config_error(tmp_path, capsys,
 
 def test_dense_table_over_memory_is_one_domain_error(tmp_path, capsys,
                                                      monkeypatch):
-    # S and -hK, two matrices of (3 * 300000)**2 doubles: about 13 TB; no
-    # cgroup or address-space limit, so physical memory is the one named
+    # the row panels of S and -hK, about half of two (3 * 300000)**2
+    # matrices of doubles: 6.5 TB; no cgroup or address-space limit, so
+    # physical memory is the one named
     limit_sources(monkeypatch, tmp_path)
     cfg = write_cfg(tmp_path, backend="dense_matrix", n_nodes="300000",
                     dense_family="coupled_3x3 0.5", x0="ones 1.0")
@@ -263,9 +308,10 @@ def test_dense_table_over_memory_is_one_domain_error(tmp_path, capsys,
 
 def test_dense_table_over_cgroup_limit_is_one_domain_error(tmp_path, capsys,
                                                            monkeypatch):
-    # 2 * (3 * 201)**2 * 8 B = 5.8 MB of tables against a 4 MB cgroup limit
+    # the row panels of S and -hK at 251 nodes in dimension 3, with their
+    # diagonal-block inverses: 5.1 MB against a 4 MB cgroup limit
     limit_sources(monkeypatch, tmp_path, cgroup_v2="4000000")
-    cfg = write_cfg(tmp_path, backend="dense_matrix", n_nodes="201",
+    cfg = write_cfg(tmp_path, backend="dense_matrix", n_nodes="251",
                     dense_family="coupled_3x3 0.5", x0="ones 1.0")
     rc = main(["evolve", "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 3

@@ -48,12 +48,21 @@ def test_spectral_runs_import_no_scipy(tmp_path):
     assert loaded == set()
 
 
-def test_dense_run_imports_scipy_linalg_only(tmp_path):
+def test_dense_runs_import_no_scipy(tmp_path):
+    # the dense solves are numpy block substitutions; scipy.linalg would
+    # load only for a family node without a usable eigenbasis
+    dense_control = tmp_path / "dense_control.cfg"
+    dense_control.write_text(
+        "schema_version = 1\nalpha = 0.8\ntau_start = 0\ntau_end = 1\n"
+        "n_nodes = 41\nbackend = dense_matrix\n"
+        "dense_family = coupled_3x3 0.5\nnonlinearity = linear 0.05\n"
+        "x0 = ones 1.0\n")
     _, loaded = scipy_loaded_by([
         ["evolve", "--config", str(CONFIGS / "dense_evolve.cfg"),
-         "--dump-pair", "100", "0", "--out", str(tmp_path)]])
-    assert "scipy.linalg" in loaded
-    assert "scipy.integrate" not in loaded
+         "--dump-pair", "100", "0", "--out", str(tmp_path / "evolve")],
+        ["control", "--config", str(dense_control),
+         "--out", str(tmp_path / "control")]])
+    assert loaded == set()
 
 
 def test_specfun_quadrature_imports_scipy_integrate():

@@ -13,7 +13,7 @@ from cfcontrol import (DenseMatrixFamily, DomainError,
                        conformable_residual, frozen_semigroup,
                        kernel_residual, parse_config, propagate_oracle)
 
-from conftest import (kernel_equation_residual, kernel_series,
+from conftest import (assemble, kernel_equation_residual, kernel_series,
                       limit_sources, make_dense_family, materialise,
                       materialise_resolvent, materialise_series,
                       regularized_residuals, spectral_march)
@@ -127,6 +127,37 @@ def test_column_restriction_matches_full_table(rng, oracle):
     for got, want in ((got_res, res), (got_psi, psi)):
         assert np.max(np.abs(got - want[:, cols])) < 1e-13
     assert kernel_residual(table.kernel_table, np.hstack(units)) <= 1e-12
+
+
+def panel_node_counts():
+    """Three nodes, fewer than one panel, and a partial last panel."""
+    from cfcontrol import evolution
+    height = evolution._PANEL_NODES
+    return [3, height - 5, 2 * height + 5]
+
+
+@pytest.mark.parametrize("n", panel_node_counts())
+def test_panel_solve_matches_dense_solve(rng, n):
+    # the block substitutions, forward and transposed, against a dense
+    # solve with the assembled I - hK
+    fam = make_dense_family(rng, 3)
+    table = build_kernel(fam, window(n))
+    system = np.eye(n * 3) + assemble(table.lower)
+    for rhs in (rng.standard_normal(n * 3), rng.standard_normal((n * 3, 4))):
+        for transpose in (False, True):
+            want = np.linalg.solve(system.T if transpose else system, rhs)
+            got = table.solve(rhs, transpose=transpose)
+            assert got.shape == rhs.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", panel_node_counts())
+def test_memory_guard_counts_the_stored_arrays(rng, n):
+    from cfcontrol import evolution
+    table = build_propagator(make_dense_family(rng, 3), window(n))
+    stored = table.semigroups + table.kernel_table.lower \
+        + [table.kernel_table._diag_inv]
+    assert evolution._table_bytes(n, 3) == sum(a.nbytes for a in stored)
 
 
 def test_kernel_requires_dense_backend():
@@ -455,6 +486,29 @@ def test_non_finite_potential_is_numeric_error(bad):
         build_propagator(fam, window(41))
 
 
+NON_FINITE_DENSE = {
+    # A(t) itself
+    "a_matrix": (lambda t: np.diag([1.0, np.nan if t > 1.0 else 2.0]),
+                 r"A\(t\) is not finite at node"),
+    # exp(1000 dtau) overflows past dtau = 0.71, inside the window
+    "semigroups": (lambda t: np.diag([1.0, -1000.0]),
+                   "frozen semigroup table is not finite at node"),
+    # finite semigroups of a constant non-normal family, but mu_2(-A) is
+    # about 1000, so exp(int mu_2 dtau) overflows
+    "norm_bound": (lambda t: np.array([[1.0, 2000.0], [0.0, 2.0]]),
+                   "logarithmic-norm bound"),
+}
+
+
+@pytest.mark.parametrize("name", list(NON_FINITE_DENSE))
+def test_non_finite_dense_table_is_numeric_error(name):
+    # raised while the table is built, before any solve, and without a
+    # RuntimeWarning
+    matrix, message = NON_FINITE_DENSE[name]
+    with pytest.raises(NumericError, match=message):
+        build_propagator(DenseMatrixFamily(matrix, 2), window(41))
+
+
 def test_dense_operator_matrix_matches_oracle_columns():
     rng = np.random.default_rng(314)
     a0 = rng.standard_normal((4, 4)) * 0.25
@@ -491,7 +545,7 @@ def test_series_route_matches_direct_per_application(dim):
         assert kernel_equation_residual(kt, rhs, w) <= 1e-8
         assert kernel_residual(kt, rhs) <= 1e-12
         want = table.propagate(rhs)
-        got = table.semigroups @ (rhs + h * w) - 0.5 * h * w
+        got = assemble(table.semigroups) @ (rhs + h * w) - 0.5 * h * w
         assert np.max(np.abs(got - want)) < 1e-7 * np.max(np.abs(want))
     assert kt.n_terms_used == 0
 
@@ -599,10 +653,11 @@ def test_memory_guard_takes_smallest_readable_limit(monkeypatch, tmp_path,
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     have, label = min(evolution._memory_limits(), key=lambda lim: lim[0])
     assert (have, label) == (expect or (physical, "of physical memory"))
-    # two (n*d)**2 tables of doubles: 0.16 MB at n = 100, 1.44 MB at 300
+    # the row panels of S and -hK with their diagonal-block inverses, in
+    # dimension 1: 0.11 MB at n = 100, 1.38 MB at 400
     evolution._check_memory(100, 1)
     if expect is None:
-        evolution._check_memory(300, 1)
+        evolution._check_memory(400, 1)
         return
     with pytest.raises(DomainError, match=re.escape(label)):
-        evolution._check_memory(300, 1)
+        evolution._check_memory(400, 1)
