@@ -52,11 +52,22 @@ def _fmt(value):
     return repr(float(value))
 
 
-def _write_csv(path, header, columns):
+def _csv_rows(*columns):
+    """Each row of the stacked columns as the comma-joined value reprs."""
+    return (",".join(map(repr, row))
+            for row in np.column_stack(columns).tolist())
+
+
+def _state_rows(times, values):
+    """CSV rows of ``values`` led by ``times``, the formatted tau, t rows."""
+    return (",".join([time, *map(repr, row)])
+            for time, row in zip(times, values.tolist()))
+
+
+def _write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in np.column_stack(columns).tolist():
-            fh.write(",".join(map(repr, row)) + "\n")
+        fh.writelines(row + "\n" for row in rows)
 
 
 def _write_summary(path, entries):
@@ -97,8 +108,8 @@ def run_scenario(config: ScenarioConfig, pipeline: str, out_dir: str,
         table = build_propagator(family, grid)
         x0 = config.initial_state(dim)
         values = table.homogeneous(x0)
-        _write_csv(os.path.join(out_dir, "trajectory.csv"),
-                   _state_header(dim), (grid.tau_nodes, grid.t_nodes, values))
+        _write_csv(os.path.join(out_dir, "trajectory.csv"), _state_header(dim),
+                   _csv_rows(grid.tau_nodes, grid.t_nodes, values))
         for i, j in (dump_pairs or []):
             if not 0 <= j <= i < grid.n_nodes:
                 raise DomainError(
@@ -106,7 +117,7 @@ def run_scenario(config: ScenarioConfig, pipeline: str, out_dir: str,
                     f"{grid.n_nodes} nodes")
             mat = table.matrix(i, j)
             _write_csv(os.path.join(out_dir, f"psi_{i}_{j}.csv"),
-                       [f"c{c}" for c in range(dim)], (mat,))
+                       [f"c{c}" for c in range(dim)], _csv_rows(mat))
         summary.update(final_state_norm=float(np.linalg.norm(values[-1])),
                        iterations=0, propagator_bound=table.norm_bound)
         _write_summary(os.path.join(out_dir, "summary.txt"), summary)
@@ -123,8 +134,8 @@ def run_scenario(config: ScenarioConfig, pipeline: str, out_dir: str,
     if pipeline == "solve":
         result = picard_solve(problem, table)
         values = result.trajectory.values
-        _write_csv(os.path.join(out_dir, "trajectory.csv"),
-                   _state_header(dim), (grid.tau_nodes, grid.t_nodes, values))
+        _write_csv(os.path.join(out_dir, "trajectory.csv"), _state_header(dim),
+                   _csv_rows(grid.tau_nodes, grid.t_nodes, values))
         summary.update(final_state_norm=float(np.linalg.norm(values[-1])),
                        iterations=result.iterations,
                        picard_residual=result.residual)
@@ -171,12 +182,13 @@ def run_scenario(config: ScenarioConfig, pipeline: str, out_dir: str,
                            if exc.last_norm is not None else float("nan"))
             _write_summary(os.path.join(out_dir, "summary.txt"), summary)
             raise
-        values = result.closed_loop_trajectory.values
-        _write_csv(os.path.join(out_dir, "trajectory.csv"),
-                   _state_header(dim), (grid.tau_nodes, grid.t_nodes, values))
+        # both files lead with the same tau, t columns: format them once
+        times = list(_csv_rows(grid.tau_nodes, grid.t_nodes))
+        _write_csv(os.path.join(out_dir, "trajectory.csv"), _state_header(dim),
+                   _state_rows(times, result.closed_loop_trajectory.values))
         _write_csv(os.path.join(out_dir, "control.csv"),
                    _state_header(result.control.dim, prefix="u"),
-                   (grid.tau_nodes, grid.t_nodes, result.control.values))
+                   _state_rows(times, result.control.values))
         summary.update(final_state_norm=result.final_state_norm,
                        control_energy=result.control_energy,
                        iterations=result.iterations)

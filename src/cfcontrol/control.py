@@ -20,8 +20,10 @@ minimum-norm representative of the inverse of L restricted to the
 orthogonal complement of its kernel.
 
 L and N are each one call of the table's ``final_row``, and the adjoint
-``L^* y = B^T op(end, s)^T y`` of its ``final_row_adjoint``; the Gramian is
-``L(L^*(I))``, and the gain norm is the exact top eigenvalue of a pencil.
+``L^* y = B^T op(end, s)^T y`` of its ``final_row_adjoint``.  The Gramian
+is the table's quadratic form ``final_gram(B B^T)`` of its final row, so
+no per-node stack is formed, and the gain norm is the exact top
+eigenvalue of a pencil.
 
 The d x d Gramian is factorized by numpy's Cholesky with escalating jitter,
 so a spectral pipeline needs no scipy; exceeding the jitter cap means the
@@ -132,12 +134,8 @@ def build_gramian(b_matrix: np.ndarray,
     if b_matrix.shape[0] != d:
         raise DomainError(
             f"input matrix has {b_matrix.shape[0]} rows, expected {d}")
-    # rows[k, r] is row k of op(end, s_r), so rows @ B is L^*(I); L maps it
-    # to W = L(L^*(I)) through the weighted drive B B^T op(end, s_r)^T e_k
-    rows = propagator.final_row_adjoint(np.eye(d))
-    weights = propagator.grid.weights()[:, None]
-    drive = rows @ (b_matrix @ b_matrix.T)
-    gram = propagator.final_row(np.multiply(drive, weights, out=drive))
+    # W = L L^* = sum_r w_r op(end, s_r) B B^T op(end, s_r)^T
+    gram = propagator.final_gram(b_matrix @ b_matrix.T)
     gram = 0.5 * (gram + gram.T)
 
     scale = float(np.trace(gram)) / d
@@ -171,8 +169,8 @@ def build_gramian(b_matrix: np.ndarray,
     # P = op(end, 0) and W_I the Gramian taken with identity input; the
     # nonzero spectrum of the composed gain operator collapses onto it.
     # With L the Cholesky factor above, it is that of L^-1 (P P^T + W_I) L^-T.
-    w_ident = propagator.final_row(np.multiply(rows, weights, out=drive))
-    half = np.linalg.solve(chol, rows[:, 0] @ rows[:, 0].T + w_ident)
+    p = propagator.final_block(0)
+    half = np.linalg.solve(chol, p @ p.T + propagator.final_gram(np.eye(d)))
     top = np.linalg.eigvalsh(np.linalg.solve(chol, half.T))
     solve.gain_norm_est = float(np.sqrt(max(top[-1], 0.0)))
     return solve
@@ -243,7 +241,8 @@ def verify_null_inequality(gramian: GramianSolve,
 
     and returns the smallest ratio together with the verdict
     ``gamma_emp >= T/(T+1) - tol_ineq``.  Requires an identity input
-    matrix (so the input-weighted response equals the response itself).
+    matrix, so the integral is ``z^T W z`` for the Gramian W: each trial
+    costs O(dim**2) and nothing per node.
     """
     propagator = gramian.propagator
     d = propagator.dim
@@ -260,12 +259,9 @@ def verify_null_inequality(gramian: GramianSolve,
     z = rng.standard_normal((trials, d))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
 
-    # squared adjoint response norms per node and trial
-    sq = np.sum(propagator.final_row_adjoint(z) ** 2, axis=2).T
-    lhs = propagator.grid.weights() @ sq
-    inner = sq[0] + lhs
-    ratios = lhs / inner
-    gamma_emp = float(np.min(ratios))
+    energy = np.einsum("ta,ab,tb->t", z, gramian.gramian, z)
+    free = np.sum((z @ propagator.final_block(0)) ** 2, axis=1)
+    gamma_emp = float(np.min(energy / (free + energy)))
     threshold = horizon / (horizon + 1.0)
     return VerifyResult(gamma_emp, bool(gamma_emp >= threshold - tol_ineq))
 

@@ -57,7 +57,10 @@ classical fourth-order one-step method; every propagator test is anchored
 to it.
 
 Both tables apply their final row, forwards (``final_row``) and
-transposed (``final_row_adjoint``); the Gramian reads nothing else.
+transposed (``final_row_adjoint``), return one of its blocks
+(``final_block``), and take its weighted quadratic form
+``final_gram(M) = sum_r w_r Psi[n-1, r] M Psi[n-1, r]^T``, which is the
+controllability Gramian for ``M = B B^T``.
 
 Table construction is single-threaded.  A dense table caches the block
 columns and the final row it solves, so a dense table shared between
@@ -655,6 +658,21 @@ class SpectralPropagatorTable:
         """``op(n-1, r)^T y`` at every node r, shape (..., n_nodes, modes)."""
         return self._final * np.asarray(y, dtype=float)[..., None, :]
 
+    def final_block(self, r: int) -> np.ndarray:
+        """``op(n-1, r)``, shape (modes, modes)."""
+        return np.diag(self._final[r])
+
+    def final_gram(self, m: np.ndarray) -> np.ndarray:
+        """``sum_r w_r op(n-1, r) M op(n-1, r)^T`` for a (modes, modes) M.
+
+        w are the trapezoid weights.  The operators are diagonal with the
+        final-row factors f, so this is M times, entrywise, ``(f w)^T f``:
+        O(n_nodes * modes**2) time and O(n_nodes * modes) memory.
+        """
+        f = self._final
+        return np.asarray(m, dtype=float) \
+            * ((f * self.grid.weights()[:, None]).T @ f)
+
 
 @dataclass
 class DensePropagatorTable:
@@ -754,6 +772,28 @@ class DensePropagatorTable:
         """``Psi[n-1, r]^T y`` at every node r, shape (..., n_nodes, d)."""
         out = np.asarray(y, dtype=float) @ self._final_t.T
         return out.reshape(*out.shape[:-1], self.grid.n_nodes, self.dim)
+
+    def final_block(self, r: int) -> np.ndarray:
+        """``Psi[n-1, r]``, shape (d, d), read from the cached final row."""
+        d = self.dim
+        return self._final_t[r * d:(r + 1) * d].T.copy()
+
+    def final_gram(self, m: np.ndarray) -> np.ndarray:
+        """``sum_r w_r Psi[n-1, r] M Psi[n-1, r]^T`` for a (d, d) M.
+
+        w are the trapezoid weights.  Read as an ``(n*d, d)`` matrix, the
+        transpose of the cached ``Psi[n-1, :]^T`` has row c of each
+        ``Psi[n-1, r]`` in its rows ``(c, r)``, so one product with M gives
+        every ``Psi[n-1, r] M``; weighted and read back as a ``(d, n*d)``
+        row, one product with ``Psi[n-1, :]^T`` sums them.
+        """
+        n, d = self.grid.n_nodes, self.dim
+        final_t = self._final_t
+        left = np.ascontiguousarray(final_t.T).reshape(d * n, d) \
+            @ np.asarray(m, dtype=float)
+        left = left.reshape(d, n * d)
+        left *= np.repeat(self.grid.weights(), d)
+        return left @ final_t
 
 
 PropagatorTable = Union[SpectralPropagatorTable, DensePropagatorTable]

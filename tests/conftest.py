@@ -143,6 +143,19 @@ def spectral_march(table, values):
     return acc
 
 
+def final_gram_reference(table, m):
+    """``sum_r w_r Psi[n-1, r] M Psi[n-1, r]^T`` from the final-row maps.
+
+    ``final_row_adjoint(I)`` holds row k of every final block ``Psi[n-1, r]``;
+    times M and the trapezoid weights it is the drive whose ``final_row``
+    is row k of the sum.  The generic route, with ``(d, n, d)``
+    temporaries; the reference for the tables' ``final_gram``.
+    """
+    rows = table.final_row_adjoint(np.eye(table.dim))
+    drive = (rows @ m) * table.grid.weights()[:, None]
+    return table.final_row(drive)
+
+
 def regularized_residuals(family, kernel_table, i, j, pullbacks=(8, 4, 2)):
     """Evolution-equation residuals of the pulled-back operator.
 

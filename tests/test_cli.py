@@ -131,6 +131,33 @@ def test_control_pipeline_deterministic(tmp_path):
         assert a == b
 
 
+def test_control_csv_rows_are_plain_repr_joins(tmp_path):
+    # the tau, t columns are formatted once and shared by both files; each
+    # row must still be the per-value repr join of the stacked columns
+    from cfcontrol.cli import _csv_rows, _state_rows
+    rng = np.random.default_rng(9)
+    tau = np.array([0.0, 0.1, 1e-300, 5e-324, 1.0 / 3.0])
+    t = np.array([-0.0, 2.5, 1e300, np.inf, np.nan])
+    values = rng.standard_normal((5, 3)) * [1.0, 1e-17, 1e17]
+    values[1, 0] = -0.0
+    times = list(_csv_rows(tau, t))
+    for part in (values, values[:, :1]):
+        plain = [",".join(map(repr, row))
+                 for row in np.column_stack((tau, t, part)).tolist()]
+        assert list(_state_rows(times, part)) == plain
+
+    out = tmp_path / "out"
+    assert main(["control", "--config", str(DEMO), "--out", str(out)]) == 0
+    grid = parse_config(DEMO).grid()
+    for name in ("trajectory.csv", "control.csv"):
+        lines = (out / name).read_text().splitlines()[1:]
+        assert len(lines) == grid.n_nodes
+        for line, tau_i, t_i in zip(lines, grid.tau_nodes, grid.t_nodes):
+            row = [float(v) for v in line.split(",")]
+            assert row[:2] == [tau_i, t_i]
+            assert line == ",".join(map(repr, row))
+
+
 def test_verify_pipeline(tmp_path):
     out = str(tmp_path / "out")
     rc = main(["verify", "--config",

@@ -257,6 +257,24 @@ def test_dense_inequality_reads_its_own_gramian(rng):
     assert outcome.gamma_emp == pytest.approx(expect, rel=1e-12)
 
 
+def test_gramian_and_inequality_memory_stays_per_mode():
+    # n = 4001, m = 64: the Gramian, the gain norm and 500 trials of the
+    # inequality hold O(n*m + trials*m) numbers; a (d, n, d) stack of the
+    # final row alone would be 131 MB
+    import tracemalloc
+    _, _, table = heat_setup(n_modes=64, n=4001)
+    tracemalloc.start()
+    try:
+        gram = build_gramian(np.eye(64), table)
+        outcome = verify_null_inequality(gram, 1.0, 500,
+                                         rng=np.random.default_rng(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome.passes
+    assert peak < 10e6
+
+
 def test_inequality_requires_identity_input():
     fam, grid, table = heat_setup(n=101)
     gram = build_gramian(0.5 * np.eye(6), table)

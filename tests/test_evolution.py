@@ -13,7 +13,8 @@ from cfcontrol import (DenseMatrixFamily, DomainError,
                        conformable_residual, frozen_semigroup,
                        kernel_residual, parse_config, propagate_oracle)
 
-from conftest import (assemble, kernel_equation_residual, kernel_series,
+from conftest import (assemble, final_gram_reference,
+                      kernel_equation_residual, kernel_series,
                       limit_sources, make_dense_family, materialise,
                       materialise_resolvent, materialise_series,
                       regularized_residuals, spectral_march)
@@ -609,6 +610,30 @@ def test_spectral_final_row_matches_node_pair_matrices():
     rng = np.random.default_rng(55)
     check_final_row(table, final, rng.standard_normal((61, 5)),
                     rng.standard_normal(5))
+
+
+@pytest.mark.parametrize("backend", ["spectral", "dense"])
+def test_final_gram_matches_generic_sum(backend):
+    # a random symmetric M and B B^T for a non-square B, against the sum
+    # assembled from final_row_adjoint and final_row; the dense family is
+    # non-normal, so its blocks do not commute with M
+    rng = np.random.default_rng(71)
+    if backend == "spectral":
+        fam = SpectralHeatFamily(lambda t: 1.0 + 0.3 * np.sin(t), 5)
+    else:
+        fam = make_dense_family(rng, 3)
+    table = build_propagator(fam, window(61))
+    d = table.dim
+    sym = rng.standard_normal((d, d))
+    b_matrix = rng.standard_normal((d, d - 1))
+    for m in (sym + sym.T, b_matrix @ b_matrix.T):
+        want = final_gram_reference(table, m)
+        got = table.final_gram(m)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+    final = table.final_row_adjoint(np.eye(d))[:, 0]
+    assert np.array_equal(table.final_block(0), final)
+    assert np.allclose(table.final_block(0), table.matrix(60, 0),
+                       rtol=0.0, atol=1e-12)
 
 
 def test_log_norm_bound_dominates_discrete_blocks():
