@@ -22,10 +22,9 @@ from .evolution import (DenseMatrixFamily, DensePropagatorTable, KernelTable,
                         OperatorFamily, SpectralHeatFamily,
                         SpectralPropagatorTable, adjoint_residual,
                         build_kernel, build_propagator, conformable_residual,
-                        frozen_semigroup, kernel_residual, propagate_oracle)
+                        kernel_residual, propagate_oracle)
 from .mild import (ContractionReport, ControlProblem, PicardResult,
-                   contraction_report, estimate_growth_constant,
-                   horizon_factor, picard_solve)
+                   contraction_report, horizon_factor, picard_solve)
 from .control import (GramianSolve, NullControlResult, VerifyResult,
                       build_gramian, exact_null_control_semilinear,
                       kernel_space_perturbation, synthesize_null_control,
@@ -45,11 +44,9 @@ __all__ = [
     "DenseMatrixFamily", "DensePropagatorTable", "KernelTable",
     "OperatorFamily", "SpectralHeatFamily", "SpectralPropagatorTable",
     "adjoint_residual", "build_kernel", "build_propagator",
-    "conformable_residual", "frozen_semigroup", "kernel_residual",
-    "propagate_oracle",
+    "conformable_residual", "kernel_residual", "propagate_oracle",
     "ContractionReport", "ControlProblem", "PicardResult",
-    "contraction_report", "estimate_growth_constant", "horizon_factor",
-    "picard_solve",
+    "contraction_report", "horizon_factor", "picard_solve",
     "GramianSolve", "NullControlResult", "VerifyResult", "build_gramian",
     "exact_null_control_semilinear", "kernel_space_perturbation",
     "synthesize_null_control", "verify_null_inequality",

@@ -3,13 +3,13 @@
 A config file holds ``key = value`` lines, ``#`` comments, and blank
 lines.  Values for structured keys are space-separated words, e.g.
 ``potential = affine 1.0 0.5``.  The schema is versioned; parse errors
-carry the offending line number.
+carry the offending line number.  A key outside the list below, such as
+the removed ``kernel_tol`` or ``k``, is an error.
 
 Recognized keys (see README for the full schema):
 
     schema_version   integer, must be 1
     alpha            fractional order in (0, 1]
-    k                specfun scale (optional, default 1.0)
     tau_start        horizon start in transformed time (>= 0)
     tau_end          horizon end in transformed time
     n_nodes          grid nodes (>= 2)
@@ -42,14 +42,13 @@ from .evolution import DenseMatrixFamily, SpectralHeatFamily
 __all__ = ["ScenarioConfig", "parse_config"]
 
 _KNOWN_KEYS = {
-    "schema_version", "alpha", "k", "tau_start", "tau_end", "n_nodes",
+    "schema_version", "alpha", "tau_start", "tau_end", "n_nodes",
     "backend", "n_modes", "dense_family", "potential", "control",
     "nonlinearity", "x0", "picard_tol", "null_tol", "max_iter", "seed",
     "trials", "out_dir",
 }
 
 _DEFAULTS = {
-    "k": "1.0",
     "n_modes": "6",
     "dense_family": "rotation_drift 0.5",
     "potential": "constant 1.0",
@@ -72,7 +71,6 @@ class ScenarioConfig:
     """Parsed scenario parameters plus the source line of every key."""
 
     alpha: float
-    k: float
     tau_start: float
     tau_end: float
     n_nodes: int
@@ -280,8 +278,6 @@ def parse_config(path) -> ScenarioConfig:
     cfg = ScenarioConfig(
         alpha=_parse_scalar(raw["alpha"], lines.get("alpha"), "alpha", float,
                             lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
-        k=_parse_scalar(raw["k"], lines.get("k"), "k", float,
-                        lambda v: v > 0.0, "must be positive"),
         tau_start=_parse_scalar(raw["tau_start"], lines.get("tau_start"),
                                 "tau_start", float, lambda v: v >= 0.0,
                                 "must be >= 0"),

@@ -48,9 +48,9 @@ Two backends:
   the soft ``RLIMIT_AS`` and the cgroup limit) is refused before anything
   large is allocated.  A family whose ``A(t)``, tables or bound come out
   non-finite raises :class:`NumericError` when the table is built, before
-  any solve.  ``scipy.linalg`` is imported only by ``frozen_semigroup``
-  and by the exponential fallback for a node without a usable
-  eigenbasis, so a run on the shipped families needs numpy only.
+  any solve.  ``scipy.linalg`` is imported only by the exponential
+  fallback for a node without a usable eigenbasis, so a run on the
+  shipped families needs numpy only.
 
 An independent brute-force oracle integrates the substituted ODE with a
 classical fourth-order one-step method; every propagator test is anchored
@@ -88,7 +88,6 @@ __all__ = [
     "SpectralHeatFamily",
     "DenseMatrixFamily",
     "OperatorFamily",
-    "frozen_semigroup",
     "KernelTable",
     "build_kernel",
     "kernel_residual",
@@ -165,21 +164,6 @@ class DenseMatrixFamily:
 OperatorFamily = Union[SpectralHeatFamily, DenseMatrixFamily]
 
 
-def frozen_semigroup(family: OperatorFamily, s: float, dt_tau: float) -> np.ndarray:
-    """Frozen-coefficient propagator exp(-dt_tau * A(s)).
-
-    ``dt_tau`` is elapsed transformed time and must be nonnegative.  The
-    dense backend uses a scaling-and-squaring matrix exponential; the
-    spectral backend takes per-mode scalar exponentials.
-    """
-    if dt_tau < 0.0:
-        raise DomainError(f"elapsed tau must be >= 0, got {dt_tau}")
-    if family.kind == "spectral_heat":
-        return np.diag(np.exp(-dt_tau * family.mode_rates(s)))
-    from scipy.linalg import expm
-    return expm(-dt_tau * family.a_matrix(s))
-
-
 def _blocks(mat: np.ndarray, d: int) -> np.ndarray:
     """``(rows*d, cols*d)`` block matrix as its ``(rows, cols, d, d)`` block view."""
     return mat.reshape(mat.shape[0] // d, d, -1, d).transpose(0, 2, 1, 3)
@@ -213,16 +197,6 @@ def _panel_product(panels: list[np.ndarray], x: np.ndarray,
             out[:cols] += panel.T @ x[cols - rows:cols]
         else:
             out[cols - rows:cols] = panel @ x[:cols]
-    return out
-
-
-def _assemble(panels: list[np.ndarray]) -> np.ndarray:
-    """The ``(n*d, n*d)`` matrix held by row panels, zero above them."""
-    size = panels[-1].shape[1]
-    out = np.zeros((size, size))
-    for panel in panels:
-        rows, cols = panel.shape
-        out[cols - rows:cols, :cols] = panel
     return out
 
 
@@ -454,12 +428,6 @@ class KernelTable:
                 - blocks[:, k:k + d, :k] @ inv[:, :k, :k + d]
         self._diag_inv = inv
 
-    @property
-    def kernel(self) -> np.ndarray:
-        """K as ``(n, n, d, d)`` blocks, rebuilt from the panels (a copy)."""
-        d = self.lower[-1].shape[1] // self.grid.n_nodes
-        return _blocks(_assemble(self.lower) / -self.grid.h, d)
-
     def solve(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
         """``(I - h K)^{-1} rhs``, or ``(I - h K)^{-T} rhs`` (``transpose``).
 
@@ -612,9 +580,6 @@ class SpectralPropagatorTable:
     def matrix(self, i: int, j: int) -> np.ndarray:
         return np.diag(self.factors(i, j))
 
-    def apply(self, i: int, j: int, x: np.ndarray) -> np.ndarray:
-        return self.factors(i, j) * np.asarray(x, dtype=float)
-
     def homogeneous(self, x0: np.ndarray) -> np.ndarray:
         """``op(i, 0) x0`` at every node i, shape (n_nodes, modes)."""
         return self._between(np.s_[:], 0) * np.asarray(x0, dtype=float)
@@ -722,14 +687,11 @@ class DensePropagatorTable:
                              f"{self.grid.n_nodes}")
         return self._column(j)[i]
 
-    def apply(self, i: int, j: int, x: np.ndarray) -> np.ndarray:
-        return self.matrix(i, j) @ np.asarray(x, dtype=float)
-
     def homogeneous(self, x0: np.ndarray) -> np.ndarray:
         """``op(i, 0) x0`` at every node i, shape (n_nodes, dim).
 
         Reads the cached block column 0, so it agrees exactly with
-        ``apply(i, 0, x0)``.
+        ``matrix(i, 0) @ x0``.
         """
         return self._column(0) @ np.asarray(x0, dtype=float)
 

@@ -111,47 +111,25 @@ class TimeGrid:
         w[-1] *= 0.5
         return w
 
-    def refined(self, factor=2):
-        """Same window with (n-1)*factor + 1 nodes."""
-        return TimeGrid(self.order, self.t_start, self.t_end,
-                        (self.n_nodes - 1) * factor + 1)
-
 
 @dataclass
 class GridFunction:
-    """Vector-valued samples on a :class:`TimeGrid`, one row per node."""
+    """Vector-valued samples on a :class:`TimeGrid`, shape (n_nodes, dim)."""
 
     grid: TimeGrid
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if self.values.shape[0] == 1 and self.grid.n_nodes != 1:
-            self.values = self.values.T
-        if self.values.shape[0] != self.grid.n_nodes:
+        self.values = np.asarray(self.values, dtype=float)
+        if self.values.ndim != 2 or self.values.shape[0] != self.grid.n_nodes:
             raise DomainError(
-                f"value rows ({self.values.shape[0]}) must match grid nodes "
-                f"({self.grid.n_nodes})"
+                f"values have shape {self.values.shape}, expected "
+                f"({self.grid.n_nodes}, dim)"
             )
-
-    @classmethod
-    def zeros(cls, grid, dim):
-        return cls(grid, np.zeros((grid.n_nodes, dim)))
-
-    @classmethod
-    def from_callable(cls, grid, fn, dim):
-        vals = np.zeros((grid.n_nodes, dim))
-        for i, t in enumerate(grid.t_nodes):
-            vals[i] = np.asarray(fn(t), dtype=float)
-        return cls(grid, vals)
 
     @property
     def dim(self):
         return self.values.shape[1]
-
-    def sup_norm(self):
-        """max over nodes of the euclidean norm of the value."""
-        return float(np.max(np.linalg.norm(self.values, axis=1)))
 
     def weighted_l2(self):
         """L2 norm in the weighted measure, i.e. flat tau quadrature."""

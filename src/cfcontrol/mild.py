@@ -18,7 +18,7 @@ the discrete equation for the converged iterate.  Its loop,
 
     lhs = ||B|| * ||H|| * M * gamma * N  +  gamma * M * N
 
-where M bounds the propagator, ||H|| is the estimated norm of the
+where M bounds the propagator, ||H|| is the norm of the
 state-to-control gain, gamma is the (pointwise) growth constant of the
 nonlinearity, and N is the horizon factor
 ``(t2**(2a-1) - t1**(2a-1)) / (2a-1)`` with the removable singularity at
@@ -47,7 +47,6 @@ __all__ = [
     "nonlinearity_values",
     "contraction_report",
     "horizon_factor",
-    "estimate_growth_constant",
 ]
 
 _HALF_ORDER_TOL = 1e-8
@@ -239,46 +238,15 @@ def horizon_factor(alpha: float, t1: float, t2: float) -> float:
     return (t2**expo - t1**expo) / expo
 
 
-def estimate_growth_constant(fun: Nonlinearity,
-                             grid: TimeGrid,
-                             dim: int,
-                             radius: float = 1.0,
-                             n_samples: int = 64,
-                             rng: Optional[np.random.Generator] = None) -> float:
-    """Sampled estimate of the growth constant sup ||F(t, x)|| / ||x||.
-
-    Draws states in the ball of the given radius and maximizes the ratio
-    over grid nodes.  Exact for linear gains; a (random) lower bound in
-    general, which is why the report also accepts a user-supplied value.
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(n_samples):
-        x = rng.standard_normal(dim)
-        x *= radius * rng.uniform(0.05, 1.0) / np.linalg.norm(x)
-        fx = nonlinearity_values(fun, grid, np.tile(x, (grid.n_nodes, 1)))
-        worst = max(worst, float(np.max(np.linalg.norm(fx, axis=1)))
-                    / np.linalg.norm(x))
-    return worst
-
-
 def contraction_report(problem: ControlProblem,
                        gramian,
-                       gamma_growth: Optional[float] = None) -> ContractionReport:
+                       gamma_growth: float) -> ContractionReport:
     """Assemble the small-gain report for a problem.
 
     M is the ``norm_bound`` of the Gramian's propagator table.
-    ``gamma_growth`` should be the (pointwise) growth constant of the
-    nonlinearity; when omitted it is estimated by sampling (zero when the
-    problem has no nonlinearity).
+    ``gamma_growth`` is the (pointwise) growth constant of the
+    nonlinearity, zero for none.
     """
-    if gamma_growth is None:
-        if problem.nonlinearity is None:
-            gamma_growth = 0.0
-        else:
-            gamma_growth = estimate_growth_constant(
-                problem.nonlinearity, problem.grid, problem.family.dim)
     m_bound = gramian.propagator.norm_bound
     b_norm = float(np.linalg.norm(problem.b_matrix, 2))
     h_norm = gramian.gain_norm_est

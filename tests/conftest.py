@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cfcontrol import DenseMatrixFamily, frozen_semigroup
+from cfcontrol import DenseMatrixFamily, DomainError
 
 
 def make_smooth_fn(rng, scale=1.0):
@@ -45,10 +45,20 @@ def block_view(mat, d):
     return mat.reshape(n, d, n, d).transpose(0, 2, 1, 3)
 
 
-def flat(blocks):
-    """``(n, n, d, d)`` blocks as the ``(n*d, n*d)`` matrix."""
-    n, _, d, _ = blocks.shape
-    return blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
+def frozen_semigroup(family, s, dt_tau):
+    """Frozen-coefficient propagator exp(-dt_tau * A(s)).
+
+    ``dt_tau`` is elapsed transformed time and must be nonnegative.  A
+    dense family takes scipy's scaling-and-squaring exponential, a spectral
+    one per-mode scalar exponentials; it shares no code with the package's
+    eigenprojector tables.  ``regularized_residuals`` builds on it.
+    """
+    if dt_tau < 0.0:
+        raise DomainError(f"elapsed tau must be >= 0, got {dt_tau}")
+    if family.kind == "spectral_heat":
+        return np.diag(np.exp(-dt_tau * family.mode_rates(s)))
+    from scipy.linalg import expm
+    return expm(-dt_tau * family.a_matrix(s))
 
 
 def assemble(panels):
@@ -68,12 +78,12 @@ def assemble(panels):
 def kernel_series(kernel_table, rhs, transpose=False, tol=1e-8, max_terms=40):
     """``R v`` (or ``R^T v``) as the Neumann series ``sum_m (hK)^m K v``.
 
-    K is read from ``kernel_table.kernel``.  Terms are added until the
+    K is read from the table's ``-hK`` panels.  Terms are added until the
     newest one's norm is at most ``tol`` times that of ``K v``, or until
     ``max_terms`` terms are summed; returns the sum and the relative norms
     of its terms.  The reference for the table's triangular solve.
     """
-    kern = flat(kernel_table.kernel)
+    kern = assemble(kernel_table.lower) / -kernel_table.grid.h
     if transpose:
         kern = kern.T
     h = kernel_table.grid.h
@@ -89,7 +99,7 @@ def kernel_series(kernel_table, rhs, transpose=False, tol=1e-8, max_terms=40):
 
 def kernel_equation_residual(kernel_table, rhs, w):
     """``||w - hKw - Kv|| / ||Kv||`` for a candidate ``w = R v``."""
-    kern = flat(kernel_table.kernel)
+    kern = assemble(kernel_table.lower) / -kernel_table.grid.h
     first = kern @ np.asarray(rhs, dtype=float)
     resid = w - kernel_table.grid.h * (kern @ w) - first
     return float(np.linalg.norm(resid)) / float(np.linalg.norm(first))

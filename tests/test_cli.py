@@ -289,7 +289,9 @@ def test_evolve_final_state_decays(tmp_path):
     {"n_modes": "2", "x0": "values 1 nan"},
     {"potential": "tabulated absent.csv"},
     {"kernel_tol": "1e-8"},
-], ids=["tau_end_inf", "x0_nan", "tabulated_missing", "kernel_tol_removed"])
+    {"k": "2.0"},
+], ids=["tau_end_inf", "x0_nan", "tabulated_missing", "kernel_tol_removed",
+        "k_removed"])
 def test_bad_input_is_one_config_error(tmp_path, capsys, overrides):
     cfg = write_cfg(tmp_path, **overrides)
     rc = main(["evolve", "--config", cfg, "--out", str(tmp_path / "out")])

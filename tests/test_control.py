@@ -89,6 +89,37 @@ def test_gain_norm_estimate_close_to_spectral_value():
     assert gram.gain_norm_est == pytest.approx(exact, rel=1e-12)
 
 
+@pytest.mark.parametrize("backend", ["spectral", "dense"])
+def test_identity_input_takes_one_final_gram(monkeypatch, backend):
+    # with B B^T = I the gain norm reads W itself as its identity-input
+    # Gramian W_I; any other B takes a second final_gram
+    if backend == "spectral":
+        _, _, table = heat_setup(n=201)
+    else:
+        grid = TimeGrid.from_tau_horizon(ORDER, 0.0, 1.0, 41)
+        table = build_propagator(parse_config(DENSE).family(), grid)
+    d = table.dim
+    final_gram = table.final_gram
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return final_gram(m)
+    monkeypatch.setattr(table, "final_gram", counting)
+    unit = build_gramian(np.eye(d), table)
+    assert len(calls) == 1
+    half = build_gramian(0.5 * np.eye(d), table)
+    assert len(calls) == 3
+    # the gain norm with W_I from its own final_gram call is bitwise the same
+    p = table.final_block(0)
+    rows = np.linalg.solve(unit._chol, p @ p.T + final_gram(np.eye(d)))
+    top = np.linalg.eigvalsh(np.linalg.solve(unit._chol, rows.T))[-1]
+    assert unit.gain_norm_est == np.sqrt(top)
+    # B = I/2 quarters W, so the gain doubles
+    assert half.gain_norm_est == pytest.approx(2.0 * unit.gain_norm_est,
+                                               rel=1e-12)
+
+
 def gramian_oracle_cases():
     """A spectral and a dense table, each with a regular and a singular input."""
     _, _, heat = heat_setup(n=201)

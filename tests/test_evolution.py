@@ -10,10 +10,10 @@ from cfcontrol import (DenseMatrixFamily, DomainError,
                        FractionalOrder, NumericError, SpectralHeatFamily,
                        TimeGrid,
                        adjoint_residual, build_kernel, build_propagator,
-                       conformable_residual, frozen_semigroup,
-                       kernel_residual, parse_config, propagate_oracle)
+                       conformable_residual, kernel_residual, parse_config,
+                       propagate_oracle)
 
-from conftest import (assemble, final_gram_reference,
+from conftest import (assemble, final_gram_reference, frozen_semigroup,
                       kernel_equation_residual, kernel_series,
                       limit_sources, make_dense_family, materialise,
                       materialise_resolvent, materialise_series,
@@ -33,7 +33,7 @@ def commuting_family(alpha=0.75):
     return DenseMatrixFamily(mat, 2)
 
 
-# --- frozen semigroup -------------------------------------------------------
+# --- frozen semigroup (the test-side reference in conftest) ----------------
 
 def test_frozen_semigroup_zero_elapsed_is_identity():
     fam = DenseMatrixFamily(lambda t: np.diag([1.0, 2.0]), 2)
@@ -65,7 +65,7 @@ def test_frozen_semigroup_negative_elapsed_rejected():
 def test_constant_family_has_zero_kernel():
     fam = DenseMatrixFamily(lambda t: np.diag([1.0, 2.0]), 2)
     table = build_kernel(fam, window(41))
-    assert np.max(np.abs(table.kernel)) == 0.0
+    assert max(np.max(np.abs(panel)) for panel in table.lower) == 0.0
     assert np.max(np.abs(materialise_resolvent(table))) == 0.0
 
 
@@ -193,7 +193,7 @@ def test_spectral_matches_oracle_per_mode():
     grid = TimeGrid.from_tau_horizon(order, 0.0, 1.0, 201)
     table = build_propagator(fam, grid)
     x = np.ones(8)
-    got = table.apply(200, 0, x)
+    got = table.matrix(200, 0) @ x
     want = propagate_oracle(fam, order, grid.t_start, grid.t_end, x,
                             steps=4000)
     assert np.max(np.abs(got - want)) < 1e-7
@@ -208,7 +208,7 @@ def test_dense_matches_oracle_with_second_order_convergence(rng):
     errs = []
     for n in (101, 201):
         table = build_propagator(fam, window(n))
-        got = table.apply(n - 1, 0, x)
+        got = table.matrix(n - 1, 0) @ x
         errs.append(np.linalg.norm(got - ref) / np.linalg.norm(ref))
     assert errs[0] < 1e-4
     assert errs[0] / errs[1] > 3.5
@@ -380,7 +380,7 @@ def test_column_table_homogeneous_matches_apply(rng):
     fam = make_dense_family(rng, 3)
     table = build_propagator(fam, window(41))
     x0 = rng.standard_normal(3)
-    expect = np.stack([table.apply(i, 0, x0) for i in range(41)])
+    expect = np.stack([table.matrix(i, 0) @ x0 for i in range(41)])
     assert np.allclose(table.homogeneous(x0), expect, rtol=1e-14, atol=1e-15)
 
 
@@ -449,14 +449,14 @@ def test_defective_family_uses_exponential_fallback():
     x = np.array([0.7, -0.4])
     ref = propagate_oracle(fam, ORDER, grid.t_start, grid.t_end, x,
                            steps=2000)
-    assert np.linalg.norm(table.apply(200, 0, x) - ref) \
+    assert np.linalg.norm(table.matrix(200, 0) @ x - ref) \
         / np.linalg.norm(ref) < 1e-5
 
 
 def test_grid_function_helpers():
     from cfcontrol import GridFunction
     grid = window(5)
-    gf = GridFunction.from_callable(grid, lambda t: [t, 2.0 * t], 2)
+    gf = GridFunction(grid, np.column_stack([grid.t_nodes, 2.0 * grid.t_nodes]))
     assert gf.values.shape == (5, 2)
     assert gf.values[3, 1] == pytest.approx(2.0 * grid.t_nodes[3])
     w = grid.weights()

@@ -7,7 +7,6 @@ from cfcontrol import (ControlProblem, ConvergenceError, DenseMatrixFamily,
                        DomainError, FractionalOrder, NumericError,
                        SpectralHeatFamily, TimeGrid, build_gramian,
                        build_propagator, contraction_report,
-                       estimate_growth_constant,
                        exact_null_control_semilinear, horizon_factor,
                        picard_solve)
 
@@ -29,7 +28,7 @@ def test_homogeneous_case_converges_in_one_sweep():
     result = picard_solve(problem, table)
     assert result.iterations == 1
     assert result.residual == 0.0
-    hom = np.stack([table.apply(i, 0, x0) for i in range(grid.n_nodes)])
+    hom = np.stack([table.matrix(i, 0) @ x0 for i in range(grid.n_nodes)])
     assert np.array_equal(result.trajectory.values, hom)
 
 
@@ -58,7 +57,8 @@ def test_heat_linear_gain_matches_shifted_potential():
     result = picard_solve(problem, table)
     shifted = SpectralHeatFamily(lambda t: 1.0 - gain, 8)
     reference = build_propagator(shifted, grid)
-    ref = np.stack([reference.apply(i, 0, x0) for i in range(grid.n_nodes)])
+    ref = np.stack([reference.matrix(i, 0) @ x0
+                    for i in range(grid.n_nodes)])
     assert np.max(np.abs(result.trajectory.values - ref)) < 1e-6
 
 
@@ -227,7 +227,7 @@ def test_contraction_report_zero_gain_always_satisfied():
     gram = build_gramian(np.eye(6), table)
     problem = ControlProblem(family=fam, grid=grid, x0=np.zeros(6),
                              b_matrix=np.eye(6))
-    report = contraction_report(problem, gram)
+    report = contraction_report(problem, gram, gamma_growth=0.0)
     assert report.lhs == 0.0
     assert report.satisfied
     assert report.gamma_growth == 0.0
@@ -246,13 +246,6 @@ def test_contraction_report_formula():
     assert report.lhs == pytest.approx(expect, rel=1e-12)
     assert report.horizon_factor == pytest.approx(n_const, rel=1e-14)
     assert report.satisfied
-
-
-def test_growth_constant_estimate_linear_gain(rng):
-    fam, grid, _ = heat_setup(n_nodes=21)
-    est = estimate_growth_constant(lambda t, x: 0.37 * x, grid, 6,
-                                   radius=2.0, n_samples=32, rng=rng)
-    assert est == pytest.approx(0.37, rel=1e-12)
 
 
 def test_constant_control_drive_closed_form():
