@@ -23,6 +23,7 @@ import numpy as np
 from .config import ScenarioConfig, parse_config
 from .control import (build_gramian, exact_null_control_semilinear,
                       verify_null_inequality)
+from .emit import write_csv, write_text
 from .errors import (CfcontrolError, ConfigError, ControllabilityError,
                      ConvergenceError, DomainError, NullControlFailed,
                      NumericError)
@@ -52,32 +53,12 @@ def _fmt(value):
     return repr(float(value))
 
 
-def _csv_rows(*columns):
-    """Each row of the stacked columns as the comma-joined value reprs."""
-    return (",".join(map(repr, row))
-            for row in np.column_stack(columns).tolist())
-
-
-def _state_rows(times, values):
-    """CSV rows of ``values`` led by ``times``, the formatted tau, t rows."""
-    return (",".join([time, *map(repr, row)])
-            for time, row in zip(times, values.tolist()))
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(row + "\n" for row in rows)
-
-
 def _write_summary(path, entries):
     ordered = {key: entries.get(key, float("nan")) for key in _SUMMARY_KEYS}
-    extras = {k: v for k, v in entries.items() if k not in _SUMMARY_KEYS}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key, value in ordered.items():
-            fh.write(f"{key}={_fmt(value)}\n")
-        for key in sorted(extras):
-            fh.write(f"{key}={_fmt(extras[key])}\n")
+    ordered.update((k, entries[k]) for k in sorted(entries)
+                   if k not in _SUMMARY_KEYS)
+    write_text(path, "".join(f"{key}={_fmt(value)}\n"
+                             for key, value in ordered.items()))
 
 
 def _state_header(dim, prefix="x"):
@@ -100,6 +81,10 @@ def run_scenario(config: ScenarioConfig, pipeline: str, out_dir: str,
     if seed is None:
         seed = config.seed
     grid = config.grid()
+    for i, j in dump_pairs or []:
+        if not 0 <= j <= i < grid.n_nodes:
+            raise DomainError(f"dump pair ({i}, {j}) outside the grid of "
+                              f"{grid.n_nodes} nodes")
     family = config.family()
     dim = family.dim
     summary: dict = {}
@@ -108,16 +93,11 @@ def run_scenario(config: ScenarioConfig, pipeline: str, out_dir: str,
         table = build_propagator(family, grid)
         x0 = config.initial_state(dim)
         values = table.homogeneous(x0)
-        _write_csv(os.path.join(out_dir, "trajectory.csv"), _state_header(dim),
-                   _csv_rows(grid.tau_nodes, grid.t_nodes, values))
-        for i, j in (dump_pairs or []):
-            if not 0 <= j <= i < grid.n_nodes:
-                raise DomainError(
-                    f"dump pair ({i}, {j}) outside the grid of "
-                    f"{grid.n_nodes} nodes")
-            mat = table.matrix(i, j)
-            _write_csv(os.path.join(out_dir, f"psi_{i}_{j}.csv"),
-                       [f"c{c}" for c in range(dim)], _csv_rows(mat))
+        write_csv(os.path.join(out_dir, "trajectory.csv"), _state_header(dim),
+                  grid.tau_nodes, grid.t_nodes, values)
+        for i, j in dump_pairs or []:
+            write_csv(os.path.join(out_dir, f"psi_{i}_{j}.csv"),
+                      [f"c{c}" for c in range(dim)], table.matrix(i, j))
         summary.update(final_state_norm=float(np.linalg.norm(values[-1])),
                        iterations=0, propagator_bound=table.norm_bound)
         _write_summary(os.path.join(out_dir, "summary.txt"), summary)
@@ -134,8 +114,8 @@ def run_scenario(config: ScenarioConfig, pipeline: str, out_dir: str,
     if pipeline == "solve":
         result = picard_solve(problem, table)
         values = result.trajectory.values
-        _write_csv(os.path.join(out_dir, "trajectory.csv"), _state_header(dim),
-                   _csv_rows(grid.tau_nodes, grid.t_nodes, values))
+        write_csv(os.path.join(out_dir, "trajectory.csv"), _state_header(dim),
+                  grid.tau_nodes, grid.t_nodes, values)
         summary.update(final_state_norm=float(np.linalg.norm(values[-1])),
                        iterations=result.iterations,
                        picard_residual=result.residual)
@@ -182,13 +162,12 @@ def run_scenario(config: ScenarioConfig, pipeline: str, out_dir: str,
                            if exc.last_norm is not None else float("nan"))
             _write_summary(os.path.join(out_dir, "summary.txt"), summary)
             raise
-        # both files lead with the same tau, t columns: format them once
-        times = list(_csv_rows(grid.tau_nodes, grid.t_nodes))
-        _write_csv(os.path.join(out_dir, "trajectory.csv"), _state_header(dim),
-                   _state_rows(times, result.closed_loop_trajectory.values))
-        _write_csv(os.path.join(out_dir, "control.csv"),
-                   _state_header(result.control.dim, prefix="u"),
-                   _state_rows(times, result.control.values))
+        write_csv(os.path.join(out_dir, "trajectory.csv"), _state_header(dim),
+                  grid.tau_nodes, grid.t_nodes,
+                  result.closed_loop_trajectory.values)
+        write_csv(os.path.join(out_dir, "control.csv"),
+                  _state_header(result.control.dim, prefix="u"),
+                  grid.tau_nodes, grid.t_nodes, result.control.values)
         summary.update(final_state_norm=result.final_state_norm,
                        control_energy=result.control_energy,
                        iterations=result.iterations)

@@ -132,30 +132,43 @@ def test_control_pipeline_deterministic(tmp_path):
 
 
 def test_control_csv_rows_are_plain_repr_joins(tmp_path):
-    # the tau, t columns are formatted once and shared by both files; each
-    # row must still be the per-value repr join of the stacked columns
-    from cfcontrol.cli import _csv_rows, _state_rows
+    # every CSV line is the per-value repr join of its row, for the writer
+    # itself and for each pipeline that writes tables
+    from cfcontrol.emit import write_csv
     rng = np.random.default_rng(9)
     tau = np.array([0.0, 0.1, 1e-300, 5e-324, 1.0 / 3.0])
     t = np.array([-0.0, 2.5, 1e300, np.inf, np.nan])
     values = rng.standard_normal((5, 3)) * [1.0, 1e-17, 1e17]
     values[1, 0] = -0.0
-    times = list(_csv_rows(tau, t))
     for part in (values, values[:, :1]):
+        path = tmp_path / "table.csv"
+        write_csv(path, ["tau", "t", "x"], tau, t, part)
         plain = [",".join(map(repr, row))
                  for row in np.column_stack((tau, t, part)).tolist()]
-        assert list(_state_rows(times, part)) == plain
+        assert path.read_text().splitlines() == ["tau,t,x"] + plain
 
-    out = tmp_path / "out"
-    assert main(["control", "--config", str(DEMO), "--out", str(out)]) == 0
+    runs = {"control": ["control", "--config", str(DEMO)],
+            "solve": ["solve", "--config", str(DEMO)],
+            "evolve": ["evolve", "--config",
+                       str(CONFIG_DIR / "dense_evolve.cfg"),
+                       "--dump-pair", "100", "0"]}
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main(argv + ["--out", str(out)]) == 0
+        tables = sorted(out.glob("*.csv"))
+        assert len(tables) == {"control": 2, "solve": 1, "evolve": 2}[name]
+        for table in tables:
+            lines = table.read_text().splitlines()[1:]
+            assert lines
+            for line in lines:
+                row = [float(v) for v in line.split(",")]
+                assert line == ",".join(map(repr, row))
     grid = parse_config(DEMO).grid()
     for name in ("trajectory.csv", "control.csv"):
-        lines = (out / name).read_text().splitlines()[1:]
+        lines = (tmp_path / "control" / name).read_text().splitlines()[1:]
         assert len(lines) == grid.n_nodes
         for line, tau_i, t_i in zip(lines, grid.tau_nodes, grid.t_nodes):
-            row = [float(v) for v in line.split(",")]
-            assert row[:2] == [tau_i, t_i]
-            assert line == ",".join(map(repr, row))
+            assert [float(v) for v in line.split(",")[:2]] == [tau_i, t_i]
 
 
 def test_verify_pipeline(tmp_path):
@@ -383,6 +396,18 @@ def test_out_path_naming_a_file_is_config_error(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("ERROR CONFIG: ")
 
 
+def test_failed_artifact_write_is_one_config_error(tmp_path):
+    # a directory where trajectory.csv should go: the write fails
+    out = tmp_path / "out"
+    (out / "trajectory.csv").mkdir(parents=True)
+    proc = run_fresh(["control", "--config", str(DEMO), "--out", str(out)])
+    assert proc.returncode == 2
+    err = proc.stderr.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("ERROR CONFIG: cannot write ")
+    assert "trajectory.csv" in err[0] and "Traceback" not in proc.stderr
+
+
 def test_missing_config_file_is_config_error(tmp_path, capsys):
     rc = main(["control", "--config", str(tmp_path / "absent.cfg"),
                "--out", str(tmp_path / "out")])
@@ -466,3 +491,15 @@ def test_evolve_dump_pair_out_of_range(tmp_path, capsys):
                "--dump-pair", "500", "0"])
     assert rc == 3
     assert "ERROR DOMAIN" in capsys.readouterr().err
+
+
+def test_dump_pairs_are_checked_before_any_work(tmp_path, capsys):
+    # the first pair is valid, the second has j > i: nothing is written
+    out = tmp_path / "out"
+    rc = main(["evolve", "--config", write_cfg(tmp_path), "--out", str(out),
+               "--dump-pair", "5", "0", "--dump-pair", "0", "5"])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["ERROR DOMAIN: dump pair (0, 5) outside the grid of "
+                   "101 nodes"]
+    assert list(out.glob("*.csv")) == []
