@@ -166,11 +166,13 @@ _TPL_COLUMNS = np.arange(_TPL.shape[1])
 _SRC_WIDTH = 24 + len(_CONSTANTS)
 _CONSTANT_BYTES = np.frombuffer(_CONSTANTS.encode(), np.uint8)
 
-# the layout place of each decimal point position decpt in [-400, 400],
-# as the id offset ``place·17 - 1`` (the digit count is added after)
+# per decimal point position decpt in [-400, 400]: the layout place as
+# the id offset ``place·17 - 1`` (the digit count is added after), and the
+# digits of the exponent ``|decpt - 1|`` of the exponent form
 _DECPT = np.arange(-400, 401)
 _PLACE = np.where((_DECPT > -4) & (_DECPT < 17), _DECPT + 3,
                   20 + (_DECPT < 1) + 2 * (np.abs(_DECPT - 1) > 99)) * 17 - 1
+_EXP_DIGITS = _DIG4.take(np.abs(_DECPT - 1))
 
 
 def _mul_shift(m, a0, a1, a2, a3, shift, cshift):
@@ -258,7 +260,7 @@ def _shortest(bexp, mant):
     vr_tz &= rest == _U(0)
     tie_to_even = vr_tz & ((out & _U(1)) == _U(0))
     round_up = (last > _U(5)) | ((last == _U(5)) & ~tie_to_even) \
-        | ((out == vm // ten) & ~(accept & vm_tz))
+        | ((out == np.divmod(vm, ten)[0]) & ~(accept & vm_tz))
     out += round_up
     return out, _E10.take(bexp) + removed
 
@@ -277,7 +279,8 @@ def format_values(block):
     decpt = exp10 + ndigits
 
     neg = (bits >> _U(63)).astype(np.intp)
-    tid = _PLACE.take(decpt + 400) + ndigits
+    at = decpt + 400
+    tid = _PLACE.take(at) + ndigits
     special = np.flatnonzero((bexp == 0x7FF) | ((bits << _U(1)) == _U(0)))
     if special.size:
         # repr drops the sign of a nan
@@ -288,7 +291,7 @@ def format_values(block):
 
     src = np.empty((bits.size, _SRC_WIDTH), np.uint8)
     src[:, :20] = digits
-    src[:, 20:24] = _DIG4.take(np.abs(decpt - 1)).view(np.uint8).reshape(-1, 4)
+    src[:, 20:24] = _EXP_DIGITS.take(at).view(np.uint8).reshape(-1, 4)
     src[:, 24:] = _CONSTANT_BYTES
     src.reshape(rows, cols, _SRC_WIDTH)[:, -1, -1] = ord("\n")
 
