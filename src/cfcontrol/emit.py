@@ -236,10 +236,10 @@ def _shortest(bexp, mant):
         pow5 = _POW5.take(bexp[big])
         five = one & (mvb % _U(5) == _U(0))
         vr_tz[big] |= five & (mvb % pow5 == _U(0))
-        rest = one & ~five
-        vm_tz[big] = (rest & acc & ((mvb - mm_gap[big]) % pow5 == _U(0))) \
+        not5 = one & ~five
+        vm_tz[big] = (not5 & acc & ((mvb - mm_gap[big]) % pow5 == _U(0))) \
             | (two & acc & (mm_gap[big] == _U(2)))
-        vp[big] -= ((rest & ~acc & ((mvb + _U(2)) % pow5 == _U(0)))
+        vp[big] -= ((not5 & ~acc & ((mvb + _U(2)) % pow5 == _U(0)))
                     | (two & ~acc)).astype(np.uint64)
 
     # Ryu drops digits while vp // 10 > vm // 10: as many as the place of
