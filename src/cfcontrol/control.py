@@ -26,7 +26,7 @@ no per-node stack is formed, and the gain norm is the exact top
 eigenvalue of a pencil.
 
 The d x d Gramian is factorized by numpy's Cholesky with escalating jitter,
-so a spectral pipeline needs no scipy; exceeding the jitter cap means the
+so no pipeline needs scipy; exceeding the jitter cap means the
 truncated system is not exactly null controllable and raises
 :class:`ControllabilityError`.
 
@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import (ControllabilityError, DomainError, NullControlFailed,
                      NumericError)
-from .grids import GridFunction
+from .grids import GridFunction, require_memory
 from .evolution import PropagatorTable
 from .mild import ControlProblem, iterate_fixed_point, nonlinearity_values
 
@@ -261,6 +261,9 @@ def verify_null_inequality(gramian: GramianSolve,
             f"grid tau horizon {span} does not match requested horizon {horizon}")
     if rng is None:
         rng = np.random.default_rng(0)
+    # z, z @ Psi[n-1, 0] and its square
+    require_memory(24 * trials * d,
+                   f"a sample of {trials} trials in dimension {d}")
 
     z = rng.standard_normal((trials, d))
     z /= np.linalg.norm(z, axis=1, keepdims=True)

@@ -21,7 +21,11 @@ Two backends:
                         + int_{tau_s}^{tau_t} kernel(t, r) resolvent(r, s) dr,
       kernel(t, s)    = (A(s) - A(t)) S_s(t - s),
 
-  discretized with trapezoid weights (Nystrom).  The table keeps two
+  discretized with trapezoid weights (Nystrom).  The tau grid is uniform,
+  so ``S_{t_j}(t_i - t_j)`` is the power ``E_j**(i - j)`` of the one-step
+  exponential ``E_j = exp(-h A(t_j))``, one scaling-and-squaring
+  exponential per node; every family, defective or not, takes that one
+  route.  The table keeps two
   block-lower-triangular ``(n*d, n*d)`` matrices, the frozen semigroups S
   and the kernel, stored scaled as ``-h K``; block (i, j) acts from node j
   to node i.  Each is stored as row panels: panel c holds the rows of the
@@ -48,9 +52,7 @@ Two backends:
   the soft ``RLIMIT_AS`` and the cgroup limit) is refused before anything
   large is allocated.  A family whose ``A(t)``, tables or bound come out
   non-finite raises :class:`NumericError` when the table is built, before
-  any solve.  ``scipy.linalg`` is imported only by the exponential
-  fallback for a node without a usable eigenbasis, so a run on the
-  shipped families needs numpy only.
+  any solve.  The dense backend needs numpy only.
 
 An independent brute-force oracle integrates the substituted ODE with a
 classical fourth-order one-step method; every propagator test is anchored
@@ -69,7 +71,6 @@ threads needs a lock; spectral tables are immutable.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Union
@@ -77,12 +78,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .grids import TimeGrid
-
-try:
-    import resource
-except ImportError:  # not on every platform
-    resource = None
+from .grids import TimeGrid, require_memory
 
 __all__ = [
     "SpectralHeatFamily",
@@ -99,7 +95,6 @@ __all__ = [
     "adjoint_residual",
 ]
 
-_EIG_COND_LIMIT = 1e7
 # largest exponent change |E(r) - E(anchor)| inside one chunk of the spectral
 # scan; exp(64) ~ 6e27 leaves every scaled term far from overflow
 _SCAN_SPAN = 64.0
@@ -107,8 +102,9 @@ _SCAN_SPAN = 64.0
 # per panel, and the panels' diagonal blocks, inverted at build time, are
 # (16 d)**2 doubles each
 _PANEL_NODES = 16
-_CGROUP_MEMORY_FILES = ("/sys/fs/cgroup/memory.max",
-                        "/sys/fs/cgroup/memory/memory.limit_in_bytes")
+# degree of the Taylor polynomial of a one-step exponential whose scaled
+# 1-norm is below one: the remainder is below 1/19! * 1.06 < 1e-17
+_TAYLOR_DEGREE = 18
 
 
 @dataclass(frozen=True)
@@ -205,55 +201,14 @@ def _table_bytes(n: int, d: int) -> int:
 
     That is the row panels of S and ``-hK``, and the inverses of the
     panels' diagonal blocks of ``I - hK``, padded to a common height.
+    Panel c of a full height spans ``(c + 1) * _PANEL_NODES`` columns of
+    nodes, so the sum has a closed form and the count takes no time.
     """
-    bounds = _panel_bounds(n)
-    panel_nodes = sum((s1 - s0) * s1 for s0, s1 in bounds)
-    height = (bounds[0][1] - bounds[0][0]) * d
-    return 8 * (2 * panel_nodes * d * d + len(bounds) * height * height)
-
-
-def _memory_limits() -> list[tuple[int, str]]:
-    """The memory limits this process can read, as ``(bytes, label)``.
-
-    Physical memory, the soft address-space limit (``RLIMIT_AS``) and the
-    cgroup limit (v2 ``memory.max``, v1 ``memory.limit_in_bytes``), each
-    read only; an unlimited, ``max`` or absent value is left out.
-    """
-    limits = []
-    try:
-        limits.append((os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"),
-                       "of physical memory"))
-    except (AttributeError, ValueError, OSError):
-        pass
-    if resource is not None:
-        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
-        if soft != resource.RLIM_INFINITY:
-            limits.append((soft, "address-space limit (RLIMIT_AS)"))
-    for path in _CGROUP_MEMORY_FILES:
-        try:
-            with open(path, encoding="ascii") as fh:
-                limits.append((int(fh.read()), "cgroup memory limit"))
-        except (OSError, ValueError):  # absent, or "max"
-            pass
-    return limits
-
-
-def _check_memory(n: int, d: int) -> None:
-    """Refuse a dense table whose footprint exceeds the memory limit.
-
-    The footprint is :func:`_table_bytes`; the limit is the smallest of
-    :func:`_memory_limits`.  Nothing is allocated to find out.
-    """
-    need = _table_bytes(n, d)
-    limits = _memory_limits()
-    if not limits:
-        return
-    have, label = min(limits, key=lambda limit: limit[0])
-    if need > have:
-        raise DomainError(
-            f"a dense table of {n} nodes in dimension {d} needs about "
-            f"{need / 1e9:.3g} GB, more than the {have / 1e9:.3g} GB "
-            f"{label}")
+    full, last = divmod(n, _PANEL_NODES)
+    panel_nodes = _PANEL_NODES**2 * full * (full + 1) // 2 + last * n
+    height = min(n, _PANEL_NODES) * d
+    return 8 * (2 * panel_nodes * d * d
+                + (full + (last > 0)) * height * height)
 
 
 def _require_finite(what: str, values: np.ndarray, grid: TimeGrid,
@@ -278,97 +233,82 @@ def _require_finite_panels(what: str, panels: list[np.ndarray],
                         (cols - rows) // d)
 
 
-def _frozen_tables(family: DenseMatrixFamily, grid: TimeGrid):
-    """``A(t_j)`` at every node, and the row panels of S built from it.
+def _one_step_exponentials(a_stack: np.ndarray, h: float) -> np.ndarray:
+    """``exp(-h A_j)`` at every node j, by scaling and squaring.
 
-    Both are computed with numpy's floating-point warnings off; a value
-    that is not finite raises :class:`NumericError` naming its node.
+    ``-h A_j`` is scaled by ``2**-s_j``, the least power that brings its
+    1-norm below one, and the Taylor polynomial of its exponential, batched
+    over the nodes in Horner form, is squared ``s_j`` times (Moler & Van
+    Loan, SIAM Review 45, 2003, method 3); no eigenbasis is needed.  The
+    squarings act on ``F = exp(.) - I`` as ``F <- F F + 2 F``: squaring
+    ``I + F`` would round away the part of F far below one, and a slow mode
+    of a stiff family would lose ``2**s_j`` ulps.  A 1-norm that overflows
+    leaves ``s_j = 0``, so the exponential comes out non-finite.
     """
-    _check_memory(grid.n_nodes, family.dim)
+    x = -h * a_stack
+    _, squarings = np.frexp(np.abs(x).sum(axis=1).max(axis=1))
+    squarings = np.maximum(squarings, 0)
+    x *= np.ldexp(1.0, -squarings)[:, None, None]
+    eye = np.eye(a_stack.shape[1])
+    poly = eye + x / _TAYLOR_DEGREE
+    for k in range(_TAYLOR_DEGREE - 1, 1, -1):
+        poly = eye + (x @ poly) / k
+    diff = x @ poly
+    for k in range(int(squarings.max())):
+        more = squarings > k
+        diff[more] = diff[more] @ diff[more] + 2.0 * diff[more]
+    return diff + eye
+
+
+def _dense_tables(family: DenseMatrixFamily, grid: TimeGrid):
+    """``A(t_j)`` at every node, and the row panels of S and of ``-h K``.
+
+    ``S[i, j] = E_j**(i - j)`` for i >= j, with ``E_j`` the one-step
+    exponential.  The first ``_PANEL_NODES`` powers of every ``E_j`` are
+    tabled, and each column left of a panel keeps a carry
+    ``E_j**(s0 - j)``: the panel's blocks there are one batched product of
+    the power table with the carries, and its diagonal square is read from
+    the power table.  ``K[i, j] = (A_j - A_i) S[i, j]`` keeps ``A_j - A_i``
+    as the left factor, so K is exactly zero on the block diagonal and for
+    a constant family.  numpy's floating-point warnings are off; a value
+    that is not finite raises :class:`NumericError` naming its node, and a
+    grid whose tables would not fit in memory :class:`DomainError`.
+    """
+    n, d, h = grid.n_nodes, family.dim, grid.h
+    if n < 3:
+        raise DomainError("kernel construction needs at least three nodes")
+    require_memory(_table_bytes(n, d),
+                   f"a dense table of {n} nodes in dimension {d}")
+    semigroups, lower = [], []
     with np.errstate(all="ignore"):
         a_stack = np.stack([family.a_matrix(t) for t in grid.t_nodes])
         _require_finite("A(t)", a_stack, grid)
-        semigroups = _semigroup_table(a_stack, grid.tau_nodes)
-    _require_finite_panels("the frozen semigroup table", semigroups, grid,
-                           family.dim)
-    return a_stack, semigroups
-
-
-def _semigroup_table(a_stack: np.ndarray,
-                     tau: np.ndarray) -> list[np.ndarray]:
-    """Row panels of the block matrix with S[i, j] = exp(-(tau_i - tau_j) A_j).
-
-    Block (i, j) is filled for i >= j and zero above.  One batched
-    eigendecomposition serves every source node j whose eigenvector matrix
-    is well conditioned and whose exponentials come out real; any other
-    node takes one scaling-and-squaring exponential per step.  Each panel
-    is one product of exponentials with eigenprojectors, so the complex
-    temporary is about twice the size of one panel.
-    """
-    n, d = a_stack.shape[:2]
-    try:
-        lam, vec = np.linalg.eig(a_stack)
-        cond = np.linalg.cond(vec)
-    except np.linalg.LinAlgError:
-        lam, vec = np.zeros((n, d)), np.broadcast_to(np.eye(d), (n, d, d))
-        cond = np.full(n, np.inf)
-    use_eig = np.isfinite(cond) & (cond < _EIG_COND_LIMIT)
-    vinv = np.linalg.inv(np.where(use_eig[:, None, None], vec, np.eye(d)))
-    # exp(-dt A_j) = sum_b exp(-dt lam_jb) P_jb with the eigenprojectors
-    # P_jb = vec_j[:, b] vinv_j[b, :]
-    proj = np.einsum("jab,jbc->jbac", vec, vinv).reshape(n, d, d * d)
-    # largest imaginary part, and real part, of each source node's blocks
-    imag, real = np.zeros(n), np.ones(n)
-    panels = []
-    for s0, s1 in _panel_bounds(n):
-        # (source j, target i) pairs; negative above the diagonal
-        dt = tau[None, s0:s1] - tau[:s1, None]
-        above = dt < 0.0
-        out = np.exp(-np.where(above, 0.0, dt)[..., None]
-                     * lam[:s1, None, :]) @ proj[:s1]
-        out[above] = 0.0
-        if np.iscomplexobj(out):
-            np.maximum(imag[:s1], np.max(np.abs(out.imag), axis=(1, 2)),
-                       out=imag[:s1])
-            np.maximum(real[:s1], np.max(np.abs(out.real), axis=(1, 2)),
-                       out=real[:s1])
-            out = out.real
-        panels.append(out.reshape(s1, s1 - s0, d, d).transpose(
-            1, 2, 0, 3).reshape((s1 - s0) * d, s1 * d))
-    use_eig &= imag < 1e-9 * real
-    for j in np.flatnonzero(~use_eig):
-        from scipy.linalg import expm
-        column = np.stack([expm(-dt * a_stack[j]) for dt in tau[j:] - tau[j]])
-        for (s0, s1), panel in zip(_panel_bounds(n), panels):
-            if s1 > j:
-                lo = max(s0, j)
-                _blocks(panel, d)[lo - s0:, j] = column[lo - j:s1 - j]
-    for (s0, s1), panel in zip(_panel_bounds(n), panels):
-        _blocks(panel, d)[np.arange(s1 - s0), np.arange(s0, s1)] = np.eye(d)
-    return panels
-
-
-def _scaled_kernel(a_stack: np.ndarray, semigroups: list[np.ndarray],
-                   h: float) -> list[np.ndarray]:
-    """Row panels of ``-h K`` with K[i, j] = (A_j - A_i) S[i, j].
-
-    ``A_j - A_i`` stays the left factor: it vanishes exactly on the block
-    diagonal and for a constant family, so K is exactly zero there.  Each
-    panel of ``-h K`` is filled from the panel of S with the same rows, so
-    the coefficient differences take one panel-sized temporary; the scale
-    ``-h`` is applied in place.
-    """
-    d = a_stack.shape[1]
-    panels = []
-    for sem in semigroups:
-        rows, cols = sem.shape
-        s0, s1 = (cols - rows) // d, cols // d
-        kern = np.empty_like(sem)
-        np.matmul(a_stack[None, :s1] - a_stack[s0:s1, None], _blocks(sem, d),
-                  out=_blocks(kern, d))
-        kern *= -h
-        panels.append(kern)
-    return panels
+        step = _one_step_exponentials(a_stack, h)
+        powers = np.empty((n, _PANEL_NODES, d, d))
+        powers[:, 0] = np.eye(d)
+        for k in range(1, _PANEL_NODES):
+            powers[:, k] = powers[:, k - 1] @ step
+        carry = np.empty_like(step)
+        for s0, s1 in _panel_bounds(n):
+            rows = s1 - s0
+            sem = np.empty((rows * d, s1 * d))
+            np.matmul(powers[:s0, :rows].reshape(s0, rows * d, d), carry[:s0],
+                      out=sem[:, :s0 * d].reshape(rows * d, s0, d)
+                      .transpose(1, 0, 2))
+            blocks = _blocks(sem, d)
+            lag = np.subtract.outer(np.arange(rows), np.arange(rows))
+            blocks[:, s0:] = powers[np.arange(s0, s1), np.maximum(lag, 0)]
+            blocks[:, s0:][lag < 0] = 0.0
+            carry[:s1] = step[:s1] @ blocks[-1]
+            kern = np.empty_like(sem)
+            np.matmul(a_stack[None, :s1] - a_stack[s0:s1, None], blocks,
+                      out=_blocks(kern, d))
+            kern *= -h
+            semigroups.append(sem)
+            lower.append(kern)
+    _require_finite_panels("the frozen semigroup table", semigroups, grid, d)
+    _require_finite_panels("the kernel", lower, grid, d)
+    return a_stack, semigroups, lower
 
 
 def _log_norm_bound(a_stack: np.ndarray, grid: TimeGrid) -> float:
@@ -460,9 +400,7 @@ class KernelTable:
         return self.solve(first, transpose)
 
 
-def build_kernel(family: OperatorFamily,
-                 grid: TimeGrid,
-                 _frozen: tuple | None = None) -> KernelTable:
+def build_kernel(family: OperatorFamily, grid: TimeGrid) -> KernelTable:
     """Assemble the Volterra kernel on the grid; the table solves for R.
 
     Raises :class:`DomainError` for a spectral family, fewer than three
@@ -471,14 +409,7 @@ def build_kernel(family: OperatorFamily,
     """
     if family.kind != "dense_matrix":
         raise DomainError("kernel construction applies to the dense backend")
-    if grid.n_nodes < 3:
-        raise DomainError("kernel construction needs at least three nodes")
-    a_stack, semigroups = (_frozen_tables(family, grid)
-                           if _frozen is None else _frozen)
-    with np.errstate(all="ignore"):
-        lower = _scaled_kernel(a_stack, semigroups, grid.h)
-    _require_finite_panels("the kernel", lower, grid, family.dim)
-    return KernelTable(grid, lower)
+    return KernelTable(grid, _dense_tables(family, grid)[2])
 
 
 def kernel_residual(table: KernelTable, rhs: np.ndarray) -> float:
@@ -534,6 +465,11 @@ class SpectralPropagatorTable:
     norm_bound: float = field(init=False)
 
     def __post_init__(self):
+        n, m = self.grid.n_nodes, self.family.n_modes
+        # the (n_nodes, modes) scale factors and final row it keeps, and the
+        # exponents and their suffix minima its build holds
+        require_memory(32 * n * m,
+                       f"a spectral table of {n} nodes and {m} modes")
         with np.errstate(all="ignore"):
             p = np.array([self.family.potential(t)
                           for t in self.grid.t_nodes], dtype=float)
@@ -779,10 +715,9 @@ def build_propagator(family: OperatorFamily,
     if family.kind == "spectral_heat":
         return SpectralPropagatorTable(grid, family)
 
-    frozen = _frozen_tables(family, grid)
-    ktab = build_kernel(family, grid, _frozen=frozen)
-    a_stack, semigroups = frozen
-    return DensePropagatorTable(grid, family, semigroups, ktab,
+    a_stack, semigroups, lower = _dense_tables(family, grid)
+    return DensePropagatorTable(grid, family, semigroups,
+                                KernelTable(grid, lower),
                                 _log_norm_bound(a_stack, grid))
 
 

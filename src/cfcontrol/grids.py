@@ -9,13 +9,66 @@ second order.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["FractionalOrder", "TimeGrid", "GridFunction"]
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
+__all__ = ["FractionalOrder", "TimeGrid", "GridFunction", "require_memory"]
+
+_CGROUP_MEMORY_FILES = ("/sys/fs/cgroup/memory.max",
+                        "/sys/fs/cgroup/memory/memory.limit_in_bytes")
+
+
+def _memory_limits() -> list[tuple[int, str]]:
+    """The memory limits this process can read, as ``(bytes, label)``.
+
+    Physical memory, the soft address-space limit (``RLIMIT_AS``) and the
+    cgroup limit (v2 ``memory.max``, v1 ``memory.limit_in_bytes``), each
+    read only; an unlimited, ``max`` or absent value is left out.
+    """
+    limits = []
+    try:
+        limits.append((os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"),
+                       "of physical memory"))
+    except (AttributeError, ValueError, OSError):
+        pass
+    if resource is not None:
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if soft != resource.RLIM_INFINITY:
+            limits.append((soft, "address-space limit (RLIMIT_AS)"))
+    for path in _CGROUP_MEMORY_FILES:
+        try:
+            with open(path, encoding="ascii") as fh:
+                limits.append((int(fh.read()), "cgroup memory limit"))
+        except (OSError, ValueError):  # absent, or "max"
+            pass
+    return limits
+
+
+def require_memory(need: int, what: str) -> None:
+    """Refuse ``what``, which needs ``need`` bytes, above the memory limit.
+
+    The limit is the smallest of :func:`_memory_limits`; the caller counts
+    ``need`` from its sizes before it allocates anything, so an oversized
+    grid, table or sample exits ``DOMAIN`` instead of failing in numpy.
+    """
+    limits = _memory_limits()
+    if not limits:
+        return
+    have, label = min(limits, key=lambda limit: limit[0])
+    if need > have:
+        from decimal import Decimal  # need may lie past the float range
+        raise DomainError(
+            f"{what} needs about {Decimal(need) / 10**9:.3g} GB, more than "
+            f"the {have / 1e9:.3g} GB {label}")
 
 
 @dataclass(frozen=True)
@@ -76,6 +129,8 @@ class TimeGrid:
             raise DomainError("t_end must exceed t_start")
         if self.n_nodes < 2:
             raise DomainError("need at least two grid nodes")
+        # the tau and t nodes
+        require_memory(16 * self.n_nodes, f"a grid of {self.n_nodes} nodes")
         tau0 = float(self.order.to_tau(self.t_start))
         tauf = float(self.order.to_tau(self.t_end))
         self.tau_nodes = np.linspace(tau0, tauf, self.n_nodes)

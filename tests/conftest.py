@@ -51,7 +51,7 @@ def frozen_semigroup(family, s, dt_tau):
     ``dt_tau`` is elapsed transformed time and must be nonnegative.  A
     dense family takes scipy's scaling-and-squaring exponential, a spectral
     one per-mode scalar exponentials; it shares no code with the package's
-    eigenprojector tables.  ``regularized_residuals`` builds on it.
+    semigroup tables.  ``regularized_residuals`` builds on it.
     """
     if dt_tau < 0.0:
         raise DomainError(f"elapsed tau must be >= 0, got {dt_tau}")
@@ -229,7 +229,7 @@ def limit_sources(monkeypatch, tmp_path, cgroup_v2=None, cgroup_v1=None,
     A cgroup value of None leaves its file absent; ``soft_as`` None reads
     as unlimited.
     """
-    from cfcontrol import evolution
+    from cfcontrol import grids
     root = tmp_path / "limits"
     root.mkdir(exist_ok=True)
     files = []
@@ -239,12 +239,12 @@ def limit_sources(monkeypatch, tmp_path, cgroup_v2=None, cgroup_v1=None,
         if text is not None:
             path.write_text(text + "\n")
         files.append(str(path))
-    monkeypatch.setattr(evolution, "_CGROUP_MEMORY_FILES", tuple(files))
-    unlimited = evolution.resource.RLIM_INFINITY
+    monkeypatch.setattr(grids, "_CGROUP_MEMORY_FILES", tuple(files))
+    unlimited = grids.resource.RLIM_INFINITY
     soft = unlimited if soft_as is None else soft_as
-    monkeypatch.setattr(evolution.resource, "getrlimit",
+    monkeypatch.setattr(grids.resource, "getrlimit",
                         lambda which: (soft, unlimited))
-    return evolution
+    return grids
 
 
 @pytest.fixture

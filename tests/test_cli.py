@@ -362,6 +362,41 @@ def test_dense_table_over_cgroup_limit_is_one_domain_error(tmp_path, capsys,
     assert err[0].endswith("more than the 0.004 GB cgroup memory limit")
 
 
+DENSE = {"backend": "dense_matrix", "dense_family": "coupled_3x3 0.5",
+         "x0": "ones 1.0"}
+
+
+@pytest.mark.parametrize("pipeline, overrides", [
+    ("evolve", {"n_nodes": str(10**30)}),
+    ("evolve", {"n_nodes": str(10**30), **DENSE}),
+    ("evolve", {"n_modes": str(10**30)}),
+    ("verify", {"trials": str(10**30)}),
+], ids=["n_nodes", "n_nodes_dense", "n_modes", "trials"])
+def test_oversized_config_value_is_one_domain_error(tmp_path, capsys,
+                                                    pipeline, overrides):
+    # the grid, the spectral table and the verify sample each check their
+    # footprint before they allocate, where numpy used to raise ValueError
+    cfg = write_cfg(tmp_path, **overrides)
+    rc = main([pipeline, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR DOMAIN: ")
+    assert "GB, more than the " in err[0]
+
+
+def test_verify_sample_over_cgroup_limit_is_one_domain_error(tmp_path, capsys,
+                                                             monkeypatch):
+    # z and two (trials, 4) products: 19.2 MB against a 4 MB cgroup limit
+    limit_sources(monkeypatch, tmp_path, cgroup_v2="4000000")
+    cfg = write_cfg(tmp_path, trials="200000")
+    rc = main(["verify", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["ERROR DOMAIN: a sample of 200000 trials in dimension 4 "
+                   "needs about 0.0192 GB, more than the 0.004 GB cgroup "
+                   "memory limit"]
+
+
 # the CLI commands of the README, and the over-gained demo, which exits 5
 SHIPPED_RUNS = {
     "control": (["control", "--config", str(DEMO)], 0),

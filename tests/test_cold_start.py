@@ -24,12 +24,27 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-def scipy_loaded_by(runs):
-    """The scipy modules a fresh interpreter holds after the CLI runs."""
+# builds the dense table of a Jordan-block family, which has no eigenbasis,
+# then prints the scipy modules loaded
+JORDAN_PROBE = """
+import json, sys
+import numpy as np
+from cfcontrol import (DenseMatrixFamily, FractionalOrder, TimeGrid,
+                       build_propagator)
+fam = DenseMatrixFamily(
+    lambda t: np.array([[1.0, 1.0 + 0.2 * np.sin(t)], [0.0, 1.0]]), 2)
+build_propagator(fam, TimeGrid.from_tau_horizon(FractionalOrder(0.75), 0.4,
+                                                1.4, 201))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def scipy_loaded_by(runs, probe=PROBE):
+    """The scipy modules a fresh interpreter holds after the probe runs."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(runs)],
+    proc = subprocess.run([sys.executable, "-c", probe, json.dumps(runs)],
                           env=env, cwd=ROOT, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -49,8 +64,7 @@ def test_spectral_runs_import_no_scipy(tmp_path):
 
 
 def test_dense_runs_import_no_scipy(tmp_path):
-    # the dense solves are numpy block substitutions; scipy.linalg would
-    # load only for a family node without a usable eigenbasis
+    # the frozen exponentials and the dense solves are numpy
     dense_control = tmp_path / "dense_control.cfg"
     dense_control.write_text(
         "schema_version = 1\nalpha = 0.8\ntau_start = 0\ntau_end = 1\n"
@@ -62,6 +76,13 @@ def test_dense_runs_import_no_scipy(tmp_path):
          "--dump-pair", "100", "0", "--out", str(tmp_path / "evolve")],
         ["control", "--config", str(dense_control),
          "--out", str(tmp_path / "control")]])
+    assert loaded == set()
+
+
+def test_defective_dense_table_imports_no_scipy():
+    # every family takes the one scaling-and-squaring route, so a family
+    # without an eigenbasis loads no exponential from scipy.linalg
+    _, loaded = scipy_loaded_by([], probe=JORDAN_PROBE)
     assert loaded == set()
 
 

@@ -13,10 +13,10 @@ from cfcontrol import (DenseMatrixFamily, DomainError,
                        conformable_residual, kernel_residual, parse_config,
                        propagate_oracle)
 
-from conftest import (assemble, final_gram_reference, frozen_semigroup,
-                      kernel_equation_residual, kernel_series,
-                      limit_sources, make_dense_family, materialise,
-                      materialise_resolvent, materialise_series,
+from conftest import (assemble, block_view, final_gram_reference,
+                      frozen_semigroup, kernel_equation_residual,
+                      kernel_series, limit_sources, make_dense_family,
+                      materialise, materialise_resolvent, materialise_series,
                       regularized_residuals, spectral_march)
 
 ORDER = FractionalOrder(0.75)
@@ -131,10 +131,10 @@ def test_column_restriction_matches_full_table(rng, oracle):
 
 
 def panel_node_counts():
-    """Three nodes, fewer than one panel, and a partial last panel."""
+    """Three nodes, fewer than one panel, a partial last panel, whole ones."""
     from cfcontrol import evolution
     height = evolution._PANEL_NODES
-    return [3, height - 5, 2 * height + 5]
+    return [3, height - 5, 2 * height + 5, 2 * height]
 
 
 @pytest.mark.parametrize("n", panel_node_counts())
@@ -439,11 +439,15 @@ def test_spectral_scan_chunks():
     assert any(st.min() < 0.0 < st.max() for st in chunk_steps)
 
 
-def test_defective_family_uses_exponential_fallback():
-    # a Jordan-block family defeats the eigendecomposition fast path; the
-    # scaling-and-squaring fallback must keep the table accurate
-    fam = DenseMatrixFamily(
+def jordan_family():
+    return DenseMatrixFamily(
         lambda t: np.array([[1.0, 1.0 + 0.2 * np.sin(t)], [0.0, 1.0]]), 2)
+
+
+def test_defective_family_matches_oracle():
+    # a Jordan-block family has no eigenbasis; its frozen exponentials take
+    # the same scaling-and-squaring route as every other family
+    fam = jordan_family()
     grid = window(201)
     table = build_propagator(fam, grid)
     x = np.array([0.7, -0.4])
@@ -451,6 +455,50 @@ def test_defective_family_uses_exponential_fallback():
                            steps=2000)
     assert np.linalg.norm(table.matrix(200, 0) @ x - ref) \
         / np.linalg.norm(ref) < 1e-5
+
+
+def reference_family(name, tmp_path):
+    if name == "coupled_3x3":
+        path = tmp_path / "coupled.cfg"
+        path.write_text("schema_version = 1\nalpha = 0.75\ntau_start = 0\n"
+                        "tau_end = 1\nn_nodes = 41\nbackend = dense_matrix\n"
+                        "dense_family = coupled_3x3 0.5\nx0 = ones 1.0\n")
+        return parse_config(path).family()
+    if name == "rotation":
+        # eigenvalues 0.65 +- 3.2i to 0.65 +- 3.9i
+        return DenseMatrixFamily(
+            lambda t: np.array([[0.5, 3.0 + np.sin(t)], [-3.0, 0.8]]), 2)
+    if name == "jordan":
+        return jordan_family()
+    if name == "random":
+        return make_dense_family(np.random.default_rng(20240903), 4)
+    # h * 500 is about 8, so each one-step exponential is squared 4 times;
+    # h * 1e6 is about 1.7e4, 15 times, which would cost the slow mode about
+    # 2**15 ulps if the squarings rounded I + F
+    return DenseMatrixFamily(
+        lambda t: np.diag([1.0, (500.0 if name == "stiff" else 1e6) + t]), 2)
+
+
+@pytest.mark.parametrize("name", ["coupled_3x3", "rotation", "jordan",
+                                  "random", "stiff", "very_stiff"])
+def test_semigroup_blocks_match_reference_exponential(tmp_path, name):
+    # every block S[i, j] = E_j**(i - j) of the table against scipy's expm
+    # of -(tau_i - tau_j) A(t_j); 61 nodes cross three panel boundaries, so
+    # the carries are checked too.  The worst case measured is 9.1e-15
+    # relative to max(1, |block|), on the random family; the bound leaves
+    # about 5x
+    fam = reference_family(name, tmp_path)
+    grid = window(61)
+    tau, t = grid.tau_nodes, grid.t_nodes
+    blocks = block_view(assemble(build_propagator(fam, grid).semigroups),
+                        fam.dim)
+    worst = 0.0
+    for j in range(61):
+        for i in range(j, 61):
+            ref = frozen_semigroup(fam, t[j], tau[i] - tau[j])
+            worst = max(worst, np.max(np.abs(blocks[i, j] - ref))
+                        / max(1.0, np.max(np.abs(ref))))
+    assert worst < 5e-14
 
 
 def test_grid_function_helpers():
@@ -674,15 +722,16 @@ def test_log_norm_bound_is_one_for_shipped_families(tmp_path):
 ], ids=["physical_only", "v2_max", "v1_unlimited", "v2", "v1", "rlimit_as"])
 def test_memory_guard_takes_smallest_readable_limit(monkeypatch, tmp_path,
                                                     v2, v1, soft_as, expect):
-    evolution = limit_sources(monkeypatch, tmp_path, v2, v1, soft_as)
+    from cfcontrol.evolution import _table_bytes
+    grids = limit_sources(monkeypatch, tmp_path, v2, v1, soft_as)
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    have, label = min(evolution._memory_limits(), key=lambda lim: lim[0])
+    have, label = min(grids._memory_limits(), key=lambda lim: lim[0])
     assert (have, label) == (expect or (physical, "of physical memory"))
     # the row panels of S and -hK with their diagonal-block inverses, in
     # dimension 1: 0.11 MB at n = 100, 1.38 MB at 400
-    evolution._check_memory(100, 1)
+    grids.require_memory(_table_bytes(100, 1), "a table")
     if expect is None:
-        evolution._check_memory(400, 1)
+        grids.require_memory(_table_bytes(400, 1), "a table")
         return
     with pytest.raises(DomainError, match=re.escape(label)):
-        evolution._check_memory(400, 1)
+        grids.require_memory(_table_bytes(400, 1), "a table")
