@@ -319,8 +319,8 @@ def _log_norm_bound(a_stack: np.ndarray, grid: TimeGrid) -> float:
     operator between two times of the window (Soderlind, BIT 46, 2006).
     A bound that overflows raises :class:`NumericError`.
     """
-    sym = -0.5 * (a_stack + a_stack.transpose(0, 2, 1))
     with np.errstate(all="ignore"):
+        sym = -0.5 * (a_stack + a_stack.transpose(0, 2, 1))
         mu = np.linalg.eigvalsh(sym)[:, -1]
         bound = float(np.exp(grid.weights() @ np.maximum(mu, 0.0)))
     if not np.isfinite(bound):
@@ -683,15 +683,17 @@ class DensePropagatorTable:
         transpose of the cached ``Psi[n-1, :]^T`` has row c of each
         ``Psi[n-1, r]`` in its rows ``(c, r)``, so one product with M gives
         every ``Psi[n-1, r] M``; weighted and read back as a ``(d, n*d)``
-        row, one product with ``Psi[n-1, :]^T`` sums them.
+        row, one product with ``Psi[n-1, :]^T`` sums them.  An overflow
+        gives a non-finite Gramian, which its caller reports.
         """
         n, d = self.grid.n_nodes, self.dim
         final_t = self._final_t
-        left = np.ascontiguousarray(final_t.T).reshape(d * n, d) \
-            @ np.asarray(m, dtype=float)
-        left = left.reshape(d, n * d)
-        left *= np.repeat(self.grid.weights(), d)
-        return left @ final_t
+        with np.errstate(all="ignore"):
+            left = np.ascontiguousarray(final_t.T).reshape(d * n, d) \
+                @ np.asarray(m, dtype=float)
+            left = left.reshape(d, n * d)
+            left *= np.repeat(self.grid.weights(), d)
+            return left @ final_t
 
 
 PropagatorTable = Union[SpectralPropagatorTable, DensePropagatorTable]

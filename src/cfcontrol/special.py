@@ -17,7 +17,8 @@ The matching beta is
 The reduction forms are the production path (the classical gamma is the
 precision anchor); the defining integrals are kept as quadrature
 cross-checks, evaluated after the flattening substitution tau = t**a / a
-with the upper limit truncated once the tail weight drops below 1e-14.
+with the upper limit truncated once the tail weight drops below 1e-14;
+a gamma tail still heavier at t = 1e4 is a :class:`DomainError`.
 The ``quadrature`` route imports ``scipy.integrate`` on first use; the
 reduction route needs only the standard library and numpy.
 """
@@ -85,15 +86,24 @@ def _classical_beta(a: float, b: float) -> float:
 
 
 def _gamma_truncation(p: float, params: SpecfunParams) -> float:
-    """Upper limit T with t**(p-1) * exp(-T**(ak)/(ak)) below the tail tolerance."""
+    """Upper limit T with t**(p-1) * exp(-T**(ak)/(ak)) below the tail tolerance.
+
+    T is searched up to a cap of 1e4; a tail still heavier there (small
+    alpha*k) raises :class:`DomainError`, since the integral cut at the
+    cap would miss that tail.
+    """
     s = params.scale
     T = 2.0
-    while T < 1e4:
+    while True:
         weight = math.exp(-(T**s) / s) * T ** max(p - 1.0, 0.0)
         if weight < _TAIL_TOL:
             return T
+        if T >= 1e4:
+            raise DomainError(
+                f"the gamma quadrature's tail weight is {weight:.3g} at its "
+                f"cap t = {T:.4g}, above {_TAIL_TOL:g}; use --method "
+                "reduction")
         T *= 1.5
-    return T
 
 
 def conformable_gamma(p: float, params: SpecfunParams,
@@ -102,7 +112,9 @@ def conformable_gamma(p: float, params: SpecfunParams,
 
     ``reduction`` goes through the classical gamma; ``quadrature``
     integrates the definition in tau coordinates on a truncated range.
-    Both agree to better than 1e-8 relative on the valid domain.
+    Where that range reaches its tail tolerance, as on the tested grid
+    with alpha*k >= 0.5, both agree to better than 1e-8 relative; where
+    it does not, ``quadrature`` raises :class:`DomainError`.
     """
     X = _gamma_arg(p, params)
     if X <= 0.0:

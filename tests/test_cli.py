@@ -240,19 +240,26 @@ def run_fresh(argv):
 
 
 def overflowing_configs(tmp_path):
-    """A dense family whose semigroups overflow, and the demo with an
-    affine potential that overflows at late nodes."""
-    dense = write_cfg(tmp_path, name="dense.cfg", backend="dense_matrix",
-                      n_nodes="41", n_modes=None, potential=None,
-                      dense_family="coupled_3x3 1e200",
-                      nonlinearity="linear 0.05", x0="ones 1.0")
+    """A dense family whose semigroups overflow, a diagonal one whose
+    Gramian overflows, and the demo with an affine potential that
+    overflows at late nodes."""
+    dense = {}
+    for name, family in (("dense_family_1e200", "coupled_3x3 1e200"),
+                         ("diagonal_gramian_1.7e308",
+                          "commuting_diagonal 1.7e308")):
+        dense[name] = write_cfg(tmp_path, name=f"{name}.cfg",
+                                backend="dense_matrix", n_nodes="41",
+                                n_modes=None, potential=None,
+                                dense_family=family,
+                                nonlinearity="linear 0.05", x0="ones 1.0")
     demo = tmp_path / "demo.cfg"
     demo.write_text(DEMO.read_text().replace(
         "potential = constant 1.0", "potential = affine 1e308 1e308"))
-    return {"dense_family_1e200": dense, "affine_potential_1e308": str(demo)}
+    return {**dense, "affine_potential_1e308": str(demo)}
 
 
 @pytest.mark.parametrize("name", ["dense_family_1e200",
+                                  "diagonal_gramian_1.7e308",
                                   "affine_potential_1e308"])
 def test_overflow_in_a_table_build_is_one_numeric_line(tmp_path, name):
     cfg = overflowing_configs(tmp_path)[name]
@@ -480,6 +487,20 @@ def test_specfun_domain_error_names_precondition(capsys):
     err = capsys.readouterr().err
     assert "ERROR DOMAIN" in err
     assert "positive" in err
+
+
+def test_specfun_gamma_quadrature_with_a_heavy_tail_is_one_domain_line(
+        capsys):
+    # at alpha*k = 0.15 the tail weight is still about 2 at the cap
+    # t = 1e4, so the cut integral would read 229.43 for 254.84
+    rc = main(["specfun", "gamma", "--alpha", "0.3", "--k", "0.5",
+               "--p", "4", "--method", "quadrature"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR DOMAIN: ")
+    assert "tail weight" in err[0] and "--method reduction" in err[0]
 
 
 def test_verify_failure_exits_with_verify_code(tmp_path, capsys):

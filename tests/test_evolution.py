@@ -546,9 +546,13 @@ NON_FINITE_DENSE = {
     # about 1000, so exp(int mu_2 dtau) overflows
     "norm_bound": (lambda t: np.array([[1.0, 2000.0], [0.0, 2.0]]),
                    "logarithmic-norm bound"),
+    # finite entries whose symmetric part A + A^T overflows
+    "symmetric_part": (lambda t: np.full((2, 2), 1.7e308),
+                       "logarithmic-norm bound"),
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", list(NON_FINITE_DENSE))
 def test_non_finite_dense_table_is_numeric_error(name):
     # raised while the table is built, before any solve, and without a
