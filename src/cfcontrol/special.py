@@ -1,37 +1,39 @@
 """Two-parameter deformations of the gamma and beta functions.
 
-For order alpha in (0, 1] and scale k > 0 the deformed gamma is
+For order alpha in (0, 1] and scale k > 0 the deformed gamma and beta are
 
     gamma_ak(p) = int_0^inf t**(p-1) * exp(-t**(a*k)/(a*k)) * t**(a-1) dt
-
-which reduces by substitution to the classical gamma:
-
-    gamma_ak(p) = (a*k)**(X - 1) * Gamma(X),     X = (p + a - 1) / (a*k).
-
-The matching beta is
+                = (a*k)**(X - 1) * Gamma(X),      X = (p + a - 1) / (a*k),
 
     beta_ak(x, y) = 1/(a*k) * int_0^1 t**(x/(a*k)-1) (1-t)**(y/(a*k)-1)
                     * t**(a-1) dt
                   = 1/(a*k) * B(x/(a*k) + a - 1, y/(a*k)).
 
-The reduction forms are the production path (the classical gamma is the
-precision anchor); the defining integrals are kept as quadrature
-cross-checks, evaluated after the flattening substitution tau = t**a / a
-with the upper limit truncated once the tail weight drops below 1e-14;
-a gamma tail still heavier at t = 1e4 is a :class:`DomainError`.
-The ``quadrature`` route imports ``scipy.integrate`` on first use; the
-reduction route needs only the standard library and numpy.
+The reductions are the production path.  The ``quadrature`` route sums
+the defining integrands literally, in log space and never through X, by
+one double-exponential rule (Takahasi & Mori, Publ. RIMS 9, 1974; Mori &
+Sugihara, J. Comput. Appl. Math. 127, 2001): the trapezoid rule with step
+1/64 on the 897 nodes |v| <= 7.  Gamma is exp-sinh in u = t**(a*k)/(a*k)
+= c exp(pi/2 sinh v), whose tail is exp(-u) for every alpha and k; a
+first pass at c = 1 sets c to the u of its largest term (the peak).
+Beta is tanh-sinh in t = (1 + tanh w)/2, w = pi/2 sinh v, with log t and
+log(1 - t) from ``logaddexp``: neither 1 - t nor cosh(w)**2 underflows.
+The routes agree to 1e-12 relative for 0.05 <= X <= 1000 and for beta
+arguments x/(a*k) + a - 1 and y/(a*k) in [0.05, 600]; below 0.05 the
+rule's cut ends cost digits (3e-5 at X = 0.01).  The module needs numpy
+only.  A non-finite argument is a DomainError, a value outside the
+double range a NumericError.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 
 __all__ = [
     "SpecfunParams",
@@ -42,7 +44,17 @@ __all__ = [
     "gamma_limit_estimate",
 ]
 
-_TAIL_TOL = 1e-14
+_STEP = 1.0 / 64.0     # the rule's step; its nodes are v = j/64, |j| <= 448
+
+
+@functools.cache
+def _rule():
+    """w, log dw/dv, log t, log(1 - t) and log dt/dv, built on first use."""
+    v = _STEP * np.arange(-448, 449)
+    w = 0.5 * np.pi * np.sinh(v)
+    log_dw = np.log(0.5 * np.pi * np.cosh(v))
+    log_t, log_1mt = -np.logaddexp(0.0, -2.0 * w), -np.logaddexp(0.0, 2.0 * w)
+    return w, log_dw, log_t, log_1mt, math.log(2.0) + log_t + log_1mt + log_dw
 
 
 @dataclass(frozen=True)
@@ -55,8 +67,9 @@ class SpecfunParams:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise DomainError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.k <= 0.0:
-            raise DomainError(f"k must be positive, got {self.k}")
+        if not 0.0 < self.k < math.inf or self.scale == 0.0:
+            raise DomainError(f"k must be positive and finite, with alpha*k "
+                              f"> 0, got k = {self.k}")
 
     @property
     def scale(self) -> float:
@@ -81,66 +94,62 @@ def _gamma_arg(p: float, params: SpecfunParams) -> float:
     return (p + params.alpha - 1.0) / params.scale
 
 
+def _finite(value: float, what: str, error=NumericError) -> float:
+    if not math.isfinite(value):
+        raise error(f"{what} is {value}, not a finite double")
+    return value
+
+
 def _classical_beta(a: float, b: float) -> float:
-    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    try:
+        return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    except OverflowError:
+        return math.inf
 
 
-def _gamma_truncation(p: float, params: SpecfunParams) -> float:
-    """Upper limit T with t**(p-1) * exp(-T**(ak)/(ak)) below the tail tolerance.
-
-    T is searched up to a cap of 1e4; a tail still heavier there (small
-    alpha*k) raises :class:`DomainError`, since the integral cut at the
-    cap would miss that tail.
-    """
-    s = params.scale
-    T = 2.0
-    while True:
-        weight = math.exp(-(T**s) / s) * T ** max(p - 1.0, 0.0)
-        if weight < _TAIL_TOL:
-            return T
-        if T >= 1e4:
-            raise DomainError(
-                f"the gamma quadrature's tail weight is {weight:.3g} at its "
-                f"cap t = {T:.4g}, above {_TAIL_TOL:g}; use --method "
-                "reduction")
-        T *= 1.5
+def _reduced_gamma(X: float, s: float) -> float:
+    """s**(X - 1) * Gamma(X); through lgamma where that leaves (0, inf)."""
+    try:
+        value = s ** (X - 1.0) * math.gamma(X)
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        try:
+            value = math.exp((X - 1.0) * math.log(s) + math.lgamma(X))
+        except OverflowError:
+            value = math.inf
+    return value
 
 
 def conformable_gamma(p: float, params: SpecfunParams,
                       method: str = "reduction") -> float:
     """Deformed gamma function of ``p``.
 
-    ``reduction`` goes through the classical gamma; ``quadrature``
-    integrates the definition in tau coordinates on a truncated range.
-    Where that range reaches its tail tolerance, as on the tested grid
-    with alpha*k >= 0.5, both agree to better than 1e-8 relative; where
-    it does not, ``quadrature`` raises :class:`DomainError`.
+    ``reduction`` is ``(a*k)**(X - 1) * Gamma(X)``, through ``lgamma`` where
+    that leaves (0, inf); ``quadrature`` is the module's exp-sinh rule.
     """
+    _finite(p, "p", DomainError)
     X = _gamma_arg(p, params)
     if X <= 0.0:
-        raise DomainError(
-            f"(p + alpha - 1)/(alpha*k) = {X} must be positive (gamma pole)"
-        )
+        raise DomainError(f"(p + alpha - 1)/(alpha*k) = {X} must be "
+                          "positive (gamma pole)")
     if method == "reduction":
-        return params.scale ** (X - 1.0) * math.gamma(X)
+        return _finite(_reduced_gamma(X, params.scale), f"gamma_ak({p})")
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
-
-    from scipy.integrate import IntegrationWarning, quad
-
     alpha, s = params.alpha, params.scale
-    T = _gamma_truncation(p, params)
-    tau_top = T**alpha / alpha
+    w, log_dw = _rule()[:2]
 
-    def integrand(tau):
-        t = (alpha * tau) ** (1.0 / alpha)
-        return t ** (p - 1.0) * math.exp(-(t**s) / s)
+    def log_terms(log_u):  # the integrand times du/dv, with dt/du = t/(s u)
+        log_su = math.log(s) + log_u
+        log_t = log_su / s
+        return ((p - 1.0) * log_t - np.exp(log_u) + (alpha - 1.0) * log_t
+                + (log_t - log_su) + (log_u + log_dw))
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(integrand, 0.0, tau_top, epsabs=1e-14, epsrel=1e-12,
-                      limit=400)
-    return float(val)
+    with np.errstate(all="ignore"):
+        log_c = w[np.argmax(log_terms(w))]
+        total = np.exp(log_terms(log_c + w)).sum()
+    return _finite(_STEP * float(total), f"quadrature gamma_ak({p})")
 
 
 def conformable_beta(x: float, y: float, params: SpecfunParams,
@@ -149,36 +158,25 @@ def conformable_beta(x: float, y: float, params: SpecfunParams,
 
     Convergence needs ``x/(alpha*k) + alpha - 1 > 0`` and
     ``y/(alpha*k) > 0``; outside that region a :class:`DomainError` is
-    raised.  ``quadrature`` integrates the definition in tau coordinates.
+    raised.  ``quadrature`` is the module's tanh-sinh rule.
     """
+    _finite(x, "x", DomainError)
+    _finite(y, "y", DomainError)
     s = params.scale
     a1 = x / s + params.alpha - 1.0
     b1 = y / s
     if a1 <= 0.0 or b1 <= 0.0:
-        raise DomainError(
-            f"beta arguments outside the convergent region: "
-            f"x/(alpha*k)+alpha-1 = {a1}, y/(alpha*k) = {b1}"
-        )
+        raise DomainError(f"beta arguments outside the convergent region: "
+                          f"x/(alpha*k)+alpha-1 = {a1}, y/(alpha*k) = {b1}")
     if method == "reduction":
-        return _classical_beta(a1, b1) / s
+        return _finite(_classical_beta(a1, b1) / s, f"beta_ak({x}, {y})")
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
-
-    from scipy.integrate import IntegrationWarning, quad
-
-    alpha = params.alpha
-
-    def integrand(tau):
-        t = (alpha * tau) ** (1.0 / alpha)
-        return t ** (x / s - 1.0) * (1.0 - t) ** (y / s - 1.0)
-
-    with warnings.catch_warnings():
-        # endpoint singularities push the extrapolation to its roundoff
-        # floor, which is still orders beyond the documented tolerance
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(integrand, 0.0, 1.0 / alpha, epsabs=1e-13,
-                      epsrel=1e-12, limit=400)
-    return float(val) / s
+    log_t, log_1mt, log_dt = _rule()[2:]
+    with np.errstate(all="ignore"):
+        total = np.exp((x / s - 1.0) * log_t + (y / s - 1.0) * log_1mt
+                       + (params.alpha - 1.0) * log_t + log_dt).sum()
+    return _finite(_STEP * float(total) / s, f"quadrature beta_ak({x}, {y})")
 
 
 def beta_via_k_reduction(x: float, y: float, params: SpecfunParams) -> float:
@@ -196,7 +194,8 @@ def beta_via_k_reduction(x: float, y: float, params: SpecfunParams) -> float:
         raise DomainError(
             f"k-beta arguments must be positive, got ({u / k}, {v / k})"
         )
-    return _classical_beta(u / k, v / k) / (k * alpha)
+    return _finite(_classical_beta(u / k, v / k) / (k * alpha),
+                   f"beta_ak({x}, {y})")
 
 
 def gamma_limit_estimate(p: float, params: SpecfunParams,

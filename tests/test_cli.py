@@ -1,5 +1,7 @@
 """Scenario files, pipelines, output formats, and exit codes."""
 
+import contextlib
+import io
 import math
 import os
 import subprocess
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfcontrol import ConfigError, parse_config
 from cfcontrol.cli import main
@@ -489,18 +493,100 @@ def test_specfun_domain_error_names_precondition(capsys):
     assert "positive" in err
 
 
-def test_specfun_gamma_quadrature_with_a_heavy_tail_is_one_domain_line(
-        capsys):
-    # at alpha*k = 0.15 the tail weight is still about 2 at the cap
-    # t = 1e4, so the cut integral would read 229.43 for 254.84
-    rc = main(["specfun", "gamma", "--alpha", "0.3", "--k", "0.5",
-               "--p", "4", "--method", "quadrature"])
-    assert rc == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("ERROR DOMAIN: ")
-    assert "tail weight" in err[0] and "--method reduction" in err[0]
+def test_specfun_gamma_quadrature_with_a_heavy_tail(capsys):
+    # at alpha*k = 0.15 the integrand still weighs about 2 at t = 1e4; the
+    # exp-sinh rule needs no cut, so it prints the reduction's value to
+    # within its rounding (the 12th decimal is at 4e-15 relative here)
+    argv = ["specfun", "gamma", "--alpha", "0.3", "--k", "0.5", "--p", "4"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "254.835748953880\n"
+    assert main([*argv, "--method", "quadrature"]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(254.835748953880,
+                                                           rel=1e-12)
+
+
+def run_specfun(argv):
+    """Exit status, stdout and stderr lines of one ``specfun`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["specfun", *argv])
+    return rc, out.getvalue(), err.getvalue().splitlines()
+
+
+def test_specfun_gamma_past_the_gamma_overflow_prints_its_value():
+    # Gamma(200) overflows, (0.1)**199 * Gamma(200) = 3.94e173 does not
+    argv = ["gamma", "--alpha", "1", "--k", "0.1", "--p", "20"]
+    rc, out, err = run_specfun(argv)
+    assert (rc, err) == (0, [])
+    quad_rc, quad_out, _ = run_specfun([*argv, "--method", "quadrature"])
+    assert quad_rc == 0
+    assert float(out) == pytest.approx(float(quad_out), rel=1e-12)
+    assert float(out) == pytest.approx(3.94328933682416e173, rel=1e-14)
+
+
+def test_specfun_underflow_prints_zero():
+    # X = 3e300 and the value (1.5/e)**X underflows: s**(X-1) * Gamma(X)
+    # is 0 * inf, and the log form exp(-1.8e300) reads 0, as does the rule
+    argv = ["gamma", "--alpha", "0.5", "--k", "1e-300", "--p", "2"]
+    for method in ("reduction", "quadrature"):
+        rc, out, err = run_specfun([*argv, "--method", method])
+        assert (rc, out, err) == (0, "0.000000000000\n", [])
+
+
+@pytest.mark.parametrize("argv, status, word", [
+    (["gamma", "--alpha", "1", "--k", "1", "--p", "400"], 4, "gamma"),
+    (["gamma", "--alpha", "1", "--k", "1", "--p", "400",
+      "--method", "quadrature"], 4, "gamma"),
+    (["beta", "--alpha", "1", "--k", "1", "--x", "1e308", "--y", "1e308"], 4,
+     "beta"),
+    (["gamma", "--alpha", "0.5", "--k", "nan", "--p", "2"], 3, "k "),
+    (["gamma", "--alpha", "0.5", "--k", "1", "--p", "nan"], 3, "p "),
+    (["beta", "--alpha", "0.5", "--k", "1", "--x", "1", "--y", "inf",
+      "--method", "quadrature"], 3, "y "),
+    (["gamma", "--alpha", "0.5", "--k", "1", "--p", "1e308"], 4, "gamma"),
+    (["gamma", "--alpha", "0.5", "--k", "1", "--p", "1e308",
+      "--method", "quadrature"], 4, "gamma"),
+    (["beta", "--alpha", "0.5", "--k", "1", "--x", "1", "--y", "nan"], 3,
+     "y "),
+    (["beta", "--alpha", "0.5", "--k", "1", "--x", "inf", "--y", "1"], 3,
+     "x "),
+    (["gamma", "--alpha", "1e-200", "--k", "1e-200", "--p", "1"], 3,
+     "alpha*k"),
+])
+def test_specfun_non_finite_input_or_value_is_one_error_line(argv, status,
+                                                              word):
+    # an overflowing value is NUMERIC, a non-finite argument DOMAIN
+    rc, out, err = run_specfun(argv)
+    assert (rc, out) == (status, "")
+    code = {3: "DOMAIN", 4: "NUMERIC"}[status]
+    assert len(err) == 1 and err[0].startswith(f"ERROR {code}: ")
+    assert word in err[0]
+
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324,
+               -5e-324, 2.2250738585072014e-308, 1e-300, 0.0, -0.0, 0.05,
+               0.5, 1.0, 2.0, 20.0]
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(function=st.sampled_from(["gamma", "beta"]),
+       method=st.sampled_from(["reduction", "quadrature"]),
+       values=st.lists(st.one_of(st.sampled_from(EDGE_FLOATS),
+                                 st.floats(allow_subnormal=True),
+                                 st.floats(-5.0, 5.0)),
+                       min_size=5, max_size=5))
+def test_specfun_any_floats_give_a_value_or_one_error_line(function, method,
+                                                           values):
+    names = ("alpha", "k", "p", "x", "y")
+    argv = [function, "--method", method] + [
+        f"--{name}={value!r}" for name, value in zip(names, values)]
+    rc, out, err = run_specfun(argv)
+    assert rc in (0, 3, 4), (argv, rc, err)
+    if rc == 0:
+        assert err == [] and math.isfinite(float(out)), (argv, out, err)
+    else:
+        assert out == "" and len(err) == 1, (argv, out, err)
+        assert err[0].startswith("ERROR "), (argv, err)
 
 
 def test_verify_failure_exits_with_verify_code(tmp_path, capsys):

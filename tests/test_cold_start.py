@@ -86,10 +86,16 @@ def test_defective_dense_table_imports_no_scipy():
     assert loaded == set()
 
 
-def test_specfun_quadrature_imports_scipy_integrate():
-    printed, loaded = scipy_loaded_by([
-        ["specfun", "gamma", "--alpha", "0.5", "--k", "1", "--p", "2",
-         "--method", "quadrature"]])
-    # gamma_{1/2,1}(2) = (1/2)**2 * Gamma(3) = 0.5
-    assert printed == ["0.500000000000"]
-    assert "scipy.integrate" in loaded
+def test_specfun_imports_no_scipy():
+    # both functions by both methods: the quadrature is numpy's
+    runs = []
+    for method in ("reduction", "quadrature"):
+        runs += [["specfun", "gamma", "--alpha", "0.5", "--k", "1", "--p", "2",
+                  "--method", method],
+                 ["specfun", "beta", "--alpha", "0.5", "--k", "1",
+                  "--x", "0.5", "--y", "0.5", "--method", method]]
+    printed, loaded = scipy_loaded_by(runs)
+    # gamma_{1/2,1}(2) = (1/2)**2 * Gamma(3) = 0.5 and
+    # beta_{1/2,1}(1/2, 1/2) = 1 / (k alpha**2) = 4
+    assert printed == ["0.500000000000", "4.000000000000"] * 2
+    assert loaded == set()

@@ -64,7 +64,7 @@ def test_gamma_hand_value_cross_checked_by_quadrature():
     red = conformable_gamma(2.0, params, "reduction")
     qua = conformable_gamma(2.0, params, "quadrature")
     assert red == pytest.approx(0.5, rel=1e-14)
-    assert rel_err(red, qua) < 1e-8
+    assert rel_err(red, qua) < 1e-12
 
 
 def test_gamma_methods_agree_on_grid():
@@ -75,7 +75,7 @@ def test_gamma_methods_agree_on_grid():
                 continue
             red = conformable_gamma(p, params)
             qua = conformable_gamma(p, params, "quadrature")
-            assert rel_err(red, qua) < 1e-8
+            assert rel_err(red, qua) < 1e-12
 
 
 def test_gamma_pole_raises():
@@ -210,7 +210,46 @@ def test_beta_methods_agree_on_grid():
             for y in (0.6, 1.9):
                 red = conformable_beta(x, y, params)
                 qua = conformable_beta(x, y, params, "quadrature")
-                assert rel_err(red, qua) < 1e-8
+                assert rel_err(red, qua) < 1e-12
+
+
+# reduced arguments X (gamma) and x/(ak) + a - 1, y/(ak) (beta) that span
+# the double-exponential rule's stated accuracy domain
+WIDE_ALPHAS = [0.1, 0.3, 0.5, 0.8, 1.0]
+WIDE_KS = [0.25, 0.5, 1.0, 2.0, 4.0]
+WIDE_ARGS = [0.05, 0.3, 1.0, 3.0, 8.0, 20.0, 60.0]
+
+
+def test_quadrature_matches_reduction_on_wide_grids():
+    # 175 gamma and 1 225 beta cases; the gamma tails at small alpha*k are
+    # far past t = 1e4, so this also covers tails no cut range could hold
+    worst_gamma = worst_beta = 0.0
+    for alpha in WIDE_ALPHAS:
+        for k in WIDE_KS:
+            params = SpecfunParams(alpha, k)
+            s = params.scale
+            for a1 in WIDE_ARGS:
+                p = a1 * s + 1.0 - alpha
+                worst_gamma = max(worst_gamma, rel_err(
+                    conformable_gamma(p, params),
+                    conformable_gamma(p, params, "quadrature")))
+                x = (a1 + 1.0 - alpha) * s
+                for b1 in WIDE_ARGS:
+                    worst_beta = max(worst_beta, rel_err(
+                        conformable_beta(x, b1 * s, params),
+                        conformable_beta(x, b1 * s, params, "quadrature")))
+    assert worst_gamma < 1e-12
+    assert worst_beta < 1e-12
+
+
+def test_gamma_quadrature_holds_past_the_classical_gamma_overflow():
+    # X = 100 ... 1000 at alpha*k = 0.003: Gamma(X) overflows beyond 171,
+    # the deformed value stays finite and the rule stays centred on its peak
+    params = SpecfunParams(1.0, 0.003)
+    for X in (100.0, 300.0, 1000.0):
+        p = X * params.scale
+        assert rel_err(conformable_gamma(p, params),
+                       conformable_gamma(p, params, "quadrature")) < 1e-12
 
 
 def test_beta_reduction_routes_agree():
@@ -279,6 +318,9 @@ def test_params_validation():
         SpecfunParams(0.0, 1.0)
     with pytest.raises(DomainError):
         SpecfunParams(0.5, 0.0)
+    for k in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            SpecfunParams(0.5, k)
 
 
 def test_k_route_divergent_region_raises():
