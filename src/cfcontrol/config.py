@@ -4,7 +4,7 @@ A config file holds ``key = value`` lines, ``#`` comments, and blank
 lines.  Values for structured keys are space-separated words, e.g.
 ``potential = affine 1.0 0.5``.  The schema is versioned; parse errors
 carry the offending line number.  A key outside the list below, such as
-the removed ``kernel_tol`` or ``k``, is an error.
+the removed ``kernel_tol``, ``k``, ``seed`` or ``trials``, is an error.
 
 Recognized keys (see README for the full schema):
 
@@ -22,8 +22,6 @@ Recognized keys (see README for the full schema):
     x0               first_mode AMP | ones AMP | values V1 V2 ...
     picard_tol, null_tol    positive tolerances
     max_iter         iteration cap (>= 1)
-    seed             RNG seed for randomized checks
-    trials           sample count for the inequality check
     out_dir          default output directory (optional)
 """
 
@@ -44,8 +42,7 @@ __all__ = ["ScenarioConfig", "parse_config"]
 _KNOWN_KEYS = {
     "schema_version", "alpha", "tau_start", "tau_end", "n_nodes",
     "backend", "n_modes", "dense_family", "potential", "control",
-    "nonlinearity", "x0", "picard_tol", "null_tol", "max_iter", "seed",
-    "trials", "out_dir",
+    "nonlinearity", "x0", "picard_tol", "null_tol", "max_iter", "out_dir",
 }
 
 _DEFAULTS = {
@@ -58,8 +55,6 @@ _DEFAULTS = {
     "picard_tol": "1e-9",
     "null_tol": "1e-6",
     "max_iter": "50",
-    "seed": "0",
-    "trials": "500",
 }
 
 _REQUIRED = ("schema_version", "alpha", "tau_start", "tau_end",
@@ -84,8 +79,6 @@ class ScenarioConfig:
     picard_tol: float
     null_tol: float
     max_iter: int
-    seed: int
-    trials: int
     out_dir: Optional[str] = None
     lines: dict = field(default_factory=dict, repr=False)
 
@@ -265,8 +258,10 @@ def parse_config(path) -> ScenarioConfig:
     for key, default in _DEFAULTS.items():
         raw.setdefault(key, default)
 
-    version = _parse_scalar(raw["schema_version"], lines.get("schema_version"),
-                            "schema_version", int)
+    def scalar(key, conv, check=None, what=""):
+        return _parse_scalar(raw[key], lines.get(key), key, conv, check, what)
+
+    version = scalar("schema_version", int)
     if version != 1:
         raise ConfigError(f"unsupported schema_version {version}",
                           lines.get("schema_version"))
@@ -275,38 +270,24 @@ def parse_config(path) -> ScenarioConfig:
     if backend not in ("spectral_heat", "dense_matrix"):
         raise ConfigError(f"unknown backend {backend!r}", lines.get("backend"))
 
+    positive = (lambda v: v > 0.0, "must be positive")
     cfg = ScenarioConfig(
-        alpha=_parse_scalar(raw["alpha"], lines.get("alpha"), "alpha", float,
-                            lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
-        tau_start=_parse_scalar(raw["tau_start"], lines.get("tau_start"),
-                                "tau_start", float, lambda v: v >= 0.0,
-                                "must be >= 0"),
-        tau_end=_parse_scalar(raw["tau_end"], lines.get("tau_end"),
-                              "tau_end", float),
-        n_nodes=_parse_scalar(raw["n_nodes"], lines.get("n_nodes"),
-                              "n_nodes", int, lambda v: v >= 2,
-                              "must be >= 2"),
+        alpha=scalar("alpha", float, lambda v: 0.0 < v <= 1.0,
+                     "must lie in (0, 1]"),
+        tau_start=scalar("tau_start", float, lambda v: v >= 0.0,
+                         "must be >= 0"),
+        tau_end=scalar("tau_end", float),
+        n_nodes=scalar("n_nodes", int, lambda v: v >= 2, "must be >= 2"),
         backend=backend,
-        n_modes=_parse_scalar(raw["n_modes"], lines.get("n_modes"),
-                              "n_modes", int, lambda v: v >= 1,
-                              "must be >= 1"),
+        n_modes=scalar("n_modes", int, lambda v: v >= 1, "must be >= 1"),
         dense_family_spec=raw["dense_family"],
         potential_spec=raw["potential"],
         control_spec=raw["control"],
         nonlinearity_spec=raw["nonlinearity"],
         x0_spec=raw["x0"],
-        picard_tol=_parse_scalar(raw["picard_tol"], lines.get("picard_tol"),
-                                 "picard_tol", float, lambda v: v > 0.0,
-                                 "must be positive"),
-        null_tol=_parse_scalar(raw["null_tol"], lines.get("null_tol"),
-                               "null_tol", float, lambda v: v > 0.0,
-                               "must be positive"),
-        max_iter=_parse_scalar(raw["max_iter"], lines.get("max_iter"),
-                               "max_iter", int, lambda v: v >= 1,
-                               "must be >= 1"),
-        seed=_parse_scalar(raw["seed"], lines.get("seed"), "seed", int),
-        trials=_parse_scalar(raw["trials"], lines.get("trials"), "trials",
-                             int, lambda v: v >= 1, "must be >= 1"),
+        picard_tol=scalar("picard_tol", float, *positive),
+        null_tol=scalar("null_tol", float, *positive),
+        max_iter=scalar("max_iter", int, lambda v: v >= 1, "must be >= 1"),
         out_dir=raw.get("out_dir"),
         lines=lines,
     )

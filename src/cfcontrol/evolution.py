@@ -456,7 +456,7 @@ class SpectralPropagatorTable:
     holds exactly (the exponents telescope).  ``accumulate`` is a chunked
     scan over the nodes; the table keeps one ``(n_nodes, modes)`` array of
     its scale factors.  A potential that is not finite at some node, or
-    whose integral overflows, raises :class:`NumericError`.
+    whose integral or norm bound overflows, raises :class:`NumericError`.
     """
 
     grid: TimeGrid
@@ -487,10 +487,14 @@ class SpectralPropagatorTable:
         self._sq = np.arange(1, self.family.n_modes + 1, dtype=float) ** 2
         # per-mode exponent E_n(i) = n^2 tau_i + P_i; the largest factor over
         # pairs i >= j is exp(max_j (E_n(j) - min_{i>=j} E_n(i)))
-        exponents = self._sq[None, :] * self.grid.tau_nodes[:, None] \
-            + self.potential_cumint[:, None]
-        suffix_min = np.minimum.accumulate(exponents[::-1], axis=0)[::-1]
-        self.norm_bound = float(np.exp(np.max(exponents - suffix_min)))
+        with np.errstate(all="ignore"):
+            exponents = self._sq[None, :] * self.grid.tau_nodes[:, None] \
+                + self.potential_cumint[:, None]
+            suffix_min = np.minimum.accumulate(exponents[::-1], axis=0)[::-1]
+            self.norm_bound = float(np.exp(np.max(exponents - suffix_min)))
+        if not np.isfinite(self.norm_bound):
+            raise NumericError("the norm bound of the spectral propagator "
+                               "is not finite")
         # a step of E_n is affine in n^2, so the first and the last mode
         # carry the largest step of every node
         self._anchors = _scan_anchors(exponents[:, [0, -1]])
@@ -655,9 +659,9 @@ class DensePropagatorTable:
         d rows of the last panel.
         """
         d = self.dim
-        seed = self.semigroups[-1][-d:].T.copy()
-        seed[-d:] -= 0.5 * np.eye(d)
-        out = self.kernel_table.solve(seed, transpose=True)
+        rhs = self.semigroups[-1][-d:].T.copy()
+        rhs[-d:] -= 0.5 * np.eye(d)
+        out = self.kernel_table.solve(rhs, transpose=True)
         out[-d:] += 0.5 * np.eye(d)
         return out
 

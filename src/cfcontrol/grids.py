@@ -9,6 +9,7 @@ second order.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -21,7 +22,8 @@ try:
 except ImportError:  # not on every platform
     resource = None
 
-__all__ = ["FractionalOrder", "TimeGrid", "GridFunction", "require_memory"]
+__all__ = ["FractionalOrder", "TimeGrid", "GridFunction", "require_memory",
+           "safe_norm"]
 
 _CGROUP_MEMORY_FILES = ("/sys/fs/cgroup/memory.max",
                         "/sys/fs/cgroup/memory/memory.limit_in_bytes")
@@ -58,7 +60,7 @@ def require_memory(need: int, what: str) -> None:
 
     The limit is the smallest of :func:`_memory_limits`; the caller counts
     ``need`` from its sizes before it allocates anything, so an oversized
-    grid, table or sample exits ``DOMAIN`` instead of failing in numpy.
+    grid or table exits ``DOMAIN`` instead of failing in numpy.
     """
     limits = _memory_limits()
     if not limits:
@@ -69,6 +71,17 @@ def require_memory(need: int, what: str) -> None:
         raise DomainError(
             f"{what} needs about {Decimal(need) / 10**9:.3g} GB, more than "
             f"the {have / 1e9:.3g} GB {label}")
+
+
+def safe_norm(values: np.ndarray, norm=np.linalg.norm) -> float:
+    """``norm(values)``, taken over the largest magnitude and scaled back
+    where the squares of finite values may overflow or underflow."""
+    with np.errstate(over="ignore"):
+        value = float(norm(values))
+    if not 1e-150 < value < math.inf and np.isfinite(values).all():
+        scale = float(np.max(np.abs(values))) or 1.0
+        value = scale * float(norm(values / scale))
+    return value
 
 
 @dataclass(frozen=True)
@@ -146,8 +159,12 @@ class TimeGrid:
             raise DomainError("tau_start must be >= 0")
         if tau_end <= tau_start:
             raise DomainError("tau_end must exceed tau_start")
-        t0 = float(order.from_tau(tau_start))
-        tf = float(order.from_tau(tau_end))
+        with np.errstate(over="ignore"):
+            t0 = float(order.from_tau(tau_start))
+            tf = float(order.from_tau(tau_end))
+        if math.isinf(tf):
+            raise DomainError(f"t = (alpha*tau)**(1/alpha) overflows at tau = "
+                              f"{tau_end!r} and alpha = {order.alpha!r}")
         return cls(order, t0, tf, n_nodes)
 
     @property
@@ -189,4 +206,5 @@ class GridFunction:
     def weighted_l2(self):
         """L2 norm in the weighted measure, i.e. flat tau quadrature."""
         w = self.grid.weights()
-        return float(np.sqrt(np.sum(w * np.sum(self.values**2, axis=1))))
+        return safe_norm(self.values,
+                         lambda v: np.sqrt(np.sum(w * np.sum(v**2, axis=1))))

@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NumericError
-from .grids import GridFunction, TimeGrid
+from .grids import GridFunction, TimeGrid, safe_norm
 from .evolution import OperatorFamily, PropagatorTable
 
 __all__ = [
@@ -148,12 +148,14 @@ def iterate_fixed_point(sweep: Callable[[np.ndarray], np.ndarray],
     Raises :class:`ConvergenceError` on a non-finite update, one past
     ``1e8 * max(1, ||x0||)``, or ``max_iter`` sweeps above ``picard_tol``.
     """
-    guard = _DIVERGENCE_FACTOR * max(1.0, float(np.linalg.norm(problem.x0)))
+    guard = _DIVERGENCE_FACTOR * max(1.0, safe_norm(problem.x0))
     update = math.inf
     updates = []
     for iteration in range(1, problem.max_iter + 1):
-        new = sweep(x)
-        update = float(np.max(np.linalg.norm(new - x, axis=1)))
+        # an overflow shows as a non-finite update, refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            new = sweep(x)
+            update = float(np.max(np.linalg.norm(new - x, axis=1)))
         updates.append(update)
         x = new
         if not np.isfinite(update) or update > guard:

@@ -101,10 +101,25 @@ def _finite(value: float, what: str, error=NumericError) -> float:
 
 
 def _classical_beta(a: float, b: float) -> float:
+    """B(a, b); past 20, lgamma(a) - lgamma(a + b) of the larger argument
+    a is Stirling's series, which does not cancel as the difference does."""
+    a, b = max(a, b), min(a, b)
     try:
-        return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+        if a < 20.0:
+            return math.exp(math.lgamma(a) + math.lgamma(b)
+                            - math.lgamma(a + b))
+        c = a + b
+        return math.exp(math.lgamma(b) + b - (a - 0.5) * math.log1p(b / a)
+                        - b * math.log(c) + _stirling_tail(a)
+                        - _stirling_tail(c))
     except OverflowError:
         return math.inf
+
+
+def _stirling_tail(z: float) -> float:
+    """``lgamma(z) - (z - 1/2) log z + z - log(2 pi)/2`` to 2e-15, z >= 20."""
+    w2 = 1.0 / (z * z)
+    return (1 / 12 - w2 * (1 / 360 - w2 * (1 / 1260 - w2 / 1680))) / z
 
 
 def _reduced_gamma(X: float, s: float) -> float:

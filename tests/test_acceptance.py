@@ -518,15 +518,13 @@ def test_criterion_08_inequality_constant():
         grid = TimeGrid.from_tau_horizon(order, 0.0, 1.0, 401)
         table = build_propagator(fam, grid)
         gram = build_gramian(np.eye(6), table)
-        outcome = verify_null_inequality(
-            gram, 1.0, 500,
-            rng=np.random.default_rng(4000 + int(alpha * 10)))
+        outcome = verify_null_inequality(gram, 1.0)
         worst = min(worst, outcome.gamma_emp)
         assert outcome.passes
     elapsed = time.perf_counter() - t0
     ok = worst >= 0.5 - 1e-6 and elapsed < 30.0
     report(8, "inequality-constant", ok,
-           f"min empirical constant {worst:.6f} >= 0.5 - 1e-6, "
+           f"min inequality constant {worst:.6f} >= 0.5 - 1e-6, "
            f"{elapsed:.1f}s")
     assert worst >= 0.5 - 1e-6
     assert elapsed < 30.0
@@ -576,10 +574,10 @@ def test_criterion_10_determinism(tmp_path):
         out_v = str(tmp_path / f"verify_{tag}")
         assert main(["control", "--config",
                      str(CONFIG_DIR / "heat_null_control.cfg"),
-                     "--out", out_c, "--seed", "31415"]) == 0
+                     "--out", out_c]) == 0
         assert main(["verify", "--config",
                      str(CONFIG_DIR / "verify_gamma.cfg"),
-                     "--out", out_v, "--seed", "31415"]) == 0
+                     "--out", out_v]) == 0
         pairs.append((out_c, out_v))
     identical = True
     for name in ("trajectory.csv", "control.csv", "summary.txt"):

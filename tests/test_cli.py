@@ -38,7 +38,7 @@ def write_cfg(tmp_path, name="scenario.cfg", **overrides):
         "tau_end": "1", "n_nodes": "101", "backend": "spectral_heat",
         "n_modes": "4", "potential": "constant 1.0",
         "control": "identity", "nonlinearity": "zero",
-        "x0": "first_mode 1.0", "seed": "7", "trials": "50",
+        "x0": "first_mode 1.0",
     }
     base.update(overrides)
     path = tmp_path / name
@@ -125,10 +125,8 @@ def test_control_pipeline_demo(tmp_path):
 
 def test_control_pipeline_deterministic(tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-    assert main(["control", "--config", str(DEMO), "--out", out1,
-                 "--seed", "3"]) == 0
-    assert main(["control", "--config", str(DEMO), "--out", out2,
-                 "--seed", "3"]) == 0
+    assert main(["control", "--config", str(DEMO), "--out", out1]) == 0
+    assert main(["control", "--config", str(DEMO), "--out", out2]) == 0
     for name in ("trajectory.csv", "control.csv", "summary.txt"):
         a = (Path(out1) / name).read_bytes()
         b = (Path(out2) / name).read_bytes()
@@ -183,6 +181,22 @@ def test_verify_pipeline(tmp_path):
     summary = read_summary(out)
     assert float(summary["gamma_emp"]) >= 0.5 - 1e-6
     assert float(summary["gamma_threshold"]) == 0.5
+
+
+def test_verify_refuses_the_constant_a_sample_overestimated(tmp_path, capsys):
+    # 64 modes under a destabilising potential: the exact constant is
+    # 0.4950168 < 0.5, where the minimum over 500 random unit vectors of
+    # the former sampled check read 0.50004 and passed
+    text = (CONFIG_DIR / "verify_gamma.cfg").read_text()
+    cfg = tmp_path / "verify_64.cfg"
+    cfg.write_text(text.replace("n_modes = 6\n", "n_modes = 64\n").replace(
+        "potential = constant 1.0\n", "potential = constant -1.02\n"))
+    out = str(tmp_path / "out")
+    assert main(["verify", "--config", str(cfg), "--out", out]) == 8
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR VERIFY: ")
+    assert float(read_summary(out)["gamma_emp"]) == pytest.approx(0.4950168,
+                                                                  abs=1e-7)
 
 
 def test_over_gain_config_fails_loudly(tmp_path, capsys):
@@ -243,36 +257,67 @@ def run_fresh(argv):
                           timeout=120)
 
 
-def overflowing_configs(tmp_path):
-    """A dense family whose semigroups overflow, a diagonal one whose
-    Gramian overflows, and the demo with an affine potential that
-    overflows at late nodes."""
-    dense = {}
-    for name, family in (("dense_family_1e200", "coupled_3x3 1e200"),
-                         ("diagonal_gramian_1.7e308",
-                          "commuting_diagonal 1.7e308")):
-        dense[name] = write_cfg(tmp_path, name=f"{name}.cfg",
-                                backend="dense_matrix", n_nodes="41",
-                                n_modes=None, potential=None,
-                                dense_family=family,
-                                nonlinearity="linear 0.05", x0="ones 1.0")
-    demo = tmp_path / "demo.cfg"
-    demo.write_text(DEMO.read_text().replace(
-        "potential = constant 1.0", "potential = affine 1e308 1e308"))
-    return {**dense, "affine_potential_1e308": str(demo)}
+DENSE_41 = {"backend": "dense_matrix", "n_nodes": "41", "n_modes": None,
+            "potential": None, "nonlinearity": "linear 0.05",
+            "x0": "ones 1.0"}
+# the demo, heat_null_control.cfg, as overrides of write_cfg
+DEMO_KEYS = {"n_nodes": "401", "n_modes": "6", "nonlinearity": "linear 0.05"}
 
 
-@pytest.mark.parametrize("name", ["dense_family_1e200",
-                                  "diagonal_gramian_1.7e308",
-                                  "affine_potential_1e308"])
-def test_overflow_in_a_table_build_is_one_numeric_line(tmp_path, name):
-    cfg = overflowing_configs(tmp_path)[name]
-    proc = run_fresh(["control", "--config", cfg,
-                      "--out", str(tmp_path / "out")])
-    assert proc.returncode == 4
+@pytest.mark.parametrize("pipeline, overrides, code", [
+    # a dense family whose semigroups overflow, a diagonal one whose
+    # Gramian overflows, and the demo with a potential that overflows at
+    # late nodes
+    ("control", {**DENSE_41, "dense_family": "coupled_3x3 1e200"}, 4),
+    ("control", {**DENSE_41, "dense_family": "commuting_diagonal 1.7e308"},
+     4),
+    ("control", {**DEMO_KEYS, "potential": "affine 1e308 1e308"}, 4),
+    # the control overflows in the scan; states of 1e200 and 1e-200 have
+    # norms whose squares overflow or underflow, and the summary reads them
+    # rescaled
+    ("control", {"x0": "first_mode 1e308"}, 4),
+    ("control", {"x0": "first_mode 1e200"}, 0),
+    ("control", {"x0": "first_mode 1e-200"}, 0),
+    # the spectral norm bound is exp(999)
+    ("evolve", {"potential": "constant -1e3"}, 4),
+    # t = (alpha tau)**(1/alpha) overflows at one or both ends
+    ("evolve", {"alpha": "0.5", "tau_end": "1e308"}, 3),
+    ("evolve", {"tau_start": "1e308", "tau_end": "1.5e308"}, 3),
+    ("control", {"control": "scalar 1e308"}, 4),
+    ("solve", {"nonlinearity": "linear 1e308"}, 5),
+    ("control", {"nonlinearity": "linear 1e308"}, 5),
+], ids=["dense_family_1e200", "diagonal_gramian_1.7e308",
+        "affine_potential_1e308", "x0_1e308", "x0_1e200", "x0_1e-200",
+        "potential_minus_1e3", "tau_end_past_t_range",
+        "tau_start_past_t_range", "control_1e308", "solve_linear_1e308",
+        "control_linear_1e308"])
+def test_overflow_in_a_table_build_is_one_numeric_line(tmp_path, pipeline,
+                                                        overrides, code):
+    out = tmp_path / "out"
+    proc = run_fresh([pipeline, "--config", write_cfg(tmp_path, **overrides),
+                      "--out", str(out)])
+    assert proc.returncode == code
     err = proc.stderr.splitlines()
-    assert len(err) == 1 and err[0].startswith("ERROR NUMERIC: ")
+    if code == 0:
+        # the closed loop is linear in x0: the numbers of x0 = 1, scaled
+        assert err == []
+        summary = read_summary(out)
+        unit = tmp_path / "unit"
+        assert main([pipeline, "--out", str(unit), "--config",
+                     write_cfg(tmp_path, name="unit.cfg")]) == 0
+        energy = float(read_summary(unit)["control_energy"])
+        scale = float(overrides["x0"].split()[1])
+        assert float(summary["control_energy"]) == pytest.approx(
+            scale * energy, rel=1e-12)
+        assert float(summary["final_state_norm"]) <= 1e-6 * max(1.0, scale)
+        return
+    label = {3: "DOMAIN", 4: "NUMERIC", 5: "CONVERGENCE"}[code]
+    assert len(err) == 1 and err[0].startswith(f"ERROR {label}: ")
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    if code == 4:
+        assert list(out.glob("*")) == []
+    if code == 3:
+        assert "alpha" in err[0] and "tau" in err[0]
 
 
 def test_solve_pipeline(tmp_path):
@@ -314,8 +359,10 @@ def test_evolve_final_state_decays(tmp_path):
     {"potential": "tabulated absent.csv"},
     {"kernel_tol": "1e-8"},
     {"k": "2.0"},
+    {"seed": "7"},
+    {"trials": "50"},
 ], ids=["tau_end_inf", "x0_nan", "tabulated_missing", "kernel_tol_removed",
-        "k_removed"])
+        "k_removed", "seed_removed", "trials_removed"])
 def test_bad_input_is_one_config_error(tmp_path, capsys, overrides):
     cfg = write_cfg(tmp_path, **overrides)
     rc = main(["evolve", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -381,31 +428,17 @@ DENSE = {"backend": "dense_matrix", "dense_family": "coupled_3x3 0.5",
     ("evolve", {"n_nodes": str(10**30)}),
     ("evolve", {"n_nodes": str(10**30), **DENSE}),
     ("evolve", {"n_modes": str(10**30)}),
-    ("verify", {"trials": str(10**30)}),
-], ids=["n_nodes", "n_nodes_dense", "n_modes", "trials"])
+], ids=["n_nodes", "n_nodes_dense", "n_modes"])
 def test_oversized_config_value_is_one_domain_error(tmp_path, capsys,
                                                     pipeline, overrides):
-    # the grid, the spectral table and the verify sample each check their
-    # footprint before they allocate, where numpy used to raise ValueError
+    # the grid and the spectral table each check their footprint before
+    # they allocate, where numpy used to raise ValueError
     cfg = write_cfg(tmp_path, **overrides)
     rc = main([pipeline, "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("ERROR DOMAIN: ")
     assert "GB, more than the " in err[0]
-
-
-def test_verify_sample_over_cgroup_limit_is_one_domain_error(tmp_path, capsys,
-                                                             monkeypatch):
-    # z and two (trials, 4) products: 19.2 MB against a 4 MB cgroup limit
-    limit_sources(monkeypatch, tmp_path, cgroup_v2="4000000")
-    cfg = write_cfg(tmp_path, trials="200000")
-    rc = main(["verify", "--config", cfg, "--out", str(tmp_path / "out")])
-    assert rc == 3
-    err = capsys.readouterr().err.splitlines()
-    assert err == ["ERROR DOMAIN: a sample of 200000 trials in dimension 4 "
-                   "needs about 0.0192 GB, more than the 0.004 GB cgroup "
-                   "memory limit"]
 
 
 # the CLI commands of the README, and the over-gained demo, which exits 5
@@ -452,6 +485,20 @@ def test_failed_artifact_write_is_one_config_error(tmp_path):
     assert len(err) == 1
     assert err[0].startswith("ERROR CONFIG: cannot write ")
     assert "trajectory.csv" in err[0] and "Traceback" not in proc.stderr
+
+
+def test_explicit_out_overrides_the_config_out_dir(tmp_path, monkeypatch):
+    # --out wins over out_dir even when it names the default "out"
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, out_dir=str(tmp_path / "from_config"))
+    assert main(["evolve", "--config", cfg]) == 0
+    assert (tmp_path / "from_config" / "summary.txt").exists()
+    assert main(["evolve", "--config", cfg, "--out", "out"]) == 0
+    assert (tmp_path / "out" / "summary.txt").exists()
+    bare = write_cfg(tmp_path, name="bare.cfg")
+    (tmp_path / "out" / "summary.txt").unlink()
+    assert main(["evolve", "--config", bare]) == 0
+    assert (tmp_path / "out" / "summary.txt").exists()
 
 
 def test_missing_config_file_is_config_error(tmp_path, capsys):

@@ -264,6 +264,18 @@ def test_beta_reduction_routes_agree():
                                beta_via_k_reduction(x, y, params)) < 1e-12
 
 
+@pytest.mark.parametrize("exponent", range(3, 18))
+def test_beta_with_one_argument_dwarfing_the_other(exponent):
+    # B(a, 1) = 1/a; lgamma(a) - lgamma(a + 1) cancels in every digit at
+    # a = 1e17, where the reduction used to print 1 for 1e-17
+    a = 10.0**exponent
+    params = SpecfunParams(1.0, 1.0)
+    for value in (conformable_beta(a, 1.0, params),
+                  conformable_beta(1.0, a, params),
+                  beta_via_k_reduction(a, 1.0, params)):
+        assert rel_err(value, 1.0 / a) < 1e-13
+
+
 def test_beta_divergent_region_raises():
     params = SpecfunParams(0.5, 1.0)
     with pytest.raises(DomainError):
