@@ -279,7 +279,8 @@ def exact_null_control_semilinear(problem: ControlProblem,
     ------
     ConvergenceError
         If an update of the map is non-finite or passes the divergence
-        guard, or ``max_iter`` sweeps end above ``picard_tol``.
+        guard, or ``max_iter`` sweeps end above
+        ``picard_tol * max(1, ||x0||)``.
     NumericError, DomainError
         If the nonlinearity returns a non-finite value or an array of the
         wrong shape (see :func:`~cfcontrol.mild.nonlinearity_values`).

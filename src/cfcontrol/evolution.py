@@ -12,47 +12,48 @@ Two backends:
   potential integral is accumulated by cumulative trapezoid.  The
   trapezoid Volterra sum over these factors is one cumulative sum per chunk
   of nodes, with a carry between chunks.
-* ``dense_matrix`` -- a general smooth matrix family.  The operator is
-  built from frozen-coefficient exponentials
-  ``S_s(t - s) = exp(-(tau_t - tau_s) A(s))`` corrected by the resolvent
-  kernel of a Volterra equation of the second kind:
+* ``dense_matrix`` -- a general smooth matrix family.  The operator is a
+  product of one-step exponentials ``E_r = exp(Omega_r)``, with the
+  fourth-order Magnus exponent of the step ``[tau_r, tau_{r+1}]``
 
-      resolvent(t, s) = kernel(t, s)
-                        + int_{tau_s}^{tau_t} kernel(t, r) resolvent(r, s) dr,
-      kernel(t, s)    = (A(s) - A(t)) S_s(t - s),
+      Omega_r = -(h/2) (A_1 + A_2) + (sqrt(3) h**2 / 12) [A_2, A_1],
 
-  discretized with trapezoid weights (Nystrom).  The tau grid is uniform,
-  so ``S_{t_j}(t_i - t_j)`` is the power ``E_j**(i - j)`` of the one-step
-  exponential ``E_j = exp(-h A(t_j))``, one scaling-and-squaring
-  exponential per node; every family, defective or not, takes that one
-  route.  The table keeps two
-  block-lower-triangular ``(n*d, n*d)`` matrices, the frozen semigroups S
-  and the kernel, stored scaled as ``-h K``; block (i, j) acts from node j
-  to node i.  Each is stored as row panels: panel c holds the rows of the
-  nodes ``[s0, s1)`` and the columns of the nodes ``[0, s1)``, so the zero
-  upper half is never allocated.  K vanishes on the block diagonal, so
-  the discrete equation ``R = K + h K R`` is the unit lower triangular
-  system ``I + h R = (I - h K)^{-1}``, and the propagator
-  ``Psi = S (I + h R) - h/2 R = (S - I/2) (I - h K)^{-1} + I/2`` is applied
-  by one block substitution over the panels and one product with S,
-  never formed:
-
-      Psi v = S y - (y - v)/2,                      y = (I - h K)^{-1} v,
-      Psi[n-1, :]^T = (I - h K)^{-T} (S[n-1, :]^T - E/2) + E/2,
-
-  where ``E`` holds the identity at the last node; the final block row is
-  one backward substitution.  The substitutions are matrix products with
-  the panels and with the inverses of the panels' diagonal blocks of
-  ``I - h K``, taken once when the table is built, so the solves need
-  numpy only.  A block column of Psi, for node-pair queries, is one
-  application to d unit vectors and is cached on the table.  The table's
-  ``norm_bound`` is the logarithmic-norm bound
-  ``exp(int max(0, mu_2(-A)) dtau)``, which needs no block of Psi.  A grid
-  whose tables would not fit in memory (the smallest of physical memory,
+  where ``A_1`` and ``A_2`` are the family at the two Gauss points of the
+  step, mapped to t by the order's ``from_tau`` (Blanes, Casas, Oteo &
+  Ros, Phys. Rep. 470, 2009; Iserles & Norsett, Phil. Trans. R. Soc. A
+  357, 1999).  The products compose exactly, ``Psi(i, j) = E_{i-1} ...
+  E_j``.  The error in h is fourth order on windows away from tau = 0 and
+  about 2.25 on a window that starts there, where ``t(tau)`` is not smooth
+  (``t ~ tau**(1/alpha)``).  The table caches the Hillis-Steele doubling
+  levels of the step maps, ``levels[k][i] = Psi(i, max(0, i - 2**k))``:
+  about ``log2 n`` arrays of shape (n, d, d), every block a true
+  propagator, nothing inverted.  ``homogeneous`` reads the last level,
+  ``accumulate`` is the trapezoid recurrence evaluated as one batched
+  mat-vec per level, and the final row ``Psi(n-1, r)`` is the same scan
+  run on the reversed transposes of the steps.  The table's
+  ``norm_bound`` is ``exp(sum_r max(0, mu_2(Omega_r)))``, which bounds
+  every block because ``||exp Omega||_2 <= exp mu_2(Omega)``.  A grid
+  whose table would not fit in memory (the smallest of physical memory,
   the soft ``RLIMIT_AS`` and the cgroup limit) is refused before anything
-  large is allocated.  A family whose ``A(t)``, tables or bound come out
-  non-finite raises :class:`NumericError` when the table is built, before
-  any solve.  The dense backend needs numpy only.
+  large is allocated.  A family whose ``A(t)``, exponents, products or
+  bound come out non-finite raises :class:`NumericError` when the table
+  is built.
+
+The paper's own construction of the dense operator, the parametrix, is
+kept as a certificate: frozen-coefficient exponentials
+``S_s(t - s) = exp(-(tau_t - tau_s) A(s))`` corrected by the resolvent
+kernel of a Volterra equation of the second kind,
+
+    resolvent(t, s) = kernel(t, s)
+                      + int_{tau_s}^{tau_t} kernel(t, r) resolvent(r, s) dr,
+    kernel(t, s)    = (A(s) - A(t)) S_s(t - s),
+
+discretized with trapezoid weights (Nystrom).  ``build_kernel`` tables
+``-h K`` as row panels (panel c holds the rows of the nodes ``[s0, s1)``
+and the columns of the nodes ``[0, s1)``), and ``KernelTable`` solves the
+unit lower triangular system ``I - h K`` by block substitutions over the
+panels; ``kernel_residual`` certifies a solve.  The parametrix propagator
+``Psi = S (I + h R) - h/2 R`` is second order in h.
 
 An independent brute-force oracle integrates the substituted ODE with a
 classical fourth-order one-step method; every propagator test is anchored
@@ -62,17 +63,17 @@ Both tables apply their final row, forwards (``final_row``) and
 transposed (``final_row_adjoint``), return one of its blocks
 (``final_block``), and take its weighted quadratic form
 ``final_gram(M) = sum_r w_r Psi[n-1, r] M Psi[n-1, r]^T``, which is the
-controllability Gramian for ``M = B B^T``.
+controllability Gramian for ``M = B B^T``.  Their Volterra sums
+(``accumulate`` and ``final_gram``) use trapezoid weights, second order
+in h on both backends.
 
-Table construction is single-threaded.  A dense table caches the block
-columns and the final row it solves, so a dense table shared between
-threads needs a lock; spectral tables are immutable.
+Table construction is single-threaded; both tables are immutable once
+built.  The dense backend needs numpy only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -98,10 +99,12 @@ __all__ = [
 # largest exponent change |E(r) - E(anchor)| inside one chunk of the spectral
 # scan; exp(64) ~ 6e27 leaves every scaled term far from overflow
 _SCAN_SPAN = 64.0
-# nodes per row panel of a dense table: the substitutions take one product
-# per panel, and the panels' diagonal blocks, inverted at build time, are
-# (16 d)**2 doubles each
+# nodes per row panel of the parametrix's tables: the substitutions take one
+# product per panel, and the panels' diagonal blocks, inverted at build time,
+# are (16 d)**2 doubles each
 _PANEL_NODES = 16
+# Gauss-Legendre points of a step [tau_r, tau_r + h], as fractions of h
+_GAUSS_NODES = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
 # degree of the Taylor polynomial of a one-step exponential whose scaled
 # 1-norm is below one: the remainder is below 1/19! * 1.06 < 1e-17
 _TAYLOR_DEGREE = 18
@@ -165,13 +168,6 @@ def _blocks(mat: np.ndarray, d: int) -> np.ndarray:
     return mat.reshape(mat.shape[0] // d, d, -1, d).transpose(0, 2, 1, 3)
 
 
-def _unit_block(n: int, d: int, j: int) -> np.ndarray:
-    """``(n*d, d)`` stacked block column holding the identity at node j."""
-    out = np.zeros((n * d, d))
-    out[j * d:(j + 1) * d] = np.eye(d)
-    return out
-
-
 def _panel_bounds(n: int) -> list[tuple[int, int]]:
     """Node ranges ``[s0, s1)`` of the row panels; only the last is partial."""
     return [(s0, min(n, s0 + _PANEL_NODES))
@@ -197,7 +193,7 @@ def _panel_product(panels: list[np.ndarray], x: np.ndarray,
 
 
 def _table_bytes(n: int, d: int) -> int:
-    """Bytes a dense table of n nodes in dimension d holds.
+    """Bytes the parametrix's tables of n nodes in dimension d hold.
 
     That is the row panels of S and ``-hK``, and the inverses of the
     panels' diagonal blocks of ``I - hK``, padded to a common height.
@@ -209,6 +205,16 @@ def _table_bytes(n: int, d: int) -> int:
     height = min(n, _PANEL_NODES) * d
     return 8 * (2 * panel_nodes * d * d
                 + (full + (last > 0)) * height * height)
+
+
+def _propagator_bytes(n: int, d: int) -> int:
+    """Bytes a dense table of n >= 2 nodes in dimension d holds.
+
+    That is its doubling levels, the step level and one per doubling until
+    a span covers the ``n - 1`` steps, and its final row: each n blocks of
+    d x d doubles.
+    """
+    return 8 * n * d * d * (2 + (n - 2).bit_length())
 
 
 def _require_finite(what: str, values: np.ndarray, grid: TimeGrid,
@@ -233,23 +239,22 @@ def _require_finite_panels(what: str, panels: list[np.ndarray],
                         (cols - rows) // d)
 
 
-def _one_step_exponentials(a_stack: np.ndarray, h: float) -> np.ndarray:
-    """``exp(-h A_j)`` at every node j, by scaling and squaring.
+def _one_step_exponentials(exponents: np.ndarray) -> np.ndarray:
+    """``exp(X_j)`` of every matrix of the stack X, by scaling and squaring.
 
-    ``-h A_j`` is scaled by ``2**-s_j``, the least power that brings its
+    ``X_j`` is scaled by ``2**-s_j``, the least power that brings its
     1-norm below one, and the Taylor polynomial of its exponential, batched
-    over the nodes in Horner form, is squared ``s_j`` times (Moler & Van
+    over the stack in Horner form, is squared ``s_j`` times (Moler & Van
     Loan, SIAM Review 45, 2003, method 3); no eigenbasis is needed.  The
     squarings act on ``F = exp(.) - I`` as ``F <- F F + 2 F``: squaring
     ``I + F`` would round away the part of F far below one, and a slow mode
     of a stiff family would lose ``2**s_j`` ulps.  A 1-norm that overflows
     leaves ``s_j = 0``, so the exponential comes out non-finite.
     """
-    x = -h * a_stack
-    _, squarings = np.frexp(np.abs(x).sum(axis=1).max(axis=1))
+    _, squarings = np.frexp(np.abs(exponents).sum(axis=1).max(axis=1))
     squarings = np.maximum(squarings, 0)
-    x *= np.ldexp(1.0, -squarings)[:, None, None]
-    eye = np.eye(a_stack.shape[1])
+    x = exponents * np.ldexp(1.0, -squarings)[:, None, None]
+    eye = np.eye(exponents.shape[1])
     poly = eye + x / _TAYLOR_DEGREE
     for k in range(_TAYLOR_DEGREE - 1, 1, -1):
         poly = eye + (x @ poly) / k
@@ -261,7 +266,7 @@ def _one_step_exponentials(a_stack: np.ndarray, h: float) -> np.ndarray:
 
 
 def _dense_tables(family: DenseMatrixFamily, grid: TimeGrid):
-    """``A(t_j)`` at every node, and the row panels of S and of ``-h K``.
+    """The row panels of the parametrix's S and of ``-h K``.
 
     ``S[i, j] = E_j**(i - j)`` for i >= j, with ``E_j`` the one-step
     exponential.  The first ``_PANEL_NODES`` powers of every ``E_j`` are
@@ -278,12 +283,12 @@ def _dense_tables(family: DenseMatrixFamily, grid: TimeGrid):
     if n < 3:
         raise DomainError("kernel construction needs at least three nodes")
     require_memory(_table_bytes(n, d),
-                   f"a dense table of {n} nodes in dimension {d}")
+                   f"a parametrix table of {n} nodes in dimension {d}")
     semigroups, lower = [], []
     with np.errstate(all="ignore"):
         a_stack = np.stack([family.a_matrix(t) for t in grid.t_nodes])
         _require_finite("A(t)", a_stack, grid)
-        step = _one_step_exponentials(a_stack, h)
+        step = _one_step_exponentials(-h * a_stack)
         powers = np.empty((n, _PANEL_NODES, d, d))
         powers[:, 0] = np.eye(d)
         for k in range(1, _PANEL_NODES):
@@ -308,30 +313,12 @@ def _dense_tables(family: DenseMatrixFamily, grid: TimeGrid):
             lower.append(kern)
     _require_finite_panels("the frozen semigroup table", semigroups, grid, d)
     _require_finite_panels("the kernel", lower, grid, d)
-    return a_stack, semigroups, lower
-
-
-def _log_norm_bound(a_stack: np.ndarray, grid: TimeGrid) -> float:
-    """``exp(int max(0, mu_2(-A(tau))) dtau)`` over the grid, by trapezoid.
-
-    ``mu_2(-A)``, the largest eigenvalue of ``-(A + A^T)/2``, is the
-    logarithmic 2-norm; its integral bounds the growth of every evolution
-    operator between two times of the window (Soderlind, BIT 46, 2006).
-    A bound that overflows raises :class:`NumericError`.
-    """
-    with np.errstate(all="ignore"):
-        sym = -0.5 * (a_stack + a_stack.transpose(0, 2, 1))
-        mu = np.linalg.eigvalsh(sym)[:, -1]
-        bound = float(np.exp(grid.weights() @ np.maximum(mu, 0.0)))
-    if not np.isfinite(bound):
-        raise NumericError("the logarithmic-norm bound of the propagator "
-                           "is not finite")
-    return bound
+    return semigroups, lower
 
 
 @dataclass
 class KernelTable:
-    """Volterra kernel of the dense backend; solves its resolvent equation.
+    """Volterra kernel of the parametrix; solves its resolvent equation.
 
     ``lower`` holds the row panels (see :func:`_panel_product`) of the
     ``(n*d, n*d)`` matrix ``-h K``, the strictly lower part of ``I - h K``,
@@ -401,7 +388,9 @@ class KernelTable:
 
 
 def build_kernel(family: OperatorFamily, grid: TimeGrid) -> KernelTable:
-    """Assemble the Volterra kernel on the grid; the table solves for R.
+    """Assemble the parametrix's Volterra kernel on the grid; the table
+    solves for R.  It certifies the paper's construction of the dense
+    operator (acceptance criterion 5) and is not on any pipeline's path.
 
     Raises :class:`DomainError` for a spectral family, fewer than three
     nodes, or a grid whose tables would not fit in memory, and
@@ -409,7 +398,7 @@ def build_kernel(family: OperatorFamily, grid: TimeGrid) -> KernelTable:
     """
     if family.kind != "dense_matrix":
         raise DomainError("kernel construction applies to the dense backend")
-    return KernelTable(grid, _dense_tables(family, grid)[2])
+    return KernelTable(grid, _dense_tables(family, grid)[1])
 
 
 def kernel_residual(table: KernelTable, rhs: np.ndarray) -> float:
@@ -579,91 +568,85 @@ class SpectralPropagatorTable:
             * ((f * self.grid.weights()[:, None]).T @ f)
 
 
+def _doubling_levels(steps: np.ndarray):
+    """Yield the Hillis-Steele levels of the products of ``steps``.
+
+    ``steps[r]`` maps node r to node r + 1.  Level k holds, at row i, the
+    map from node ``max(0, i - 2**k)`` to node i: level 0 is the identity
+    followed by the steps, and row i of level k + 1 is row i of level k
+    times row ``i - 2**k`` of level k where that row exists, else row i of
+    level k.  The last level holds the maps from node 0.  Only the level
+    yielded last is kept alive here.
+    """
+    n, d = steps.shape[0] + 1, steps.shape[1]
+    level = np.empty((n, d, d))
+    level[0] = np.eye(d)
+    level[1:] = steps
+    yield level
+    span = 1
+    while span < n - 1:
+        prev, level = level, np.empty_like(level)
+        level[:span] = prev[:span]
+        np.matmul(prev[span:], prev[:-span], out=level[span:])
+        yield level
+        span *= 2
+
+
 @dataclass
 class DensePropagatorTable:
-    """Evolution operators of a dense matrix family, kept as S and -hK.
+    """Evolution operators of a dense matrix family, kept as doubling levels.
 
-    ``semigroups`` holds the row panels (see :func:`_panel_product`) of
-    the ``(n*d, n*d)`` frozen-semigroup matrix S, and ``kernel_table``
-    solves with ``I - h K``; the propagator Psi is applied through them
-    and never formed (see the module docstring).
-    ``matrix(i, j)``, the operator from node j to node i, reads block
-    column j of Psi, which is solved on first use and cached.
-    ``norm_bound`` is the logarithmic-norm bound on every operator of the
-    window.
+    ``levels[k][i]`` is ``Psi(i, max(0, i - 2**k))``, a product of the
+    one-step Magnus exponentials ``E_r`` (``levels[0][r + 1]``); the last
+    level holds ``Psi(i, 0)``.  ``_final_t`` is the final row transposed,
+    ``Psi(n-1, r)^T`` in rows ``r*d:(r+1)*d``.  Everything is built and
+    checked finite when the table is built (see :func:`build_propagator`);
+    no call solves anything.  ``matrix(i, j)``, the operator from node j
+    to node i, is the product of the ``i - j`` steps between them.
+    ``norm_bound`` bounds the 2-norm of every block of the table.
     """
 
     grid: TimeGrid
     family: DenseMatrixFamily
-    semigroups: list[np.ndarray]
-    kernel_table: KernelTable
+    levels: list[np.ndarray] = field(repr=False)
+    _final_t: np.ndarray = field(repr=False)
     norm_bound: float
-    _columns: dict = field(init=False, repr=False, default_factory=dict)
 
     @property
     def dim(self) -> int:
         return self.family.dim
 
-    def propagate(self, v: np.ndarray) -> np.ndarray:
-        """``Psi v`` for stacked node values v of shape (n*d,) or (n*d, k).
-
-        ``Psi v = S y - (y - v)/2`` with ``y = (I - h K)^{-1} v``.
-        """
-        v = np.asarray(v, dtype=float)
-        y = self.kernel_table.solve(v)
-        return _panel_product(self.semigroups, y) - 0.5 * (y - v)
-
-    def _column(self, j: int) -> np.ndarray:
-        """Block column j of Psi, shape (n_nodes, d, d), solved once."""
-        if j not in self._columns:
-            n, d = self.grid.n_nodes, self.dim
-            self._columns[j] = self.propagate(
-                _unit_block(n, d, j)).reshape(n, d, d)
-        return self._columns[j]
-
     def matrix(self, i: int, j: int) -> np.ndarray:
         if not 0 <= j <= i < self.grid.n_nodes:
             raise IndexError(f"node pair ({i}, {j}) needs 0 <= j <= i < "
                              f"{self.grid.n_nodes}")
-        return self._column(j)[i]
+        out = np.eye(self.dim)
+        for step in self.levels[0][j + 1:i + 1]:
+            out = step @ out
+        return out
 
     def homogeneous(self, x0: np.ndarray) -> np.ndarray:
-        """``op(i, 0) x0`` at every node i, shape (n_nodes, dim).
-
-        Reads the cached block column 0, so it agrees exactly with
-        ``matrix(i, 0) @ x0``.
-        """
-        return self._column(0) @ np.asarray(x0, dtype=float)
+        """``op(i, 0) x0`` at every node i, shape (n_nodes, dim)."""
+        return self.levels[-1] @ np.asarray(x0, dtype=float)
 
     def accumulate(self, values: np.ndarray) -> np.ndarray:
         """Trapezoid ``int_0^{tau_i} op(i, r) values[r] dtau_r`` at every node i.
 
-        One application of Psi to the weighted values (weight h, and h/2 at
-        node 0), less the half weight of the r = i term; ``Psi[i, i]`` is
-        the identity, so row 0 is exactly 0.
+        The sum obeys ``acc[r+1] = E_r (acc[r] + h/2 v_r) + h/2 v_{r+1}``
+        from ``acc[0] = 0``, an affine recurrence ``acc[i] = E_{i-1}
+        acc[i-1] + c_i``.  It is the doubling scan of the levels: after the
+        pass of level k, row i holds ``sum_{i - 2**(k+1) < m <= i} Psi(i, m)
+        c_m``, so one batched mat-vec per level gives every node.
         """
-        values = np.asarray(values, dtype=float)
-        half = 0.5 * self.grid.h
-        weighted = self.grid.h * values
-        weighted[0] = half * values[0]
-        acc = self.propagate(weighted.ravel()).reshape(values.shape)
-        acc -= half * values
+        half = 0.5 * self.grid.h * np.asarray(values, dtype=float)
+        acc = half.copy()
+        acc[0] = 0.0
+        acc[1:] += np.einsum("rab,rb->ra", self.levels[0][1:], half[:-1])
+        span = 1
+        for level in self.levels[:-1]:
+            acc[span:] += np.einsum("rab,rb->ra", level[span:], acc[:-span])
+            span *= 2
         return acc
-
-    @cached_property
-    def _final_t(self) -> np.ndarray:
-        """``Psi[n-1, :]^T``, shape (n_nodes*d, d), solved on first use.
-
-        ``(I - h K)^{-T} (S[n-1, :]^T - E/2) + E/2``, with E the identity
-        at the last node: one transposed solve.  ``S[n-1, :]`` is the last
-        d rows of the last panel.
-        """
-        d = self.dim
-        rhs = self.semigroups[-1][-d:].T.copy()
-        rhs[-d:] -= 0.5 * np.eye(d)
-        out = self.kernel_table.solve(rhs, transpose=True)
-        out[-d:] += 0.5 * np.eye(d)
-        return out
 
     def final_row(self, values: np.ndarray) -> np.ndarray:
         """``sum_r Psi[n-1, r] values[r]``; values (..., n_nodes, d)."""
@@ -676,7 +659,7 @@ class DensePropagatorTable:
         return out.reshape(*out.shape[:-1], self.grid.n_nodes, self.dim)
 
     def final_block(self, r: int) -> np.ndarray:
-        """``Psi[n-1, r]``, shape (d, d), read from the cached final row."""
+        """``Psi[n-1, r]``, shape (d, d), read from the final row."""
         d = self.dim
         return self._final_t[r * d:(r + 1) * d].T.copy()
 
@@ -684,11 +667,11 @@ class DensePropagatorTable:
         """``sum_r w_r Psi[n-1, r] M Psi[n-1, r]^T`` for a (d, d) M.
 
         w are the trapezoid weights.  Read as an ``(n*d, d)`` matrix, the
-        transpose of the cached ``Psi[n-1, :]^T`` has row c of each
-        ``Psi[n-1, r]`` in its rows ``(c, r)``, so one product with M gives
-        every ``Psi[n-1, r] M``; weighted and read back as a ``(d, n*d)``
-        row, one product with ``Psi[n-1, :]^T`` sums them.  An overflow
-        gives a non-finite Gramian, which its caller reports.
+        transpose of ``Psi[n-1, :]^T`` has row c of each ``Psi[n-1, r]`` in
+        its rows ``(c, r)``, so one product with M gives every
+        ``Psi[n-1, r] M``; weighted and read back as a ``(d, n*d)`` row,
+        one product with ``Psi[n-1, :]^T`` sums them.  An overflow gives a
+        non-finite Gramian, which its caller reports.
         """
         n, d = self.grid.n_nodes, self.dim
         final_t = self._final_t
@@ -703,28 +686,79 @@ class DensePropagatorTable:
 PropagatorTable = Union[SpectralPropagatorTable, DensePropagatorTable]
 
 
+def _magnus_exponents(family: DenseMatrixFamily, grid: TimeGrid) -> np.ndarray:
+    """The fourth-order Magnus exponent ``Omega_r`` of every step, (n-1, d, d).
+
+    ``A(t)`` is evaluated at the two Gauss points of each step, mapped
+    from tau to t by the grid's order.  A value of ``A(t)`` or of Omega
+    that is not finite raises :class:`NumericError` naming the node the
+    step ends at.
+    """
+    h = grid.h
+    gauss_t = grid.order.from_tau(grid.tau_nodes[:-1, None]
+                                  + h * np.array(_GAUSS_NODES))
+    with np.errstate(all="ignore"):
+        a = np.stack([family.a_matrix(t) for t in gauss_t.ravel()])
+        a = a.reshape(grid.n_nodes - 1, 2, family.dim, family.dim)
+        _require_finite("A(t)", a, grid, first=1)
+        a1, a2 = a[:, 0], a[:, 1]
+        omega = -0.5 * h * (a1 + a2) \
+            + (np.sqrt(3.0) / 12.0 * h * h) * (a2 @ a1 - a1 @ a2)
+    _require_finite("the Magnus exponent", omega, grid, first=1)
+    return omega
+
+
+def _magnus_norm_bound(omega: np.ndarray) -> float:
+    """``exp(sum_r max(0, mu_2(Omega_r)))``, a bound on every product.
+
+    ``mu_2(Omega)``, the largest eigenvalue of ``(Omega + Omega^T)/2``, is
+    the logarithmic 2-norm, and ``||exp Omega||_2 <= exp mu_2(Omega)``
+    (Soderlind, BIT 46, 2006), so the bound covers every block of the
+    discrete table by construction.  A bound that overflows raises
+    :class:`NumericError`.
+    """
+    with np.errstate(all="ignore"):
+        mu = np.linalg.eigvalsh(0.5 * (omega + omega.transpose(0, 2, 1)))
+        bound = float(np.exp(np.maximum(mu[:, -1], 0.0).sum()))
+    if not np.isfinite(bound):
+        raise NumericError("the logarithmic-norm bound of the propagator "
+                           "is not finite")
+    return bound
+
+
 def build_propagator(family: OperatorFamily,
                      grid: TimeGrid) -> PropagatorTable:
     """Construct the evolution-operator table on ``grid``.
 
     The spectral backend evaluates its closed per-mode form.  The dense
-    backend builds S and K and applies, with trapezoid weights in tau,
-
-        op(i, j) = S_j(tau_i - tau_j)
-                   + int_{tau_j}^{tau_i} S_r(tau_i - tau_r) resolvent(r, j) dr
-
-    through block substitutions; it raises :class:`DomainError` before
-    allocating when the tables would not fit in memory, and
-    :class:`NumericError` when ``A(t)``, a table or the norm bound is not
-    finite.
+    backend takes the one-step exponentials ``E_r = exp(Omega_r)`` of the
+    fourth-order Magnus exponents (see the module docstring) by one batched
+    scaling and squaring, and caches the doubling levels of their products
+    and the final row, the same scan run on the reversed transposes of the
+    steps.  A non-finite value at any level reaches the same row of the
+    last one, so the last level of each scan is checked.  It raises
+    :class:`DomainError` before allocating when the table would not fit in
+    memory, and :class:`NumericError` when ``A(t)``, an exponent, a product
+    or the norm bound is not finite.
     """
     if family.kind == "spectral_heat":
         return SpectralPropagatorTable(grid, family)
 
-    a_stack, semigroups, lower = _dense_tables(family, grid)
-    return DensePropagatorTable(grid, family, semigroups,
-                                KernelTable(grid, lower),
-                                _log_norm_bound(a_stack, grid))
+    n, d = grid.n_nodes, family.dim
+    require_memory(_propagator_bytes(n, d),
+                   f"a dense table of {n} nodes in dimension {d}")
+    omega = _magnus_exponents(family, grid)
+    with np.errstate(all="ignore"):
+        steps = _one_step_exponentials(omega)
+        levels = list(_doubling_levels(steps))
+        for backward in _doubling_levels(steps[::-1].transpose(0, 2, 1)):
+            pass
+    _require_finite("the propagator", levels[-1], grid)
+    final = backward[::-1]
+    _require_finite("the final row of the propagator", final, grid)
+    return DensePropagatorTable(grid, family, levels,
+                                final.reshape(n * d, d),
+                                _magnus_norm_bound(omega))
 
 
 def propagate_oracle(family: OperatorFamily,

@@ -144,11 +144,16 @@ def iterate_fixed_point(sweep: Callable[[np.ndarray], np.ndarray],
                         x: np.ndarray, problem: ControlProblem) -> tuple:
     """Apply ``sweep`` from ``x`` until the sup-norm update reaches tolerance.
 
-    Returns the last iterate, the number of sweeps and the update norms.
-    Raises :class:`ConvergenceError` on a non-finite update, one past
-    ``1e8 * max(1, ||x0||)``, or ``max_iter`` sweeps above ``picard_tol``.
+    The tolerance is ``picard_tol * max(1, ||x0||)``: relative to the
+    initial state above unit norm, as the divergence guard and the null
+    tolerance are, so a linear closed loop takes the same sweeps at every
+    amplitude, and absolute below it.  Returns the last iterate, the number
+    of sweeps and the update norms.  Raises :class:`ConvergenceError` on a
+    non-finite update, one past ``1e8 * max(1, ||x0||)``, or ``max_iter``
+    sweeps above the tolerance.
     """
-    guard = _DIVERGENCE_FACTOR * max(1.0, safe_norm(problem.x0))
+    scale = max(1.0, safe_norm(problem.x0))
+    guard, tol = _DIVERGENCE_FACTOR * scale, problem.picard_tol * scale
     update = math.inf
     updates = []
     for iteration in range(1, problem.max_iter + 1):
@@ -163,7 +168,7 @@ def iterate_fixed_point(sweep: Callable[[np.ndarray], np.ndarray],
                 f"fixed-point sweep diverged (update norm {update:.3e})",
                 last_norm=update,
             )
-        if update <= problem.picard_tol:
+        if update <= tol:
             return x, iteration, tuple(updates)
     raise ConvergenceError(
         f"no convergence in {problem.max_iter} sweeps "
@@ -196,8 +201,8 @@ def picard_solve(problem: ControlProblem,
     Raises
     ------
     ConvergenceError
-        If the update norms fail to reach ``picard_tol`` within
-        ``max_iter`` sweeps or grow past a divergence guard.
+        If the update norms fail to reach ``picard_tol * max(1, ||x0||)``
+        within ``max_iter`` sweeps or grow past a divergence guard.
     NumericError, DomainError
         If the nonlinearity returns a non-finite value or an array of the
         wrong shape (see :func:`nonlinearity_values`).

@@ -102,16 +102,24 @@ def _finite(value: float, what: str, error=NumericError) -> float:
 
 def _classical_beta(a: float, b: float) -> float:
     """B(a, b); past 20, lgamma(a) - lgamma(a + b) of the larger argument
-    a is Stirling's series, which does not cancel as the difference does."""
+    a is Stirling's series, which does not cancel as the difference does.
+
+    ``lgamma(b)`` overflows only past b ~ 2.5e305, where a >= b too and B
+    underflows to 0; an exponential that overflows is B past the doubles.
+    """
     a, b = max(a, b), min(a, b)
-    try:
-        if a < 20.0:
-            return math.exp(math.lgamma(a) + math.lgamma(b)
-                            - math.lgamma(a + b))
+    if a < 20.0:
+        log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    else:
+        try:
+            log_gamma_b = math.lgamma(b)
+        except OverflowError:
+            return 0.0
         c = a + b
-        return math.exp(math.lgamma(b) + b - (a - 0.5) * math.log1p(b / a)
-                        - b * math.log(c) + _stirling_tail(a)
-                        - _stirling_tail(c))
+        log_beta = log_gamma_b + b - (a - 0.5) * math.log1p(b / a) \
+            - b * math.log(c) + _stirling_tail(a) - _stirling_tail(c)
+    try:
+        return math.exp(log_beta)
     except OverflowError:
         return math.inf
 

@@ -1,9 +1,13 @@
 """Shared generators for randomized smooth inputs."""
 
+from types import SimpleNamespace
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
-from cfcontrol import DenseMatrixFamily, DomainError
+from cfcontrol import DenseMatrixFamily, DomainError, KernelTable
+from cfcontrol.evolution import _dense_tables, _panel_product
 
 
 def make_smooth_fn(rng, scale=1.0):
@@ -116,14 +120,90 @@ def materialise_resolvent(kernel_table):
                       nd // kernel_table.grid.n_nodes)
 
 
+class Parametrix(NamedTuple):
+    """The paper's dense propagator, from the tables ``build_kernel`` builds.
+
+    ``semigroups`` holds the row panels of the frozen semigroups S and
+    ``kernel_table`` solves with ``I - h K``; ``propagate`` applies
+    ``Psi = S (I + h R) - h/2 R`` to stacked node values.  The reference
+    the tests hold the production dense table against.
+    """
+
+    semigroups: list
+    kernel_table: KernelTable
+    dim: int
+
+    @classmethod
+    def build(cls, family, grid):
+        semigroups, lower = _dense_tables(family, grid)
+        return cls(semigroups, KernelTable(grid, lower), family.dim)
+
+    @property
+    def grid(self):
+        return self.kernel_table.grid
+
+    def propagate(self, v):
+        """``Psi v = S y - (y - v)/2`` with ``y = (I - h K)^{-1} v``; v is
+        (n*d,) or (n*d, k)."""
+        v = np.asarray(v, dtype=float)
+        y = self.kernel_table.solve(v)
+        return _panel_product(self.semigroups, y) - 0.5 * (y - v)
+
+
 def materialise(table):
-    """The propagator Psi of a dense table as ``(n, n, d, d)`` blocks."""
+    """Psi of a :class:`Parametrix` as ``(n, n, d, d)`` blocks."""
     nd = table.grid.n_nodes * table.dim
     return block_view(table.propagate(np.eye(nd)), table.dim)
 
 
+def magnus_exponents(family, grid):
+    """``Omega_r = -(h/2)(A_1 + A_2) + (sqrt(3) h**2/12) [A_2, A_1]`` per step.
+
+    ``A_1`` and ``A_2`` are the family at the Gauss points
+    ``tau_r + (1/2 -+ sqrt(3)/6) h`` of each step, mapped to t by the
+    grid's order; one step at a time, shape (n-1, d, d).
+    """
+    h, shift = grid.h, np.sqrt(3.0) / 6.0
+    out = []
+    for tau in grid.tau_nodes[:-1]:
+        a1, a2 = (family.a_matrix(float(grid.order.from_tau(tau + c * h)))
+                  for c in (0.5 - shift, 0.5 + shift))
+        out.append(-0.5 * h * (a1 + a2)
+                   + np.sqrt(3.0) / 12.0 * h * h * (a2 @ a1 - a1 @ a2))
+    return np.array(out)
+
+
+def step_products(steps):
+    """Every product ``Psi(i, j) = steps[i-1] ... steps[j]``, by the march.
+
+    ``(n, n, d, d)`` blocks, zero above the block diagonal; lag by lag,
+    ``Psi(j + L, j) = steps[j + L - 1] Psi(j + L - 1, j)``.
+    """
+    n, d = len(steps) + 1, steps.shape[1]
+    blocks = np.zeros((n, n, d, d))
+    rows = np.arange(n)
+    blocks[rows, rows] = np.eye(d)
+    current = np.broadcast_to(np.eye(d), (n, d, d))
+    for lag in range(1, n):
+        current = steps[lag - 1:] @ current[:-1]
+        blocks[rows[lag:], rows[:-lag]] = current
+    return blocks
+
+
+def trapezoid_march(steps, h, values):
+    """``acc[r+1] = E_r (acc[r] + h/2 v_r) + h/2 v_{r+1}``, one step per node.
+
+    The per-step loop the dense table's doubling scan must reproduce.
+    """
+    half = 0.5 * h * np.asarray(values, dtype=float)
+    acc = np.zeros_like(half)
+    for r, step in enumerate(steps):
+        acc[r + 1] = step @ (acc[r] + half[r]) + half[r + 1]
+    return acc
+
+
 def materialise_series(table):
-    """Psi and R of a dense table as ``(n, n, d, d)`` blocks, by the series.
+    """Psi and R of a :class:`Parametrix` as (n, n, d, d) blocks, by series.
 
     R is the Neumann series of ``kernel_series`` on the identity columns,
     summed until its terms vanish (hK is strictly block-lower-triangular,
@@ -223,11 +303,12 @@ def cholesky_reference(gram):
 
 
 def limit_sources(monkeypatch, tmp_path, cgroup_v2=None, cgroup_v1=None,
-                  soft_as=None):
+                  soft_as=None, physical=None):
     """Point the memory guard at files and an ``RLIMIT_AS`` made up here.
 
     A cgroup value of None leaves its file absent; ``soft_as`` None reads
-    as unlimited.
+    as unlimited.  ``physical``, when given, is the physical memory in
+    bytes, a whole number of 4096-byte pages; None reads the machine's.
     """
     from cfcontrol import grids
     root = tmp_path / "limits"
@@ -244,6 +325,9 @@ def limit_sources(monkeypatch, tmp_path, cgroup_v2=None, cgroup_v1=None,
     soft = unlimited if soft_as is None else soft_as
     monkeypatch.setattr(grids.resource, "getrlimit",
                         lambda which: (soft, unlimited))
+    if physical is not None:
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": physical // 4096}
+        monkeypatch.setattr(grids, "os", SimpleNamespace(sysconf=pages.get))
     return grids
 
 

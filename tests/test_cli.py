@@ -387,10 +387,12 @@ def test_malformed_tabulated_potential_is_one_config_error(tmp_path, capsys,
 
 def test_dense_table_over_memory_is_one_domain_error(tmp_path, capsys,
                                                      monkeypatch):
-    # the row panels of S and -hK, about half of two (3 * 300000)**2
-    # matrices of doubles: 6.5 TB; no cgroup or address-space limit, so
-    # physical memory is the one named
-    limit_sources(monkeypatch, tmp_path)
+    # the 20 doubling levels and the final row of 300000 nodes in dimension
+    # 3: 0.45 GB, against 0.1 GB of physical memory made up here.  The
+    # table grows as n log n, so no grid small enough for the bound on
+    # the peak below has a table past a real machine's memory.  No cgroup
+    # or address-space limit, so physical memory is the one named
+    limit_sources(monkeypatch, tmp_path, physical=100_000_768)
     cfg = write_cfg(tmp_path, backend="dense_matrix", n_nodes="300000",
                     dense_family="coupled_3x3 0.5", x0="ones 1.0")
     tracemalloc.start()
@@ -408,10 +410,10 @@ def test_dense_table_over_memory_is_one_domain_error(tmp_path, capsys,
 
 def test_dense_table_over_cgroup_limit_is_one_domain_error(tmp_path, capsys,
                                                            monkeypatch):
-    # the row panels of S and -hK at 251 nodes in dimension 3, with their
-    # diagonal-block inverses: 5.1 MB against a 4 MB cgroup limit
+    # the 14 doubling levels and the final row of 8001 nodes in dimension 3:
+    # 8.6 MB against a 4 MB cgroup limit
     limit_sources(monkeypatch, tmp_path, cgroup_v2="4000000")
-    cfg = write_cfg(tmp_path, backend="dense_matrix", n_nodes="251",
+    cfg = write_cfg(tmp_path, backend="dense_matrix", n_nodes="8001",
                     dense_family="coupled_3x3 0.5", x0="ones 1.0")
     rc = main(["evolve", "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 3
@@ -584,7 +586,8 @@ def test_specfun_underflow_prints_zero():
     (["gamma", "--alpha", "1", "--k", "1", "--p", "400"], 4, "gamma"),
     (["gamma", "--alpha", "1", "--k", "1", "--p", "400",
       "--method", "quadrature"], 4, "gamma"),
-    (["beta", "--alpha", "1", "--k", "1", "--x", "1e308", "--y", "1e308"], 4,
+    # B(1, 1e-320) = 1e320 is past the doubles
+    (["beta", "--alpha", "1", "--k", "1", "--x", "1", "--y", "1e-320"], 4,
      "beta"),
     (["gamma", "--alpha", "0.5", "--k", "nan", "--p", "2"], 3, "k "),
     (["gamma", "--alpha", "0.5", "--k", "1", "--p", "nan"], 3, "p "),
@@ -634,6 +637,31 @@ def test_specfun_any_floats_give_a_value_or_one_error_line(function, method,
     else:
         assert out == "" and len(err) == 1, (argv, out, err)
         assert err[0].startswith("ERROR "), (argv, err)
+
+
+@pytest.mark.parametrize("method", ["reduction", "quadrature"])
+def test_specfun_beta_of_two_huge_arguments_prints_zero(method):
+    # B(1e308, 1e308) underflows to 0, though lgamma(1e308) overflows
+    argv = ["beta", "--alpha", "1", "--k", "1", "--x", "1e308", "--y", "1e308",
+            "--method", method]
+    assert run_specfun(argv) == (0, "0.000000000000\n", [])
+
+
+def test_fixed_point_tolerance_scales_with_the_initial_state(tmp_path):
+    # the demo at x0 = first_mode 1e8 takes the sweeps of first_mode 1.0,
+    # and its control energy is 1e8 times the unit run's
+    summaries = {}
+    for amplitude in ("1.0", "1e8"):
+        path = tmp_path / f"demo_{amplitude}.cfg"
+        path.write_text(DEMO.read_text().replace(
+            "x0 = first_mode 1.0", f"x0 = first_mode {amplitude}"))
+        out = tmp_path / amplitude
+        assert main(["control", "--config", str(path), "--out", str(out)]) == 0
+        summaries[amplitude] = read_summary(out)
+    assert summaries["1.0"]["iterations"] == "5"
+    assert summaries["1e8"]["iterations"] == "5"
+    assert float(summaries["1e8"]["control_energy"]) == pytest.approx(
+        1e8 * float(summaries["1.0"]["control_energy"]), rel=1e-12)
 
 
 def test_verify_failure_exits_with_verify_code(tmp_path, capsys):

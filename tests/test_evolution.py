@@ -13,11 +13,13 @@ from cfcontrol import (DenseMatrixFamily, DomainError,
                        conformable_residual, kernel_residual, parse_config,
                        propagate_oracle)
 
-from conftest import (assemble, block_view, final_gram_reference,
-                      frozen_semigroup, kernel_equation_residual,
-                      kernel_series, limit_sources, make_dense_family,
-                      materialise, materialise_resolvent, materialise_series,
-                      regularized_residuals, spectral_march)
+from conftest import (Parametrix, assemble, block_view,
+                      final_gram_reference, frozen_semigroup,
+                      kernel_equation_residual, kernel_series, limit_sources,
+                      magnus_exponents, make_dense_family, materialise,
+                      materialise_resolvent, materialise_series,
+                      regularized_residuals, spectral_march, step_products,
+                      trapezoid_march)
 
 ORDER = FractionalOrder(0.75)
 
@@ -108,13 +110,13 @@ def test_kernel_series_terms_eventually_decreasing():
 
 @pytest.mark.parametrize("oracle", ["series", "direct"])
 def test_column_restriction_matches_full_table(rng, oracle):
-    # block columns solved one at a time against the full table, materialised
-    # by the table's own solve or by the Neumann series
+    # block columns of the parametrix solved one at a time against the full
+    # table, materialised by the table's own solve or by the Neumann series
     fam = make_dense_family(rng, 3)
     n = 41
     grid = window(n)
     cols = (0, 17, n - 2)
-    table = build_propagator(fam, grid)
+    table = Parametrix.build(fam, grid)
     if oracle == "series":
         psi, res = materialise_series(table)
     else:
@@ -123,8 +125,8 @@ def test_column_restriction_matches_full_table(rng, oracle):
     units = [np.eye(n * 3)[:, 3 * j:3 * j + 3] for j in cols]
     got_res = np.stack([table.kernel_table.apply(u).reshape(n, 3, 3)
                         for u in units], axis=1)
-    got_psi = np.stack([[table.matrix(i, j) if i >= j else np.zeros((3, 3))
-                         for j in cols] for i in range(n)])
+    got_psi = np.stack([table.propagate(u).reshape(n, 3, 3)
+                        for u in units], axis=1)
     for got, want in ((got_res, res), (got_psi, psi)):
         assert np.max(np.abs(got - want[:, cols])) < 1e-13
     assert kernel_residual(table.kernel_table, np.hstack(units)) <= 1e-12
@@ -154,10 +156,18 @@ def test_panel_solve_matches_dense_solve(rng, n):
 
 @pytest.mark.parametrize("n", panel_node_counts())
 def test_memory_guard_counts_the_stored_arrays(rng, n):
+    # the dense table's doubling levels and final row, and the parametrix's
+    # panels of S and -hK with their diagonal-block inverses
     from cfcontrol import evolution
-    table = build_propagator(make_dense_family(rng, 3), window(n))
-    stored = table.semigroups + table.kernel_table.lower \
-        + [table.kernel_table._diag_inv]
+    fam, grid = make_dense_family(rng, 3), window(n)
+    table = build_propagator(fam, grid)
+    stored = table.levels + [table._final_t]
+    assert evolution._propagator_bytes(n, 3) \
+        == sum(a.nbytes for a in stored)
+    assert 2 ** (len(table.levels) - 2) < n - 1 <= 2 ** (len(table.levels) - 1)
+    par = Parametrix.build(fam, grid)
+    stored = par.semigroups + par.kernel_table.lower \
+        + [par.kernel_table._diag_inv]
     assert evolution._table_bytes(n, 3) == sum(a.nbytes for a in stored)
 
 
@@ -212,6 +222,92 @@ def test_dense_matches_oracle_with_second_order_convergence(rng):
         errs.append(np.linalg.norm(got - ref) / np.linalg.norm(ref))
     assert errs[0] < 1e-4
     assert errs[0] / errs[1] > 3.5
+
+
+def config_family(name, tmp_path, alpha=0.75):
+    """The named dense family of a scenario file, at scale 0.5."""
+    path = tmp_path / f"{name}.cfg"
+    path.write_text(f"schema_version = 1\nalpha = {alpha}\ntau_start = 0\n"
+                    "tau_end = 1\nn_nodes = 41\nbackend = dense_matrix\n"
+                    f"dense_family = {name} 0.5\nx0 = ones 1.0\n")
+    return parse_config(path).family()
+
+
+def oracle_errors(fam, lo, sizes):
+    """Relative error of ``Psi(n-1, 0) x`` against the RK4 oracle on the
+    unit tau window from ``lo``, for each node count."""
+    grid = window(3, lo=lo, hi=lo + 1.0)
+    x = np.ones(fam.dim)
+    ref = propagate_oracle(fam, ORDER, grid.t_start, grid.t_end, x,
+                           steps=4000)
+    return [np.linalg.norm(build_propagator(fam, window(n, lo=lo,
+                                                       hi=lo + 1.0))
+                           .homogeneous(x)[-1] - ref) / np.linalg.norm(ref)
+            for n in sizes]
+
+
+@pytest.mark.parametrize("name", ["coupled_3x3", "rotation_drift",
+                                  "commuting_diagonal", "jordan"])
+def test_dense_table_is_fourth_order_away_from_tau_zero(tmp_path, name):
+    # the error ratio per halving of h is 16 on the window from tau = 0.4,
+    # and about 5 on one from tau = 0, where t ~ tau**(4/3) is not smooth.
+    # commuting_diagonal is linear in tau and its steps commute, so the two
+    # Gauss points integrate it exactly: its error is the oracle's, 5e-15
+    fam = jordan_family() if name == "jordan" \
+        else config_family(name, tmp_path)
+    for lo, ratio in ((0.4, 12.0), (0.0, 4.0)):
+        coarse, fine = oracle_errors(fam, lo, (41, 81))
+        if name == "commuting_diagonal":
+            assert max(coarse, fine) < 1e-13
+        else:
+            assert coarse / fine >= ratio
+
+
+def test_dense_composition_law_holds_to_rounding(rng):
+    # the table is a product of one-step maps, so the law holds exactly but
+    # for the rounding of the products
+    fam = make_dense_family(rng, 3)
+    table = build_propagator(fam, window(81))
+    worst = 0.0
+    for i in range(0, 81, 8):
+        for r in range(0, i + 1, 8):
+            for j in range(0, r + 1, 4):
+                dev = np.max(np.abs(table.matrix(i, j) - table.matrix(i, r)
+                                    @ table.matrix(r, j)))
+                worst = max(worst, dev / max(1.0, np.max(np.abs(
+                    table.matrix(i, j)))))
+    assert worst < 1e-14
+
+
+@pytest.mark.parametrize("lo", [0.4, 0.0])
+def test_dense_table_agrees_with_the_parametrix(tmp_path, lo):
+    # the Magnus table and the paper's parametrix differ by no more than
+    # the parametrix's own error against the oracle, which dominates
+    fam = config_family("coupled_3x3", tmp_path)
+    grid = window(81, lo=lo, hi=lo + 1.0)
+    x = np.ones(3)
+    ref = propagate_oracle(fam, ORDER, grid.t_start, grid.t_end, x,
+                           steps=4000)
+    unit = np.zeros(81 * 3)
+    unit[:3] = x
+    parametrix = Parametrix.build(fam, grid).propagate(unit)[-3:]
+    magnus = build_propagator(fam, grid).homogeneous(x)[-1]
+    par_err = np.linalg.norm(parametrix - ref)
+    assert np.linalg.norm(magnus - parametrix) <= 1.1 * par_err
+    assert np.linalg.norm(magnus - ref) <= 0.01 * par_err
+
+
+@pytest.mark.parametrize("n", [2, 3, 100, 161])
+def test_dense_accumulate_matches_the_per_step_loop(rng, n):
+    # the doubling scan against acc[r+1] = E_r (acc[r] + h/2 v_r) + h/2 v_r+1
+    fam = make_dense_family(rng, 3)
+    grid = window(n)
+    table = build_propagator(fam, grid)
+    values = rng.standard_normal((n, 3))
+    want = trapezoid_march(table.levels[0][1:], grid.h, values)
+    got = table.accumulate(values)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.array_equal(got[0], np.zeros(3))
 
 
 def test_oracle_trivial_cases():
@@ -364,16 +460,13 @@ def test_regularized_residual_decreases_with_pullback():
 
 
 def test_column_table_guards(rng):
-    # node pairs outside 0 <= j <= i < n are refused; a query solves only
-    # the block column it reads
+    # node pairs outside 0 <= j <= i < n are refused
     fam = make_dense_family(rng, 2)
     table = build_propagator(fam, window(41))
     table.matrix(10, 0)
-    assert list(table._columns) == [0]
     for i, j in ((3, 10), (41, 0), (10, -1)):
         with pytest.raises(IndexError):
             table.matrix(i, j)
-    assert list(table._columns) == [0]
 
 
 def test_column_table_homogeneous_matches_apply(rng):
@@ -482,15 +575,17 @@ def reference_family(name, tmp_path):
 @pytest.mark.parametrize("name", ["coupled_3x3", "rotation", "jordan",
                                   "random", "stiff", "very_stiff"])
 def test_semigroup_blocks_match_reference_exponential(tmp_path, name):
-    # every block S[i, j] = E_j**(i - j) of the table against scipy's expm
-    # of -(tau_i - tau_j) A(t_j); 61 nodes cross three panel boundaries, so
-    # the carries are checked too.  The worst case measured is 9.1e-15
-    # relative to max(1, |block|), on the random family; the bound leaves
-    # about 5x
+    # every block S[i, j] = E_j**(i - j) of the parametrix against scipy's
+    # expm of -(tau_i - tau_j) A(t_j); 61 nodes cross three panel
+    # boundaries, so the carries are checked too.  The worst case measured
+    # is 9.1e-15 relative to max(1, |block|), on the random family; the
+    # bound leaves about 5x.  Then every one-step exponential E_r of the
+    # dense table against scipy's expm of the Magnus exponent Omega_r, to
+    # the same bound
     fam = reference_family(name, tmp_path)
     grid = window(61)
     tau, t = grid.tau_nodes, grid.t_nodes
-    blocks = block_view(assemble(build_propagator(fam, grid).semigroups),
+    blocks = block_view(assemble(Parametrix.build(fam, grid).semigroups),
                         fam.dim)
     worst = 0.0
     for j in range(61):
@@ -498,6 +593,14 @@ def test_semigroup_blocks_match_reference_exponential(tmp_path, name):
             ref = frozen_semigroup(fam, t[j], tau[i] - tau[j])
             worst = max(worst, np.max(np.abs(blocks[i, j] - ref))
                         / max(1.0, np.max(np.abs(ref))))
+    assert worst < 5e-14
+    from scipy.linalg import expm
+    steps = build_propagator(fam, grid).levels[0][1:]
+    worst = 0.0
+    for step, omega in zip(steps, magnus_exponents(fam, grid)):
+        ref = expm(omega)
+        worst = max(worst, np.max(np.abs(step - ref))
+                    / max(1.0, np.max(np.abs(ref))))
     assert worst < 5e-14
 
 
@@ -536,30 +639,43 @@ def test_non_finite_potential_is_numeric_error(bad):
 
 
 NON_FINITE_DENSE = {
-    # A(t) itself
+    # A(t) itself, at a Gauss point of the step to node 38, the first node
+    # past t = 1
     "a_matrix": (lambda t: np.diag([1.0, np.nan if t > 1.0 else 2.0]),
-                 r"A\(t\) is not finite at node"),
-    # exp(1000 dtau) overflows past dtau = 0.71, inside the window
+                 r"A\(t\) is not finite at node 38 "),
+    # each step exp(25) is finite, but exp(1000 dtau) overflows past
+    # dtau = 0.71, at node 29 of the window
     "semigroups": (lambda t: np.diag([1.0, -1000.0]),
-                   "frozen semigroup table is not finite at node"),
-    # finite semigroups of a constant non-normal family, but mu_2(-A) is
-    # about 1000, so exp(int mu_2 dtau) overflows
+                   "the propagator is not finite at node 29 "),
+    # finite products of a constant non-normal family, but mu_2(-A) is
+    # about 1000, so the bound exp(sum mu_2(Omega_r)) overflows
     "norm_bound": (lambda t: np.array([[1.0, 2000.0], [0.0, 2.0]]),
                    "logarithmic-norm bound"),
-    # finite entries whose symmetric part A + A^T overflows
+    # finite entries whose Gauss-point sum A_1 + A_2 overflows
     "symmetric_part": (lambda t: np.full((2, 2), 1.7e308),
-                       "logarithmic-norm bound"),
+                       "the Magnus exponent is not finite at node 1 "),
 }
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", list(NON_FINITE_DENSE))
 def test_non_finite_dense_table_is_numeric_error(name):
-    # raised while the table is built, before any solve, and without a
-    # RuntimeWarning
+    # raised while the table is built, and without a RuntimeWarning
     matrix, message = NON_FINITE_DENSE[name]
     with pytest.raises(NumericError, match=message):
         build_propagator(DenseMatrixFamily(matrix, 2), window(41))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name, message", [
+    ("a_matrix", r"A\(t\) is not finite at node 38 "),
+    ("semigroups", "frozen semigroup table is not finite at node 29 "),
+])
+def test_non_finite_parametrix_is_numeric_error(name, message):
+    # the parametrix checks its own tables, at the nodes themselves
+    with pytest.raises(NumericError, match=message):
+        build_kernel(DenseMatrixFamily(NON_FINITE_DENSE[name][0], 2),
+                     window(41))
 
 
 def test_dense_operator_matrix_matches_oracle_columns():
@@ -585,7 +701,7 @@ def test_series_route_matches_direct_per_application(dim):
     rng = np.random.default_rng(40 + dim)
     fam = make_dense_family(rng, dim)
     grid = window(81)
-    table = build_propagator(fam, grid)
+    table = Parametrix.build(fam, grid)
     kt, h = table.kernel_table, grid.h
     for rhs in (rng.standard_normal(81 * dim),
                 rng.standard_normal((81 * dim, 3))):
@@ -609,7 +725,7 @@ def test_propagate_independent_of_column_grouping(dim):
     # gives each column what that column gives alone
     rng = np.random.default_rng(60 + dim)
     fam = make_dense_family(rng, dim)
-    table = build_propagator(fam, window(81))
+    table = Parametrix.build(fam, window(81))
     block = rng.standard_normal((81 * dim, 4))
     block[:, 2] *= 1e-6
     together = table.propagate(block)
@@ -622,15 +738,18 @@ def test_propagate_independent_of_column_grouping(dim):
 @pytest.mark.parametrize("oracle", ["series", "direct"])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_applications_match_materialised_oracle(dim, oracle):
-    # each application against Psi built from identity right-hand sides, by
-    # the table's own solve or by the Neumann series
+    # each application of the dense table against every block Psi(i, j),
+    # marched step by step from scipy's expm of the Magnus exponents
+    # ("series") or from the table's own steps ("direct")
+    from scipy.linalg import expm
     rng = np.random.default_rng(50 + dim)
     fam = make_dense_family(rng, dim)
     grid = window(61)
     h = grid.h
     table = build_propagator(fam, grid)
-    psi = (materialise_series(table)[0] if oracle == "series"
-           else materialise(table))
+    steps = (np.array([expm(om) for om in magnus_exponents(fam, grid)])
+             if oracle == "series" else table.levels[0][1:])
+    psi = step_products(steps)
     x0 = rng.standard_normal(dim)
     values = rng.standard_normal((61, dim))
     assert np.max(np.abs(table.homogeneous(x0) - psi[:, 0] @ x0)) <= 1e-12
@@ -697,7 +816,7 @@ def test_log_norm_bound_dominates_discrete_blocks():
         fam = make_dense_family(rng, dim)
         for n in (81, 161):
             table = build_propagator(fam, window(n))
-            psi = materialise(table)
+            psi = step_products(table.levels[0][1:])
             worst = float(np.max(np.linalg.norm(psi, 2, axis=(-2, -1))))
             assert worst <= table.norm_bound
 

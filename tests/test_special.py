@@ -276,6 +276,17 @@ def test_beta_with_one_argument_dwarfing_the_other(exponent):
         assert rel_err(value, 1.0 / a) < 1e-13
 
 
+@pytest.mark.parametrize("x, y", [(1e308, 1e308), (1e308, 1e307),
+                                  (3e305, 3e305), (1e308, 2.0)])
+def test_beta_of_huge_arguments_underflows_to_zero(x, y):
+    # B is far below the smallest double in all four; in the first two,
+    # lgamma of the smaller argument overflows (it does past about 2.5e305)
+    params = SpecfunParams(1.0, 1.0)
+    assert conformable_beta(x, y, params) == 0.0
+    assert conformable_beta(y, x, params) == 0.0
+    assert beta_via_k_reduction(x, y, params) == 0.0
+
+
 def test_beta_divergent_region_raises():
     params = SpecfunParams(0.5, 1.0)
     with pytest.raises(DomainError):
