@@ -231,26 +231,27 @@ def parse_config(path) -> ScenarioConfig:
     raw = {}
     lines = {}
     try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            content = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        for lineno, text in enumerate(fh, start=1):
-            stripped = text.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError("expected 'key = value'", lineno)
-            key, _, value = stripped.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in _KNOWN_KEYS:
-                raise ConfigError(f"unknown key {key!r}", lineno)
-            if key in raw:
-                raise ConfigError(f"duplicate key {key!r}", lineno)
-            if not value:
-                raise ConfigError(f"{key} has no value", lineno)
-            raw[key] = value
-            lines[key] = lineno
+    # text mode has already turned "\r\n" and "\r" into "\n"
+    for lineno, text in enumerate(content.split("\n"), start=1):
+        stripped = text.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError("expected 'key = value'", lineno)
+        key, _, value = stripped.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in _KNOWN_KEYS:
+            raise ConfigError(f"unknown key {key!r}", lineno)
+        if key in raw:
+            raise ConfigError(f"duplicate key {key!r}", lineno)
+        if not value:
+            raise ConfigError(f"{key} has no value", lineno)
+        raw[key] = value
+        lines[key] = lineno
 
     for key in _REQUIRED:
         if key not in raw:

@@ -49,11 +49,12 @@ kernel of a Volterra equation of the second kind,
     kernel(t, s)    = (A(s) - A(t)) S_s(t - s),
 
 discretized with trapezoid weights (Nystrom).  ``build_kernel`` tables
-``-h K`` as row panels (panel c holds the rows of the nodes ``[s0, s1)``
-and the columns of the nodes ``[0, s1)``), and ``KernelTable`` solves the
-unit lower triangular system ``I - h K`` by block substitutions over the
-panels; ``kernel_residual`` certifies a solve.  The parametrix propagator
-``Psi = S (I + h R) - h/2 R`` is second order in h.
+S and ``-h K`` as two dense ``(n*d, n*d)`` block-lower-triangular
+matrices, behind the memory guard, and ``KernelTable`` solves the unit
+lower triangular system ``I - h K`` by one LU solve; ``kernel_residual``
+certifies a solve.  The parametrix propagator ``Psi = S (I + h R) - h/2 R``
+is second order in h.  Its O((n d)**2) memory and O((n d)**3) solve are
+sized for test grids: no pipeline calls it.
 
 An independent brute-force oracle integrates the substituted ODE with a
 classical fourth-order one-step method; every propagator test is anchored
@@ -99,10 +100,6 @@ __all__ = [
 # largest exponent change |E(r) - E(anchor)| inside one chunk of the spectral
 # scan; exp(64) ~ 6e27 leaves every scaled term far from overflow
 _SCAN_SPAN = 64.0
-# nodes per row panel of the parametrix's tables: the substitutions take one
-# product per panel, and the panels' diagonal blocks, inverted at build time,
-# are (16 d)**2 doubles each
-_PANEL_NODES = 16
 # Gauss-Legendre points of a step [tau_r, tau_r + h], as fractions of h
 _GAUSS_NODES = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
 # degree of the Taylor polynomial of a one-step exponential whose scaled
@@ -163,48 +160,11 @@ class DenseMatrixFamily:
 OperatorFamily = Union[SpectralHeatFamily, DenseMatrixFamily]
 
 
-def _blocks(mat: np.ndarray, d: int) -> np.ndarray:
-    """``(rows*d, cols*d)`` block matrix as its ``(rows, cols, d, d)`` block view."""
-    return mat.reshape(mat.shape[0] // d, d, -1, d).transpose(0, 2, 1, 3)
-
-
-def _panel_bounds(n: int) -> list[tuple[int, int]]:
-    """Node ranges ``[s0, s1)`` of the row panels; only the last is partial."""
-    return [(s0, min(n, s0 + _PANEL_NODES))
-            for s0 in range(0, n, _PANEL_NODES)]
-
-
-def _panel_product(panels: list[np.ndarray], x: np.ndarray,
-                   transpose: bool = False) -> np.ndarray:
-    """``M x``, or ``M^T x`` with ``transpose``, for M stored as row panels.
-
-    A panel of shape ``(rows, cols)`` holds the rows ``[cols - rows, cols)``
-    of the block-lower-triangular M and its columns ``[0, cols)``, where
-    every later column of those rows is zero; x is (n*d,) or (n*d, k).
-    """
-    out = np.zeros((panels[-1].shape[1],) + x.shape[1:])
-    for panel in panels:
-        rows, cols = panel.shape
-        if transpose:
-            out[:cols] += panel.T @ x[cols - rows:cols]
-        else:
-            out[cols - rows:cols] = panel @ x[:cols]
-    return out
-
-
 def _table_bytes(n: int, d: int) -> int:
-    """Bytes the parametrix's tables of n nodes in dimension d hold.
-
-    That is the row panels of S and ``-hK``, and the inverses of the
-    panels' diagonal blocks of ``I - hK``, padded to a common height.
-    Panel c of a full height spans ``(c + 1) * _PANEL_NODES`` columns of
-    nodes, so the sum has a closed form and the count takes no time.
-    """
-    full, last = divmod(n, _PANEL_NODES)
-    panel_nodes = _PANEL_NODES**2 * full * (full + 1) // 2 + last * n
-    height = min(n, _PANEL_NODES) * d
-    return 8 * (2 * panel_nodes * d * d
-                + (full + (last > 0)) * height * height)
+    """Bytes a parametrix build and one solve allocate for n nodes in
+    dimension d: S, ``-hK``, the system ``I - hK`` and the LU solver's
+    working copy of it, four ``(n*d, n*d)`` matrices of doubles."""
+    return 32 * (n * d) ** 2
 
 
 def _propagator_bytes(n: int, d: int) -> int:
@@ -228,15 +188,6 @@ def _require_finite(what: str, values: np.ndarray, grid: TimeGrid,
         node = first + int(np.argmin(finite))
         raise NumericError(f"{what} is not finite at node {node} "
                            f"(t = {float(grid.t_nodes[node])!r})")
-
-
-def _require_finite_panels(what: str, panels: list[np.ndarray],
-                           grid: TimeGrid, d: int) -> None:
-    """:func:`_require_finite` on the rows of each row panel, node by node."""
-    for panel in panels:
-        rows, cols = panel.shape
-        _require_finite(what, panel.reshape(rows // d, -1), grid,
-                        (cols - rows) // d)
 
 
 def _one_step_exponentials(exponents: np.ndarray) -> np.ndarray:
@@ -266,53 +217,40 @@ def _one_step_exponentials(exponents: np.ndarray) -> np.ndarray:
 
 
 def _dense_tables(family: DenseMatrixFamily, grid: TimeGrid):
-    """The row panels of the parametrix's S and of ``-h K``.
+    """The parametrix's S and ``-h K``, each one ``(n*d, n*d)`` matrix.
 
     ``S[i, j] = E_j**(i - j)`` for i >= j, with ``E_j`` the one-step
-    exponential.  The first ``_PANEL_NODES`` powers of every ``E_j`` are
-    tabled, and each column left of a panel keeps a carry
-    ``E_j**(s0 - j)``: the panel's blocks there are one batched product of
-    the power table with the carries, and its diagonal square is read from
-    the power table.  ``K[i, j] = (A_j - A_i) S[i, j]`` keeps ``A_j - A_i``
-    as the left factor, so K is exactly zero on the block diagonal and for
-    a constant family.  numpy's floating-point warnings are off; a value
-    that is not finite raises :class:`NumericError` naming its node, and a
-    grid whose tables would not fit in memory :class:`DomainError`.
+    exponential, is filled one lag at a time: the powers of lag L are those
+    of lag L - 1 times one more step.  ``K[i, j] = (A_j - A_i) S[i, j]``
+    keeps ``A_j - A_i`` as the left factor, so K is exactly zero on the
+    block diagonal and for a constant family.  numpy's floating-point
+    warnings are off; a value that is not finite raises
+    :class:`NumericError` naming its node, and a grid whose matrices would
+    not fit in memory :class:`DomainError`.
     """
     n, d, h = grid.n_nodes, family.dim, grid.h
     if n < 3:
         raise DomainError("kernel construction needs at least three nodes")
     require_memory(_table_bytes(n, d),
                    f"a parametrix table of {n} nodes in dimension {d}")
-    semigroups, lower = [], []
+    semigroups, lower = np.zeros((n * d, n * d)), np.zeros((n * d, n * d))
+    sem_blocks = semigroups.reshape(n, d, n, d).transpose(0, 2, 1, 3)
+    low_blocks = lower.reshape(n, d, n, d).transpose(0, 2, 1, 3)
+    nodes = np.arange(n)
     with np.errstate(all="ignore"):
         a_stack = np.stack([family.a_matrix(t) for t in grid.t_nodes])
         _require_finite("A(t)", a_stack, grid)
         step = _one_step_exponentials(-h * a_stack)
-        powers = np.empty((n, _PANEL_NODES, d, d))
-        powers[:, 0] = np.eye(d)
-        for k in range(1, _PANEL_NODES):
-            powers[:, k] = powers[:, k - 1] @ step
-        carry = np.empty_like(step)
-        for s0, s1 in _panel_bounds(n):
-            rows = s1 - s0
-            sem = np.empty((rows * d, s1 * d))
-            np.matmul(powers[:s0, :rows].reshape(s0, rows * d, d), carry[:s0],
-                      out=sem[:, :s0 * d].reshape(rows * d, s0, d)
-                      .transpose(1, 0, 2))
-            blocks = _blocks(sem, d)
-            lag = np.subtract.outer(np.arange(rows), np.arange(rows))
-            blocks[:, s0:] = powers[np.arange(s0, s1), np.maximum(lag, 0)]
-            blocks[:, s0:][lag < 0] = 0.0
-            carry[:s1] = step[:s1] @ blocks[-1]
-            kern = np.empty_like(sem)
-            np.matmul(a_stack[None, :s1] - a_stack[s0:s1, None], blocks,
-                      out=_blocks(kern, d))
-            kern *= -h
-            semigroups.append(sem)
-            lower.append(kern)
-    _require_finite_panels("the frozen semigroup table", semigroups, grid, d)
-    _require_finite_panels("the kernel", lower, grid, d)
+        power = np.broadcast_to(np.eye(d), (n, d, d))
+        sem_blocks[nodes, nodes] = power
+        for lag in range(1, n):
+            power = power[:-1] @ step[:-lag]
+            sem_blocks[nodes[lag:], nodes[:-lag]] = power
+            low_blocks[nodes[lag:], nodes[:-lag]] = \
+                ((a_stack[:-lag] - a_stack[lag:]) @ power) * -h
+    _require_finite("the frozen semigroup table", semigroups.reshape(n, -1),
+                    grid)
+    _require_finite("the kernel", lower.reshape(n, -1), grid)
     return semigroups, lower
 
 
@@ -320,71 +258,33 @@ def _dense_tables(family: DenseMatrixFamily, grid: TimeGrid):
 class KernelTable:
     """Volterra kernel of the parametrix; solves its resolvent equation.
 
-    ``lower`` holds the row panels (see :func:`_panel_product`) of the
-    ``(n*d, n*d)`` matrix ``-h K``, the strictly lower part of ``I - h K``,
-    where K is strictly block lower triangular with block
-    ``K[i, j] = (A(t_j) - A(t_i)) S_{t_j}(t_i - t_j)``.  The discrete
+    ``lower`` is the ``(n*d, n*d)`` matrix ``-h K``, the strictly lower
+    part of ``I - h K``, where K is strictly block lower triangular with
+    block ``K[i, j] = (A(t_j) - A(t_i)) S_{t_j}(t_i - t_j)``.  The discrete
     equation ``R = K + h K R`` has the one solution
-    ``R = (I - h K)^{-1} K``; R is never stored.  The inverse of each
-    panel's diagonal block of ``I - h K`` is taken when the table is
-    built, batched over the panels, and the solves are block substitutions
-    over the panels.  ``n_terms_used`` is 0: no series is summed (it stays
-    for callers that read a term count).
+    ``R = (I - h K)^{-1} K``; R is never stored.  ``n_terms_used`` is 0:
+    no series is summed (it stays for callers that read a term count).
     """
 
     grid: TimeGrid
-    lower: list[np.ndarray]
+    lower: np.ndarray
     n_terms_used = 0
 
-    def __post_init__(self):
-        # a panel's diagonal block I + L of I - hK has identity d x d blocks
-        # on its diagonal (K vanishes there), so row block k of its inverse
-        # X is X_k = E_k - L_k,<k X_<k: one substitution over the nodes of a
-        # panel, batched over the panels.  The partial last block is padded
-        # with zero rows of L, which invert to the identity.
-        d = self.lower[-1].shape[1] // self.grid.n_nodes
-        height = self.lower[0].shape[0]
-        blocks = np.zeros((len(self.lower), height, height))
-        for block, panel in zip(blocks, self.lower):
-            rows = panel.shape[0]
-            block[:rows, :rows] = panel[:, -rows:]
-        inv = np.zeros_like(blocks)
-        eye = np.eye(height)
-        for k in range(0, height, d):
-            inv[:, k:k + d, :k + d] = eye[k:k + d, :k + d] \
-                - blocks[:, k:k + d, :k] @ inv[:, :k, :k + d]
-        self._diag_inv = inv
-
     def solve(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """``(I - h K)^{-1} rhs``, or ``(I - h K)^{-T} rhs`` (``transpose``).
-
-        A block forward substitution over the panels, or with ``transpose``
-        a backward one; rhs is (n*d,) or (n*d, k).
-        """
-        out = np.array(rhs, dtype=float)
-        if transpose:
-            for panel, inv in zip(self.lower[::-1], self._diag_inv[::-1]):
-                rows, cols = panel.shape
-                lo = cols - rows
-                out[lo:cols] = inv[:rows, :rows].T @ out[lo:cols]
-                out[:lo] -= panel[:, :lo].T @ out[lo:cols]
-        else:
-            for panel, inv in zip(self.lower, self._diag_inv):
-                rows, cols = panel.shape
-                lo = cols - rows
-                out[lo:cols] = inv[:rows, :rows] @ (
-                    out[lo:cols] - panel[:, :lo] @ out[:lo])
-        return out
+        """``(I - h K)^{-1} rhs``, or ``(I - h K)^{-T} rhs`` (``transpose``);
+        rhs is (n*d,) or (n*d, k)."""
+        system = np.eye(self.lower.shape[0])
+        system += self.lower
+        return np.linalg.solve(system.T if transpose else system, rhs)
 
     def apply(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
         """R rhs, or R^T rhs with ``transpose``; rhs is (n*d,) or (n*d, k).
 
         Solves ``(I - h K) w = K rhs``; ``K rhs`` is read from ``-h K``.
         """
-        first = _panel_product(self.lower, np.asarray(rhs, dtype=float),
-                               transpose)
-        first /= -self.grid.h
-        return self.solve(first, transpose)
+        lower = self.lower.T if transpose else self.lower
+        return self.solve(lower @ np.asarray(rhs, dtype=float)
+                          / -self.grid.h, transpose)
 
 
 def build_kernel(family: OperatorFamily, grid: TimeGrid) -> KernelTable:
@@ -393,7 +293,7 @@ def build_kernel(family: OperatorFamily, grid: TimeGrid) -> KernelTable:
     operator (acceptance criterion 5) and is not on any pipeline's path.
 
     Raises :class:`DomainError` for a spectral family, fewer than three
-    nodes, or a grid whose tables would not fit in memory, and
+    nodes, or a grid whose matrices would not fit in memory, and
     :class:`NumericError` when ``A(t)`` or a table is not finite.
     """
     if family.kind != "dense_matrix":
@@ -408,10 +308,9 @@ def kernel_residual(table: KernelTable, rhs: np.ndarray) -> float:
     (Frobenius for several right-hand sides).  When ``K v`` vanishes the
     absolute residual is returned.
     """
-    rhs = np.asarray(rhs, dtype=float)
-    first = _panel_product(table.lower, rhs) / -table.grid.h
+    first = table.lower @ np.asarray(rhs, dtype=float) / -table.grid.h
     w = table.apply(rhs)
-    resid = w + _panel_product(table.lower, w) - first
+    resid = w + table.lower @ w - first
     return float(np.linalg.norm(resid)) / (float(np.linalg.norm(first)) or 1.0)
 
 

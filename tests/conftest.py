@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cfcontrol import DenseMatrixFamily, DomainError, KernelTable
-from cfcontrol.evolution import _dense_tables, _panel_product
+from cfcontrol.evolution import _dense_tables
 
 
 def make_smooth_fn(rng, scale=1.0):
@@ -65,29 +65,15 @@ def frozen_semigroup(family, s, dt_tau):
     return expm(-dt_tau * family.a_matrix(s))
 
 
-def assemble(panels):
-    """The ``(n*d, n*d)`` matrix a dense table holds as row panels.
-
-    A panel of shape ``(rows, cols)`` holds the rows ``[cols - rows, cols)``
-    and the columns ``[0, cols)``; the rest of the matrix is zero.
-    """
-    size = panels[-1].shape[1]
-    out = np.zeros((size, size))
-    for panel in panels:
-        rows, cols = panel.shape
-        out[cols - rows:cols, :cols] = panel
-    return out
-
-
 def kernel_series(kernel_table, rhs, transpose=False, tol=1e-8, max_terms=40):
     """``R v`` (or ``R^T v``) as the Neumann series ``sum_m (hK)^m K v``.
 
-    K is read from the table's ``-hK`` panels.  Terms are added until the
+    K is read from the table's ``-hK``.  Terms are added until the
     newest one's norm is at most ``tol`` times that of ``K v``, or until
     ``max_terms`` terms are summed; returns the sum and the relative norms
     of its terms.  The reference for the table's triangular solve.
     """
-    kern = assemble(kernel_table.lower) / -kernel_table.grid.h
+    kern = kernel_table.lower / -kernel_table.grid.h
     if transpose:
         kern = kern.T
     h = kernel_table.grid.h
@@ -103,7 +89,7 @@ def kernel_series(kernel_table, rhs, transpose=False, tol=1e-8, max_terms=40):
 
 def kernel_equation_residual(kernel_table, rhs, w):
     """``||w - hKw - Kv|| / ||Kv||`` for a candidate ``w = R v``."""
-    kern = assemble(kernel_table.lower) / -kernel_table.grid.h
+    kern = kernel_table.lower / -kernel_table.grid.h
     first = kern @ np.asarray(rhs, dtype=float)
     resid = w - kernel_table.grid.h * (kern @ w) - first
     return float(np.linalg.norm(resid)) / float(np.linalg.norm(first))
@@ -115,7 +101,7 @@ def materialise_resolvent(kernel_table):
     Applies the table to the ``n*d`` identity columns; the oracle for single
     applications.
     """
-    nd = kernel_table.lower[-1].shape[1]
+    nd = kernel_table.lower.shape[0]
     return block_view(kernel_table.apply(np.eye(nd)),
                       nd // kernel_table.grid.n_nodes)
 
@@ -123,13 +109,13 @@ def materialise_resolvent(kernel_table):
 class Parametrix(NamedTuple):
     """The paper's dense propagator, from the tables ``build_kernel`` builds.
 
-    ``semigroups`` holds the row panels of the frozen semigroups S and
+    ``semigroups`` is the ``(n*d, n*d)`` matrix of frozen semigroups S and
     ``kernel_table`` solves with ``I - h K``; ``propagate`` applies
     ``Psi = S (I + h R) - h/2 R`` to stacked node values.  The reference
     the tests hold the production dense table against.
     """
 
-    semigroups: list
+    semigroups: np.ndarray
     kernel_table: KernelTable
     dim: int
 
@@ -147,7 +133,7 @@ class Parametrix(NamedTuple):
         (n*d,) or (n*d, k)."""
         v = np.asarray(v, dtype=float)
         y = self.kernel_table.solve(v)
-        return _panel_product(self.semigroups, y) - 0.5 * (y - v)
+        return self.semigroups @ y - 0.5 * (y - v)
 
 
 def materialise(table):
@@ -215,7 +201,7 @@ def materialise_series(table):
     eye = np.eye(table.grid.n_nodes * table.dim)
     res, _ = kernel_series(kt, eye, tol=0.0,
                            max_terms=table.grid.n_nodes + 1)
-    psi = assemble(table.semigroups) @ (eye + h * res) - 0.5 * h * res
+    psi = table.semigroups @ (eye + h * res) - 0.5 * h * res
     return block_view(psi, table.dim), block_view(res, table.dim)
 
 

@@ -373,7 +373,7 @@ def test_criterion_05_kernel_construction():
     # constant family: zero kernel at machine precision
     const_fam = DenseMatrixFamily(lambda t: np.diag([1.0, 2.0]), 2)
     const_tab = build_kernel(const_fam, grid)
-    const_zero = (max(np.max(np.abs(p)) for p in const_tab.lower) == 0.0
+    const_zero = (np.max(np.abs(const_tab.lower)) == 0.0
                   and np.max(np.abs(materialise_resolvent(const_tab))) == 0.0)
 
     worst_series, worst_direct, worst_gap = 0.0, 0.0, 0.0

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfcontrol import ConfigError, parse_config
-from cfcontrol.cli import main
+from cfcontrol.cli import _ERROR_TABLE, main
 
 from conftest import limit_sources
 
@@ -507,6 +508,65 @@ def test_missing_config_file_is_config_error(tmp_path, capsys):
     rc = main(["control", "--config", str(tmp_path / "absent.cfg"),
                "--out", str(tmp_path / "out")])
     assert rc != 0
+
+
+def test_config_that_is_not_utf8_is_one_config_error(tmp_path, capsys):
+    # the decoding error used to escape parse_config as a traceback
+    path = tmp_path / "bin.cfg"
+    path.write_bytes(b"\xff\xfe bad")
+    rc = main(["control", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"ERROR CONFIG: cannot read {path}: ")
+
+
+# each shipped config with the pipelines the README runs it with
+SHIPPED_PIPELINES = {"dense_evolve.cfg": ("evolve",),
+                     "heat_null_control.cfg": ("control", "solve"),
+                     "heat_over_gain.cfg": ("control",),
+                     "verify_gamma.cfg": ("verify",)}
+# keys that size a run take only these, so that no example starts a long one
+SIZE_KEYS = {"n_nodes", "n_modes", "max_iter"}
+SIZE_TOKENS = ["0", "1", "2", "-3", "4.5", "1e30", "nan", str(10**30), "",
+               "µ", "٣"]
+EDGE_TOKENS = SIZE_TOKENS + ["inf", "-inf", "1e308", "-1e308", "5e-324",
+                             "0.5", "constant", "values 1 2", "tabulated .",
+                             "coupled_3x3 1e200", "linear 1e308", "#", "="]
+EXIT_CODES = {0, 8} | {status for _, _, status in _ERROR_TABLE}
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_shipped_config_exits_with_a_code_and_one_line(data):
+    # one key of a shipped config takes a drawn token, text or bytes; the
+    # run exits 0, 8 or a code of the error table, with at most one stderr
+    # line and no traceback
+    name = data.draw(st.sampled_from(sorted(SHIPPED_PIPELINES)))
+    pipeline = data.draw(st.sampled_from(SHIPPED_PIPELINES[name]))
+    lines = (CONFIG_DIR / name).read_bytes().split(b"\n")
+    keyed = [k for k, line in enumerate(lines)
+             if b"=" in line and not line.startswith(b"#")]
+    k = data.draw(st.sampled_from(keyed))
+    key = lines[k].partition(b"=")[0].strip()
+    if key.decode() in SIZE_KEYS:
+        value = data.draw(st.sampled_from(SIZE_TOKENS)).encode()
+    else:
+        value = data.draw(st.one_of(
+            st.sampled_from(EDGE_TOKENS).map(str.encode),
+            st.text(max_size=12).map(str.encode), st.binary(max_size=12)))
+    lines[k] = key + b" = " + value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_bytes(b"\n".join(lines))
+        with contextlib.redirect_stderr(err):
+            rc = main([pipeline, "--config", str(path),
+                       "--out", str(Path(tmp) / "out")])
+    err = err.getvalue()
+    assert rc in EXIT_CODES, (lines[k], rc, err)
+    assert len(err.splitlines()) <= 1, (lines[k], err)
+    assert "Traceback" not in err, (lines[k], err)
 
 
 # --- specfun ----------------------------------------------------------------

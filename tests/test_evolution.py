@@ -13,7 +13,7 @@ from cfcontrol import (DenseMatrixFamily, DomainError,
                        conformable_residual, kernel_residual, parse_config,
                        propagate_oracle)
 
-from conftest import (Parametrix, assemble, block_view,
+from conftest import (Parametrix, block_view,
                       final_gram_reference, frozen_semigroup,
                       kernel_equation_residual, kernel_series, limit_sources,
                       magnus_exponents, make_dense_family, materialise,
@@ -67,7 +67,7 @@ def test_frozen_semigroup_negative_elapsed_rejected():
 def test_constant_family_has_zero_kernel():
     fam = DenseMatrixFamily(lambda t: np.diag([1.0, 2.0]), 2)
     table = build_kernel(fam, window(41))
-    assert max(np.max(np.abs(panel)) for panel in table.lower) == 0.0
+    assert np.max(np.abs(table.lower)) == 0.0
     assert np.max(np.abs(materialise_resolvent(table))) == 0.0
 
 
@@ -132,32 +132,11 @@ def test_column_restriction_matches_full_table(rng, oracle):
     assert kernel_residual(table.kernel_table, np.hstack(units)) <= 1e-12
 
 
-def panel_node_counts():
-    """Three nodes, fewer than one panel, a partial last panel, whole ones."""
-    from cfcontrol import evolution
-    height = evolution._PANEL_NODES
-    return [3, height - 5, 2 * height + 5, 2 * height]
-
-
-@pytest.mark.parametrize("n", panel_node_counts())
-def test_panel_solve_matches_dense_solve(rng, n):
-    # the block substitutions, forward and transposed, against a dense
-    # solve with the assembled I - hK
-    fam = make_dense_family(rng, 3)
-    table = build_kernel(fam, window(n))
-    system = np.eye(n * 3) + assemble(table.lower)
-    for rhs in (rng.standard_normal(n * 3), rng.standard_normal((n * 3, 4))):
-        for transpose in (False, True):
-            want = np.linalg.solve(system.T if transpose else system, rhs)
-            got = table.solve(rhs, transpose=transpose)
-            assert got.shape == rhs.shape
-            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-
-
-@pytest.mark.parametrize("n", panel_node_counts())
+@pytest.mark.parametrize("n", [3, 11, 37, 32])
 def test_memory_guard_counts_the_stored_arrays(rng, n):
-    # the dense table's doubling levels and final row, and the parametrix's
-    # panels of S and -hK with their diagonal-block inverses
+    # the dense table's doubling levels and final row; the parametrix's S
+    # and -hK, and for a solve the system I - hK and the LU solver's
+    # working copy of it, two more matrices of the same size
     from cfcontrol import evolution
     fam, grid = make_dense_family(rng, 3), window(n)
     table = build_propagator(fam, grid)
@@ -166,9 +145,9 @@ def test_memory_guard_counts_the_stored_arrays(rng, n):
         == sum(a.nbytes for a in stored)
     assert 2 ** (len(table.levels) - 2) < n - 1 <= 2 ** (len(table.levels) - 1)
     par = Parametrix.build(fam, grid)
-    stored = par.semigroups + par.kernel_table.lower \
-        + [par.kernel_table._diag_inv]
-    assert evolution._table_bytes(n, 3) == sum(a.nbytes for a in stored)
+    stored = (par.semigroups, par.kernel_table.lower)
+    assert all(a.shape == (n * 3, n * 3) for a in stored)
+    assert evolution._table_bytes(n, 3) == 2 * sum(a.nbytes for a in stored)
 
 
 def test_kernel_requires_dense_backend():
@@ -576,17 +555,15 @@ def reference_family(name, tmp_path):
                                   "random", "stiff", "very_stiff"])
 def test_semigroup_blocks_match_reference_exponential(tmp_path, name):
     # every block S[i, j] = E_j**(i - j) of the parametrix against scipy's
-    # expm of -(tau_i - tau_j) A(t_j); 61 nodes cross three panel
-    # boundaries, so the carries are checked too.  The worst case measured
-    # is 9.1e-15 relative to max(1, |block|), on the random family; the
+    # expm of -(tau_i - tau_j) A(t_j), up to the 60th power.  The worst case
+    # measured is 9.1e-15 relative to max(1, |block|), on the random family; the
     # bound leaves about 5x.  Then every one-step exponential E_r of the
     # dense table against scipy's expm of the Magnus exponent Omega_r, to
     # the same bound
     fam = reference_family(name, tmp_path)
     grid = window(61)
     tau, t = grid.tau_nodes, grid.t_nodes
-    blocks = block_view(assemble(Parametrix.build(fam, grid).semigroups),
-                        fam.dim)
+    blocks = block_view(Parametrix.build(fam, grid).semigroups, fam.dim)
     worst = 0.0
     for j in range(61):
         for i in range(j, 61):
@@ -694,17 +671,19 @@ def test_dense_operator_matrix_matches_oracle_columns():
 
 # --- operator applications against the materialised oracle ------------------
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_series_route_matches_direct_per_application(dim):
+@pytest.mark.parametrize("dim, n", [(2, 81), (3, 81), (3, 3)],
+                         ids=["2", "3", "3-three_nodes"])
+def test_series_route_matches_direct_per_application(dim, n):
     # the Neumann series, plain and transposed, against the table's solve,
-    # and Psi v = S (v + h R v) - h/2 R v with the series R against propagate
+    # and Psi v = S (v + h R v) - h/2 R v with the series R against propagate;
+    # three nodes is the smallest grid build_kernel takes
     rng = np.random.default_rng(40 + dim)
     fam = make_dense_family(rng, dim)
-    grid = window(81)
+    grid = window(n)
     table = Parametrix.build(fam, grid)
     kt, h = table.kernel_table, grid.h
-    for rhs in (rng.standard_normal(81 * dim),
-                rng.standard_normal((81 * dim, 3))):
+    for rhs in (rng.standard_normal(n * dim),
+                rng.standard_normal((n * dim, 3))):
         for transpose in (False, True):
             want = kt.apply(rhs, transpose=transpose)
             got, _ = kernel_series(kt, rhs, transpose=transpose)
@@ -714,7 +693,7 @@ def test_series_route_matches_direct_per_application(dim):
         assert kernel_equation_residual(kt, rhs, w) <= 1e-8
         assert kernel_residual(kt, rhs) <= 1e-12
         want = table.propagate(rhs)
-        got = assemble(table.semigroups) @ (rhs + h * w) - 0.5 * h * w
+        got = table.semigroups @ (rhs + h * w) - 0.5 * h * w
         assert np.max(np.abs(got - want)) < 1e-7 * np.max(np.abs(want))
     assert kt.n_terms_used == 0
 
@@ -850,8 +829,8 @@ def test_memory_guard_takes_smallest_readable_limit(monkeypatch, tmp_path,
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     have, label = min(grids._memory_limits(), key=lambda lim: lim[0])
     assert (have, label) == (expect or (physical, "of physical memory"))
-    # the row panels of S and -hK with their diagonal-block inverses, in
-    # dimension 1: 0.11 MB at n = 100, 1.38 MB at 400
+    # the parametrix's four (n, n) matrices in dimension 1: 0.32 MB at
+    # n = 100, 5.12 MB at 400
     grids.require_memory(_table_bytes(100, 1), "a table")
     if expect is None:
         grids.require_memory(_table_bytes(400, 1), "a table")

@@ -42,6 +42,14 @@ def run(tmp_path, pipeline, alpha, keys):
     return tables, {k: v for k, v in summary.items() if k not in T_KEYS}
 
 
+def small_gain(tmp_path, pipeline, alpha):
+    """``contraction_lhs`` as a float and ``contraction_satisfied`` as
+    written by the run of ``run`` at this alpha."""
+    text = (tmp_path / f"{pipeline}_{alpha}" / "summary.txt").read_text()
+    summary = dict(line.split("=", 1) for line in text.splitlines())
+    return float(summary["contraction_lhs"]), summary["contraction_satisfied"]
+
+
 def as_floats(outputs):
     tables, summary = outputs
     return ({name: np.array(rows[1:], dtype=float)
@@ -52,12 +60,24 @@ def as_floats(outputs):
 @pytest.mark.parametrize("pipeline", ["control", "evolve"])
 @pytest.mark.parametrize("potential", ["constant 1.0", "affine 1.0 0.7"])
 def test_alpha_only_relabels_spectral_time(tmp_path, pipeline, potential):
-    # every output but the t column and the paper's constant, byte for byte
+    # every output but the t column and the paper's constant, byte for byte,
+    # so the fixed point takes the same sweeps at every alpha.  At t0 = 0 the
+    # constant's horizon factor int t**(2 alpha - 2) dt diverges for
+    # alpha <= 1/2: its lhs reads inf there, and finite above
     keys = {**SPECTRAL, "potential": potential}
     first = run(tmp_path, pipeline, ALPHAS[0], keys)
     assert first[0]
-    for alpha in ALPHAS[1:]:
-        assert run(tmp_path, pipeline, alpha, keys) == first
+    if pipeline == "control":
+        assert int(first[1]["iterations"]) > 0
+    for alpha in ALPHAS:
+        if alpha != ALPHAS[0]:
+            assert run(tmp_path, pipeline, alpha, keys) == first
+        if pipeline == "control":
+            lhs, satisfied = small_gain(tmp_path, pipeline, alpha)
+            if float(alpha) > 0.5:
+                assert np.isfinite(lhs) and satisfied == "1"
+            else:
+                assert lhs == np.inf and satisfied == "0"
 
 
 @pytest.mark.parametrize("pipeline", ["control", "evolve"])
