@@ -5,6 +5,9 @@ lines.  Values for structured keys are space-separated words, e.g.
 ``potential = affine 1.0 0.5``.  The schema is versioned; parse errors
 carry the offending line number.  A key outside the list below, such as
 the removed ``kernel_tol``, ``k``, ``seed`` or ``trials``, is an error.
+The families take tau arrays.  The potentials and ``commuting_diagonal``
+are defined in tau; ``rotation_drift`` and ``coupled_3x3`` vary with
+``sin(t)``, t taken from tau by the order.
 
 Recognized keys (see README for the full schema):
 
@@ -101,11 +104,10 @@ class ScenarioConfig:
         kind = words[0]
         if kind == "constant":
             c = self._floats(words[1:], 1, "potential")[0]
-            return lambda t: c
+            return lambda tau: c
         if kind == "affine":
             c0, c1 = self._floats(words[1:], 2, "potential")
-            alpha = self.alpha
-            return lambda t: c0 + c1 * (t**alpha / alpha)
+            return lambda tau: c0 + c1 * tau
         if kind == "tabulated":
             if len(words) != 2:
                 raise ConfigError("tabulated potential needs a file path",
@@ -128,8 +130,7 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"potential: the tau column of {words[1]} must be "
                     "strictly increasing", self.lines.get("potential"))
-            alpha = self.alpha
-            return lambda t: float(np.interp(t**alpha / alpha, taus, vals))
+            return lambda tau: np.interp(tau, taus, vals)
         raise ConfigError(f"unknown potential kind {kind!r}",
                           self.lines.get("potential"))
 
@@ -138,31 +139,28 @@ class ScenarioConfig:
         name = words[0]
         scale = self._floats(words[1:], 1, "dense_family")[0] if len(words) > 1 \
             else 0.5
-        alpha = self.alpha
         if name == "commuting_diagonal":
-            def mat(t):
-                tau = t**alpha / alpha
-                return np.diag([1.0 + 0.5 * scale * tau,
-                                2.0 + 0.25 * scale * tau])
-            return DenseMatrixFamily(mat, 2)
-        if name == "rotation_drift":
-            def mat(t):
-                c = scale * np.sin(t)
-                return np.array([[1.0, c], [-c, 1.4]])
-            return DenseMatrixFamily(mat, 2)
-        if name == "coupled_3x3":
+            base, bump = np.diag([1.0, 2.0]), np.diag([0.5, 0.25])
+        elif name == "rotation_drift":
+            base = np.diag([1.0, 1.4])
+            bump = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        elif name == "coupled_3x3":
             base = np.array([[1.0, 0.2, 0.0],
                              [0.1, 1.5, 0.2],
                              [0.0, 0.1, 2.0]])
             bump = np.array([[0.0, 0.3, 0.1],
                              [-0.2, 0.0, 0.2],
                              [0.1, -0.1, 0.0]])
+        else:
+            raise ConfigError(f"unknown dense family {name!r}",
+                              self.lines.get("dense_family"))
+        order = self.order()
 
-            def mat(t):
-                return base + scale * np.sin(t) * bump
-            return DenseMatrixFamily(mat, 3)
-        raise ConfigError(f"unknown dense family {name!r}",
-                          self.lines.get("dense_family"))
+        def mat(tau):
+            bend = tau if name == "commuting_diagonal" \
+                else np.sin(order.from_tau(tau))
+            return base + (scale * np.asarray(bend))[..., None, None] * bump
+        return DenseMatrixFamily(mat, len(base))
 
     def control_matrix(self, dim: int) -> np.ndarray:
         words = self.control_spec.split()
@@ -186,7 +184,7 @@ class ScenarioConfig:
             return None, 0.0
         if kind == "linear":
             c = self._floats(words[1:], 1, "nonlinearity")[0]
-            return (lambda t, x: c * x), abs(c)
+            return (lambda tau, x: c * x), abs(c)
         raise ConfigError(f"unknown nonlinearity kind {kind!r}",
                           self.lines.get("nonlinearity"))
 

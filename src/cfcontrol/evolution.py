@@ -1,17 +1,20 @@
 """Two-parameter evolution operators for non-autonomous linear systems.
 
-The homogeneous dynamics ``d_alpha x + A(t) x = 0`` become the classical
-system ``dx/dtau = -A(t(tau)) x`` in transformed time, so the evolution
-operator between grid nodes is built entirely on the flat tau grid.
+The homogeneous dynamics ``d_alpha x + A x = 0`` become the classical
+system ``dx/dtau = -A(tau) x`` in transformed time, so the evolution
+operator between grid nodes is built entirely on the flat tau grid.  A
+family is a function of tau, called once per table with the array of
+the points it samples (a scalar tau works too); a family of physical
+time maps tau to t itself.
 
 Two backends:
 
 * ``spectral_heat`` -- the Dirichlet sine-mode family with eigenvalues
-  ``n**2 + p(t)`` per mode.  The operator is diagonal with per-mode factors
-  ``exp(-n**2 * (tau_t - tau_s) - int_{tau_s}^{tau_t} p dtau)`` where the
-  potential integral is accumulated by cumulative trapezoid.  The
-  trapezoid Volterra sum over these factors is one cumulative sum per chunk
-  of nodes, with a carry between chunks.
+  ``n**2 + p(tau)`` per mode.  The operator is diagonal with per-mode
+  factors ``exp(-n**2 * (tau_t - tau_s) - int_{tau_s}^{tau_t} p dtau)``
+  where the potential integral is accumulated by cumulative trapezoid.
+  The trapezoid Volterra sum over these factors is one cumulative sum per
+  chunk of nodes, with a carry between chunks.
 * ``dense_matrix`` -- a general smooth matrix family.  The operator is a
   product of one-step exponentials ``E_r = exp(Omega_r)``, with the
   fourth-order Magnus exponent of the step ``[tau_r, tau_{r+1}]``
@@ -19,14 +22,14 @@ Two backends:
       Omega_r = -(h/2) (A_1 + A_2) + (sqrt(3) h**2 / 12) [A_2, A_1],
 
   where ``A_1`` and ``A_2`` are the family at the two Gauss points of the
-  step, mapped to t by the order's ``from_tau`` (Blanes, Casas, Oteo &
-  Ros, Phys. Rep. 470, 2009; Iserles & Norsett, Phil. Trans. R. Soc. A
-  357, 1999).  The products compose exactly, ``Psi(i, j) = E_{i-1} ...
-  E_j``.  The error in h is fourth order on windows away from tau = 0 and
-  about 2.25 on a window that starts there, where ``t(tau)`` is not smooth
-  (``t ~ tau**(1/alpha)``).  The table caches the Hillis-Steele doubling
-  levels of the step maps, ``levels[k][i] = Psi(i, max(0, i - 2**k))``:
-  about ``log2 n`` arrays of shape (n, d, d), every block a true
+  step (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009; Iserles &
+  Norsett, Phil. Trans. R. Soc. A 357, 1999).  The products compose
+  exactly, ``Psi(i, j) = E_{i-1} ... E_j``.  The error in h is fourth
+  order on windows away from tau = 0; a family of physical time loses
+  order on a window that starts there, about 2.25, because ``t(tau)`` is
+  not smooth (``t ~ tau**(1/alpha)``).  The table caches the Hillis-Steele
+  doubling levels of the step maps, ``levels[k][i] = Psi(i, max(0, i -
+  2**k))``: about ``log2 n`` arrays of shape (n, d, d), every block a true
   propagator, nothing inverted.  ``homogeneous`` reads the last level,
   ``accumulate`` is the trapezoid recurrence evaluated as one batched
   mat-vec per level, and the final row ``Psi(n-1, r)`` is the same scan
@@ -35,9 +38,8 @@ Two backends:
   every block because ``||exp Omega||_2 <= exp mu_2(Omega)``.  A grid
   whose table would not fit in memory (the smallest of physical memory,
   the soft ``RLIMIT_AS`` and the cgroup limit) is refused before anything
-  large is allocated.  A family whose ``A(t)``, exponents, products or
-  bound come out non-finite raises :class:`NumericError` when the table
-  is built.
+  large is allocated.  A family whose values, exponents, products or
+  bound come out non-finite raises :class:`NumericError` naming the node.
 
 The paper's own construction of the dense operator, the parametrix, is
 kept as a certificate: frozen-coefficient exponentials
@@ -101,23 +103,32 @@ __all__ = [
 # scan; exp(64) ~ 6e27 leaves every scaled term far from overflow
 _SCAN_SPAN = 64.0
 # Gauss-Legendre points of a step [tau_r, tau_r + h], as fractions of h
-_GAUSS_NODES = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
+_GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0
 # degree of the Taylor polynomial of a one-step exponential whose scaled
 # 1-norm is below one: the remainder is below 1/19! * 1.06 < 1e-17
 _TAYLOR_DEGREE = 18
 
 
+def _broadcast(value, shape: tuple, what: str) -> np.ndarray:
+    """``value`` broadcast to ``shape``, else :class:`DomainError`."""
+    value = np.asarray(value, dtype=float)
+    try:
+        return np.broadcast_to(value, shape)
+    except ValueError:
+        raise DomainError(f"{what} has shape {value.shape}, expected "
+                          f"{shape}") from None
+
+
 @dataclass(frozen=True)
 class SpectralHeatFamily:
-    """Sine-mode heat family: mode n carries the rate n**2 + p(t).
+    """Sine-mode heat family: mode n carries the rate n**2 + p(tau).
 
-    ``potential`` is evaluated at physical time t; a potential that is
-    affine in tau is simply ``lambda t: c0 + c1 * t**alpha / alpha``.
-    Nonnegative potentials give a contractive operator (all mode factors
-    in (0, 1]).
+    ``potential`` maps an array of tau to an array that broadcasts to its
+    shape, e.g. ``lambda tau: c0 + c1 * tau``.  Nonnegative potentials
+    give a contractive operator (all mode factors in (0, 1]).
     """
 
-    potential: Callable[[float], float]
+    potential: Callable[[np.ndarray], np.ndarray]
     n_modes: int
 
     def __post_init__(self):
@@ -130,31 +141,32 @@ class SpectralHeatFamily:
     def dim(self) -> int:
         return self.n_modes
 
-    def mode_rates(self, t: float) -> np.ndarray:
-        n = np.arange(1, self.n_modes + 1, dtype=float)
-        return n**2 + float(self.potential(t))
+    def mode_rates(self, tau) -> np.ndarray:
+        """The rates at tau, shape ``tau.shape + (modes,)``."""
+        p = _broadcast(self.potential(tau), np.shape(tau), "potential")
+        return np.arange(1, self.n_modes + 1, dtype=float)**2 + p[..., None]
 
-    def a_matrix(self, t: float) -> np.ndarray:
-        return np.diag(self.mode_rates(t))
+    def a_matrix(self, tau) -> np.ndarray:
+        return self.mode_rates(tau)[..., None] * np.eye(self.n_modes)
 
 
 @dataclass(frozen=True)
 class DenseMatrixFamily:
-    """General time-dependent d x d coefficient family, continuous in t."""
+    """General d x d coefficient family, continuous in tau.
 
-    matrix: Callable[[float], np.ndarray]
+    ``matrix`` maps an array of tau to an array that broadcasts to
+    ``tau.shape + (d, d)``; a constant (d, d) matrix qualifies.
+    """
+
+    matrix: Callable[[np.ndarray], np.ndarray]
     dim: int
 
     kind = "dense_matrix"
 
-    def a_matrix(self, t: float) -> np.ndarray:
-        a = np.asarray(self.matrix(t), dtype=float)
-        if a.shape != (self.dim, self.dim):
-            raise DomainError(
-                f"family matrix has shape {a.shape}, expected "
-                f"({self.dim}, {self.dim})"
-            )
-        return a
+    def a_matrix(self, tau) -> np.ndarray:
+        """``A(tau)``, shape ``tau.shape + (d, d)``."""
+        return _broadcast(self.matrix(tau), np.shape(tau) + (self.dim,) * 2,
+                          "family matrix")
 
 
 OperatorFamily = Union[SpectralHeatFamily, DenseMatrixFamily]
@@ -238,7 +250,7 @@ def _dense_tables(family: DenseMatrixFamily, grid: TimeGrid):
     low_blocks = lower.reshape(n, d, n, d).transpose(0, 2, 1, 3)
     nodes = np.arange(n)
     with np.errstate(all="ignore"):
-        a_stack = np.stack([family.a_matrix(t) for t in grid.t_nodes])
+        a_stack = family.a_matrix(grid.tau_nodes)
         _require_finite("A(t)", a_stack, grid)
         step = _one_step_exponentials(-h * a_stack)
         power = np.broadcast_to(np.eye(d), (n, d, d))
@@ -359,8 +371,8 @@ class SpectralPropagatorTable:
         require_memory(32 * n * m,
                        f"a spectral table of {n} nodes and {m} modes")
         with np.errstate(all="ignore"):
-            p = np.array([self.family.potential(t)
-                          for t in self.grid.t_nodes], dtype=float)
+            tau = self.grid.tau_nodes
+            p = _broadcast(self.family.potential(tau), tau.shape, "potential")
         if not np.all(np.isfinite(p)):
             bad = int(np.argmin(np.isfinite(p)))
             raise NumericError(f"potential is {p[bad]} at node {bad} "
@@ -588,17 +600,13 @@ PropagatorTable = Union[SpectralPropagatorTable, DensePropagatorTable]
 def _magnus_exponents(family: DenseMatrixFamily, grid: TimeGrid) -> np.ndarray:
     """The fourth-order Magnus exponent ``Omega_r`` of every step, (n-1, d, d).
 
-    ``A(t)`` is evaluated at the two Gauss points of each step, mapped
-    from tau to t by the grid's order.  A value of ``A(t)`` or of Omega
-    that is not finite raises :class:`NumericError` naming the node the
-    step ends at.
+    The family is evaluated once, at the (n-1, 2) Gauss points of the
+    steps.  A value of ``A`` or of Omega that is not finite raises
+    :class:`NumericError` naming the node the step ends at.
     """
     h = grid.h
-    gauss_t = grid.order.from_tau(grid.tau_nodes[:-1, None]
-                                  + h * np.array(_GAUSS_NODES))
     with np.errstate(all="ignore"):
-        a = np.stack([family.a_matrix(t) for t in gauss_t.ravel()])
-        a = a.reshape(grid.n_nodes - 1, 2, family.dim, family.dim)
+        a = family.a_matrix(grid.tau_nodes[:-1, None] + h * _GAUSS_NODES)
         _require_finite("A(t)", a, grid, first=1)
         a1, a2 = a[:, 0], a[:, 1]
         omega = -0.5 * h * (a1 + a2) \
@@ -668,37 +676,29 @@ def propagate_oracle(family: OperatorFamily,
                      steps: int = 2048) -> np.ndarray:
     """Brute-force propagation of ``x`` from time s to time t.
 
-    Integrates ``dx/dtau = -A(t(tau)) x`` with the classical fourth-order
-    Runge-Kutta method on ``steps`` uniform tau substeps, where the time
-    substitution is taken from ``order``.  Independent of the table
-    construction; used as the reference for all propagator tests.
+    Integrates ``dx/dtau = -A(tau) x`` with the classical fourth-order
+    Runge-Kutta method on ``steps`` uniform tau substeps between the images
+    of s and t under ``order``; the family is called with scalar tau, once
+    per substep end and midpoint.  Independent of the table construction;
+    used as the reference for all propagator tests.
     """
     if t < s:
         raise DomainError("target time must not precede source time")
     x = np.asarray(x, dtype=float).copy()
     if t == s:
         return x
-    inv_alpha = 1.0 / order.alpha
-
-    def rhs(tau, u):
-        phys_t = (order.alpha * tau) ** inv_alpha
-        return -family.a_matrix(phys_t) @ u
-
-    return _rk4(rhs, x, float(order.to_tau(s)), float(order.to_tau(t)), steps)
-
-
-def _rk4(f, y0, x0, x1, steps):
-    y = np.asarray(y0, dtype=float).copy()
-    h = (x1 - x0) / steps
-    x = x0
+    tau = float(order.to_tau(s))
+    h = (float(order.to_tau(t)) - tau) / steps
+    start = -family.a_matrix(tau)
     for _ in range(steps):
-        k1 = f(x, y)
-        k2 = f(x + 0.5 * h, y + 0.5 * h * k1)
-        k3 = f(x + 0.5 * h, y + 0.5 * h * k2)
-        k4 = f(x + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        x += h
-    return y
+        mid, end = -family.a_matrix(tau + 0.5 * h), -family.a_matrix(tau + h)
+        k1 = start @ x
+        k2 = mid @ (x + 0.5 * h * k1)
+        k3 = mid @ (x + 0.5 * h * k2)
+        k4 = end @ (x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        tau, start = tau + h, end
+    return x
 
 
 def conformable_residual(table: PropagatorTable,
@@ -709,7 +709,7 @@ def conformable_residual(table: PropagatorTable,
 
     The fractional time derivative equals d/dtau, evaluated by a central
     difference on the table; returns
-    ``|| d_tau op(i, j) + A(t_i) op(i, j) ||_2``.
+    ``|| d_tau op(i, j) + A(tau_i) op(i, j) ||_2``.
     """
     n = table.grid.n_nodes
     if not j < i:
@@ -718,7 +718,7 @@ def conformable_residual(table: PropagatorTable,
         raise IndexError("target node must be interior for central differences")
     h = table.grid.h
     diff = (table.matrix(i + 1, j) - table.matrix(i - 1, j)) / (2.0 * h)
-    resid = diff + family.a_matrix(table.grid.t_nodes[i]) @ table.matrix(i, j)
+    resid = diff + family.a_matrix(table.grid.tau_nodes[i]) @ table.matrix(i, j)
     return float(np.linalg.norm(resid, 2))
 
 
@@ -729,7 +729,7 @@ def adjoint_residual(table: PropagatorTable,
                      v: np.ndarray) -> float:
     """Residual of the backward (source-side) derivative relation.
 
-    Checks ``d_tau_s [op(i, j) v] = op(i, j) A(t_j) v`` by a central
+    Checks ``d_tau_s [op(i, j) v] = op(i, j) A(tau_j) v`` by a central
     difference in the source index.
     """
     if not 1 <= j < i:
@@ -737,5 +737,5 @@ def adjoint_residual(table: PropagatorTable,
     h = table.grid.h
     v = np.asarray(v, dtype=float)
     diff = (table.matrix(i, j + 1) @ v - table.matrix(i, j - 1) @ v) / (2.0 * h)
-    target = table.matrix(i, j) @ (family.a_matrix(table.grid.t_nodes[j]) @ v)
+    target = table.matrix(i, j) @ (family.a_matrix(table.grid.tau_nodes[j]) @ v)
     return float(np.linalg.norm(diff - target))

@@ -3,7 +3,7 @@
 A mild trajectory satisfies the variation-of-constants equation
 
     x(t_i) = op(i, 0) x0
-             + int_{tau_0}^{tau_i} op(i, s) [B u(s) + F(s, x(s))] dtau_s
+             + int_{tau_0}^{tau_i} op(i, s) [B u(s) + F(tau_s, x(s))] dtau_s
 
 on the grid, with the integral discretized by trapezoid weights in tau.
 The propagator table evaluates both terms itself (``homogeneous`` and
@@ -59,12 +59,12 @@ Nonlinearity = Callable[[np.ndarray, np.ndarray], np.ndarray]
 class ControlProblem:
     """Data of a semilinear control problem on a fixed grid.
 
-    ``nonlinearity`` maps (t, X) to the state increments ``F(t, X)`` at all
-    nodes at once: t is the ``(n_nodes, 1)`` column of node times and X
-    the ``(n_nodes, dim)`` trajectory, and the result has the shape of X.
-    An elementwise ``lambda t, x: c * x`` meets this contract.  It is
-    called once per fixed-point sweep; ``None`` means zero.  ``control``
-    is a grid function of input values or ``None``.
+    ``nonlinearity`` maps (tau, X) to the state increments ``F(tau, X)``
+    at all nodes at once: tau is the ``(n_nodes, 1)`` column of the tau
+    nodes and X the ``(n_nodes, dim)`` trajectory, and the result has the
+    shape of X.  An elementwise ``lambda tau, x: c * x`` meets this
+    contract.  It is called once per fixed-point sweep; ``None`` means
+    zero.  ``control`` is a grid function of input values or ``None``.
     """
 
     family: OperatorFamily
@@ -116,9 +116,9 @@ class PicardResult(NamedTuple):
 
 def nonlinearity_values(fun: Optional[Nonlinearity], grid: TimeGrid,
                         x: np.ndarray) -> np.ndarray:
-    """``F(t_r, x[r])`` at every node r, shape (n_nodes, dim); zero for None.
+    """``F(tau_r, x[r])`` at every node r, shape (n_nodes, dim); zero for None.
 
-    One call ``fun(grid.t_nodes[:, None], x)`` over all nodes.
+    One call ``fun(grid.tau_nodes[:, None], x)`` over all nodes.
 
     Raises
     ------
@@ -129,7 +129,7 @@ def nonlinearity_values(fun: Optional[Nonlinearity], grid: TimeGrid,
     """
     if fun is None:
         return np.zeros_like(x)
-    out = np.asarray(fun(grid.t_nodes[:, None], x), dtype=float)
+    out = np.asarray(fun(grid.tau_nodes[:, None], x), dtype=float)
     if out.shape != x.shape:
         raise DomainError(f"nonlinearity returned shape {out.shape}, "
                           f"expected {x.shape}")
@@ -150,7 +150,7 @@ def iterate_fixed_point(sweep: Callable[[np.ndarray], np.ndarray],
     amplitude, and absolute below it.  Returns the last iterate, the number
     of sweeps and the update norms.  Raises :class:`ConvergenceError` on a
     non-finite update, one past ``1e8 * max(1, ||x0||)``, or ``max_iter``
-    sweeps above the tolerance.
+    sweeps above the tolerance.  The norm is scaled, so it cannot overflow.
     """
     scale = max(1.0, safe_norm(problem.x0))
     guard, tol = _DIVERGENCE_FACTOR * scale, problem.picard_tol * scale
@@ -160,7 +160,8 @@ def iterate_fixed_point(sweep: Callable[[np.ndarray], np.ndarray],
         # an overflow shows as a non-finite update, refused below
         with np.errstate(over="ignore", invalid="ignore"):
             new = sweep(x)
-            update = float(np.max(np.linalg.norm(new - x, axis=1)))
+            update = safe_norm(new - x,
+                               lambda v: np.linalg.norm(v, axis=1).max())
         updates.append(update)
         x = new
         if not np.isfinite(update) or update > guard:
@@ -224,7 +225,8 @@ def picard_solve(problem: ControlProblem,
         raise DomainError(f"x_init has shape {x.shape}, expected {hom.shape}")
 
     x, iterations, updates = iterate_fixed_point(sweep, x, problem)
-    residual = float(np.max(np.linalg.norm(sweep(x) - x, axis=1)))
+    residual = safe_norm(sweep(x) - x,
+                         lambda v: np.linalg.norm(v, axis=1).max())
     return PicardResult(GridFunction(grid, x), iterations, residual, updates)
 
 

@@ -33,13 +33,14 @@ def make_positive_fn(rng, low=1.5):
 
 
 def make_dense_family(rng, dim, drift=0.4, base=0.5):
-    """Random smooth matrix family with spectral norm around one."""
+    """Random smooth matrix family ``A0 + sin(w tau) A1`` with spectral
+    norm around one, evaluated on arrays of tau."""
     a0 = rng.standard_normal((dim, dim)) * base / np.sqrt(dim)
     a1 = rng.standard_normal((dim, dim)) * drift / np.sqrt(dim)
     w = rng.uniform(0.8, 1.6)
 
-    def mat(t, a0=a0, a1=a1, w=w):
-        return a0 + np.sin(w * t) * a1
+    def mat(tau):
+        return a0 + np.sin(w * tau)[..., None, None] * a1
     return DenseMatrixFamily(mat, dim)
 
 
@@ -49,8 +50,8 @@ def block_view(mat, d):
     return mat.reshape(n, d, n, d).transpose(0, 2, 1, 3)
 
 
-def frozen_semigroup(family, s, dt_tau):
-    """Frozen-coefficient propagator exp(-dt_tau * A(s)).
+def frozen_semigroup(family, tau_s, dt_tau):
+    """Frozen-coefficient propagator exp(-dt_tau * A(tau_s)).
 
     ``dt_tau`` is elapsed transformed time and must be nonnegative.  A
     dense family takes scipy's scaling-and-squaring exponential, a spectral
@@ -60,9 +61,9 @@ def frozen_semigroup(family, s, dt_tau):
     if dt_tau < 0.0:
         raise DomainError(f"elapsed tau must be >= 0, got {dt_tau}")
     if family.kind == "spectral_heat":
-        return np.diag(np.exp(-dt_tau * family.mode_rates(s)))
+        return np.diag(np.exp(-dt_tau * family.mode_rates(tau_s)))
     from scipy.linalg import expm
-    return expm(-dt_tau * family.a_matrix(s))
+    return expm(-dt_tau * family.a_matrix(tau_s))
 
 
 def kernel_series(kernel_table, rhs, transpose=False, tol=1e-8, max_terms=40):
@@ -146,13 +147,13 @@ def magnus_exponents(family, grid):
     """``Omega_r = -(h/2)(A_1 + A_2) + (sqrt(3) h**2/12) [A_2, A_1]`` per step.
 
     ``A_1`` and ``A_2`` are the family at the Gauss points
-    ``tau_r + (1/2 -+ sqrt(3)/6) h`` of each step, mapped to t by the
-    grid's order; one step at a time, shape (n-1, d, d).
+    ``tau_r + (1/2 -+ sqrt(3)/6) h`` of each step, each called with one
+    scalar tau; one step at a time, shape (n-1, d, d).
     """
     h, shift = grid.h, np.sqrt(3.0) / 6.0
     out = []
     for tau in grid.tau_nodes[:-1]:
-        a1, a2 = (family.a_matrix(float(grid.order.from_tau(tau + c * h)))
+        a1, a2 = (family.a_matrix(float(tau + c * h))
                   for c in (0.5 - shift, 0.5 + shift))
         out.append(-0.5 * h * (a1 + a2)
                    + np.sqrt(3.0) / 12.0 * h * h * (a2 @ a1 - a1 @ a2))
@@ -242,7 +243,7 @@ def regularized_residuals(family, kernel_table, i, j, pullbacks=(8, 4, 2)):
     check on a dense kernel table).
     """
     grid = kernel_table.grid
-    tau, tn = grid.tau_nodes, grid.t_nodes
+    tau = grid.tau_nodes
     h, n, d = grid.h, grid.n_nodes, family.dim
     unit = np.zeros((n * d, d))
     unit[j * d:(j + 1) * d] = np.eye(d)
@@ -250,18 +251,18 @@ def regularized_residuals(family, kernel_table, i, j, pullbacks=(8, 4, 2)):
 
     def pulled_back_op(ii, m):
         upper = max(ii - m, j)
-        acc = frozen_semigroup(family, tn[j], tau[ii] - tau[j])
+        acc = frozen_semigroup(family, tau[j], tau[ii] - tau[j])
         if upper > j:
             for r in range(j, upper + 1):
                 w = 0.5 if r in (j, upper) else 1.0
                 acc = acc + h * w * frozen_semigroup(
-                    family, tn[r], tau[ii] - tau[r]) @ res[r]
+                    family, tau[r], tau[ii] - tau[r]) @ res[r]
         return acc
 
     out = []
     for m in pullbacks:
         diff = (pulled_back_op(i + 1, m) - pulled_back_op(i - 1, m)) / (2.0 * h)
-        resid = diff + family.a_matrix(tn[i]) @ pulled_back_op(i, m)
+        resid = diff + family.a_matrix(tau[i]) @ pulled_back_op(i, m)
         out.append(float(np.linalg.norm(resid, 2)))
     return out
 

@@ -320,7 +320,7 @@ def test_criterion_03_oracle_equivalence():
 
 def test_criterion_04_evolution_axioms():
     order = FractionalOrder(0.8)
-    fam = SpectralHeatFamily(lambda t: 1.0, 6)
+    fam = SpectralHeatFamily(lambda tau: 1.0, 6)
 
     # identity at zero elapsed time, exact
     grid = TimeGrid.from_tau_horizon(order, 0.0, 1.0, 201)
@@ -371,7 +371,7 @@ def test_criterion_05_kernel_construction():
     grid = TimeGrid.from_tau_horizon(order, 0.4, 1.4, 101)
 
     # constant family: zero kernel at machine precision
-    const_fam = DenseMatrixFamily(lambda t: np.diag([1.0, 2.0]), 2)
+    const_fam = DenseMatrixFamily(lambda tau: np.diag([1.0, 2.0]), 2)
     const_tab = build_kernel(const_fam, grid)
     const_zero = (np.max(np.abs(const_tab.lower)) == 0.0
                   and np.max(np.abs(materialise_resolvent(const_tab))) == 0.0)
@@ -379,9 +379,9 @@ def test_criterion_05_kernel_construction():
     worst_series, worst_direct, worst_gap = 0.0, 0.0, 0.0
     families = []
 
-    def commuting(t):
-        tau = t**0.75 / 0.75
-        return np.diag([1.0 + 0.5 * tau, 2.0 + 0.25 * tau])
+    def commuting(tau):
+        rates = np.stack([1.0 + 0.5 * tau, 2.0 + 0.25 * tau], axis=-1)
+        return rates[..., None] * np.eye(2)
     families.append(DenseMatrixFamily(commuting, 2))
     families.append(make_dense_family(np.random.default_rng(55), 3))
 
@@ -415,12 +415,12 @@ def test_criterion_06_mild_solver():
 
     # linear-gain absorption vs closed form
     lam, gain = 1.0, 0.4
-    fam = DenseMatrixFamily(lambda t: np.array([[lam]]), 1)
+    fam = DenseMatrixFamily(lambda tau: np.array([[lam]]), 1)
     grid = TimeGrid.from_tau_horizon(order, 0.0, 1.0, 801)
     table = build_propagator(fam, grid)
     problem = ControlProblem(family=fam, grid=grid, x0=np.array([2.0]),
                              b_matrix=np.eye(1),
-                             nonlinearity=lambda t, x: gain * x,
+                             nonlinearity=lambda tau, x: gain * x,
                              picard_tol=1e-12)
     result = picard_solve(problem, table)
     exact = 2.0 * np.exp((gain - lam) * (grid.tau_nodes - grid.tau_nodes[0]))
@@ -428,7 +428,7 @@ def test_criterion_06_mild_solver():
                                          - exact)))
 
     # geometric decrease under a satisfied small-gain condition
-    heat = SpectralHeatFamily(lambda t: 1.0, 6)
+    heat = SpectralHeatFamily(lambda tau: 1.0, 6)
     hgrid = TimeGrid.from_tau_horizon(order, 0.0, 1.0, 201)
     htab = build_propagator(heat, hgrid)
     gram = build_gramian(np.eye(6), htab)
@@ -436,7 +436,7 @@ def test_criterion_06_mild_solver():
     x0[0] = 1.0
     hprob = ControlProblem(family=heat, grid=hgrid, x0=x0,
                            b_matrix=np.eye(6),
-                           nonlinearity=lambda t, x: 0.2 * x,
+                           nonlinearity=lambda tau, x: 0.2 * x,
                            picard_tol=1e-11)
     rep = contraction_report(hprob, gram, gamma_growth=0.2)
     start = np.random.default_rng(3).standard_normal((201, 6))
@@ -468,14 +468,14 @@ def test_criterion_07_linear_null_control():
     order = FractionalOrder(0.8)
 
     # scalar case
-    fam_s = DenseMatrixFamily(lambda t: np.array([[1.0]]), 1)
+    fam_s = DenseMatrixFamily(lambda tau: np.array([[1.0]]), 1)
     grid_s = TimeGrid.from_tau_horizon(FractionalOrder(1.0), 0.0, 1.0, 801)
     tab_s = build_propagator(fam_s, grid_s)
     gram_s = build_gramian(np.eye(1), tab_s)
     res_s = synthesize_null_control(gram_s, np.array([1.0]))
 
     # six-mode heat case
-    fam_h = SpectralHeatFamily(lambda t: 1.0, 6)
+    fam_h = SpectralHeatFamily(lambda tau: 1.0, 6)
     grid_h = TimeGrid.from_tau_horizon(order, 0.0, 1.0, 401)
     tab_h = build_propagator(fam_h, grid_h)
     gram_h = build_gramian(np.eye(6), tab_h)
@@ -514,7 +514,7 @@ def test_criterion_08_inequality_constant():
     worst = 1.0
     for alpha in (0.6, 0.8, 1.0):
         order = FractionalOrder(alpha)
-        fam = SpectralHeatFamily(lambda t: 1.0, 6)
+        fam = SpectralHeatFamily(lambda tau: 1.0, 6)
         grid = TimeGrid.from_tau_horizon(order, 0.0, 1.0, 401)
         table = build_propagator(fam, grid)
         gram = build_gramian(np.eye(6), table)

@@ -94,19 +94,20 @@ def test_schema_version_checked(tmp_path):
 
 
 def test_affine_and_tabulated_potentials(tmp_path):
+    # both are functions of tau, at a scalar and on an array
     cfg = parse_config(Path(write_cfg(tmp_path, potential="affine 1.0 0.5")))
     p = cfg.family().potential
-    t = 0.7
-    assert p(t) == pytest.approx(1.0 + 0.5 * t**0.8 / 0.8, rel=1e-12)
+    tau = np.array([[0.0, 0.7], [0.25, 1.0]])
+    assert np.array_equal(p(tau), 1.0 + 0.5 * tau)
+    assert p(0.7) == 1.0 + 0.5 * 0.7
 
     table = tmp_path / "pot.csv"
     table.write_text("0.0,1.0\n0.5,2.0\n1.0,3.0\n")
     cfg = parse_config(Path(write_cfg(tmp_path, name="tab.cfg",
                                       potential=f"tabulated {table}")))
     p = cfg.family().potential
-    tau_half = 0.5
-    t_half = (0.8 * tau_half) ** (1.0 / 0.8)
-    assert p(t_half) == pytest.approx(2.0, rel=1e-12)
+    assert np.array_equal(p(tau), [[1.0, 2.4], [1.5, 3.0]])
+    assert p(0.5) == 2.0
 
 
 # --- pipelines --------------------------------------------------------------
@@ -707,21 +708,37 @@ def test_specfun_beta_of_two_huge_arguments_prints_zero(method):
     assert run_specfun(argv) == (0, "0.000000000000\n", [])
 
 
+def demo_at(tmp_path, pipeline, amplitude):
+    """The summary of the demo run with ``x0 = first_mode amplitude``."""
+    path = tmp_path / f"demo_{amplitude}.cfg"
+    path.write_text(DEMO.read_text().replace(
+        "x0 = first_mode 1.0", f"x0 = first_mode {amplitude}"))
+    out = tmp_path / f"{pipeline}_{amplitude}"
+    assert main([pipeline, "--config", str(path), "--out", str(out)]) == 0
+    return read_summary(out)
+
+
 def test_fixed_point_tolerance_scales_with_the_initial_state(tmp_path):
     # the demo at x0 = first_mode 1e8 takes the sweeps of first_mode 1.0,
-    # and its control energy is 1e8 times the unit run's
-    summaries = {}
-    for amplitude in ("1.0", "1e8"):
-        path = tmp_path / f"demo_{amplitude}.cfg"
-        path.write_text(DEMO.read_text().replace(
-            "x0 = first_mode 1.0", f"x0 = first_mode {amplitude}"))
-        out = tmp_path / amplitude
-        assert main(["control", "--config", str(path), "--out", str(out)]) == 0
-        summaries[amplitude] = read_summary(out)
-    assert summaries["1.0"]["iterations"] == "5"
-    assert summaries["1e8"]["iterations"] == "5"
-    assert float(summaries["1e8"]["control_energy"]) == pytest.approx(
-        1e8 * float(summaries["1.0"]["control_energy"]), rel=1e-12)
+    # and its control energy is 1e8 times the unit run's; so at 1e200,
+    # whose update norms square past the float range
+    unit = demo_at(tmp_path, "control", "1.0")
+    assert unit["iterations"] == "5"
+    for amplitude in ("1e8", "1e200"):
+        summary = demo_at(tmp_path, "control", amplitude)
+        assert summary["iterations"] == "5"
+        assert float(summary["control_energy"]) == pytest.approx(
+            float(amplitude) * float(unit["control_energy"]), rel=1e-12)
+
+
+def test_solve_at_a_state_whose_update_norms_square_past_the_range(
+        tmp_path):
+    unit = demo_at(tmp_path, "solve", "1.0")
+    summary = demo_at(tmp_path, "solve", "1e200")
+    assert summary["iterations"] == unit["iterations"]
+    assert float(summary["final_state_norm"]) == pytest.approx(
+        1e200 * float(unit["final_state_norm"]), rel=1e-12)
+    assert float(summary["picard_residual"]) <= 1e200 * 1e-9
 
 
 def test_verify_failure_exits_with_verify_code(tmp_path, capsys):
@@ -760,6 +777,10 @@ def test_named_dense_families_build(tmp_path):
         fam = cfg.family()
         assert fam.dim == dim
         assert fam.a_matrix(0.8).shape == (dim, dim)
+        tau = np.linspace(0.0, 1.0, 8).reshape(4, 2)
+        stack = fam.a_matrix(tau)
+        assert stack.shape == (4, 2, dim, dim)
+        assert np.array_equal(stack[3, 1], fam.a_matrix(1.0))
 
 
 def test_evolve_dump_pair_out_of_range(tmp_path, capsys):

@@ -20,14 +20,14 @@ DENSE = DEMO.with_name("dense_evolve.cfg")
 
 def scalar_setup(lam=1.0, n=801, alpha=1.0):
     order = FractionalOrder(alpha)
-    fam = DenseMatrixFamily(lambda t: np.array([[lam]]), 1)
+    fam = DenseMatrixFamily(lambda tau: np.array([[lam]]), 1)
     grid = TimeGrid.from_tau_horizon(order, 0.0, 1.0, n)
     table = build_propagator(fam, grid)
     return fam, grid, table
 
 
 def heat_setup(n_modes=6, n=401, potential=1.0):
-    fam = SpectralHeatFamily(lambda t: potential, n_modes)
+    fam = SpectralHeatFamily(lambda tau: potential, n_modes)
     grid = TimeGrid.from_tau_horizon(ORDER, 0.0, 1.0, n)
     table = build_propagator(fam, grid)
     return fam, grid, table
@@ -127,7 +127,7 @@ def gramian_oracle_cases():
     # A = I/2, so every operator is a scalar multiple of I and W is a
     # multiple of B B^T: rank 2 up to 1e-20 for this B
     flat = build_propagator(
-        DenseMatrixFamily(lambda t: 0.5 * np.eye(3), 3), grid)
+        DenseMatrixFamily(lambda tau: 0.5 * np.eye(3), 3), grid)
     q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))
     return {
         "spectral": (heat, np.eye(6)),
@@ -250,7 +250,7 @@ def test_mode_truncation_stability():
 
 def test_inequality_single_mode_closed_form():
     # rate one, unit horizon: energy ratio tanh(1) = 0.761594...
-    fam = SpectralHeatFamily(lambda t: 0.0, 1)
+    fam = SpectralHeatFamily(lambda tau: 0.0, 1)
     grid = TimeGrid.from_tau_horizon(FractionalOrder(1.0), 0.0, 1.0, 1601)
     table = build_propagator(fam, grid)
     gram = build_gramian(np.eye(1), table)
@@ -380,7 +380,7 @@ def test_semilinear_small_gain_converges():
     x0[0] = 1.0
     problem = ControlProblem(family=fam, grid=grid, x0=x0,
                              b_matrix=np.eye(6),
-                             nonlinearity=lambda t, x: 0.05 * x,
+                             nonlinearity=lambda tau, x: 0.05 * x,
                              picard_tol=1e-9)
     result = exact_null_control_semilinear(problem, gram, null_tol=1e-5)
     assert result.final_state_norm <= 1e-5
@@ -400,7 +400,8 @@ def test_semilinear_demo_is_a_fixed_point_of_the_closed_loop_map():
     result = exact_null_control_semilinear(
         problem, build_gramian(b_matrix, table), null_tol=cfg.null_tol)
     x = result.closed_loop_trajectory.values
-    forcing = np.stack([fun(t, x[r]) for r, t in enumerate(grid.t_nodes)])
+    forcing = np.stack([fun(tau, x[r])
+                        for r, tau in enumerate(grid.tau_nodes)])
     image = table.homogeneous(problem.x0) + table.accumulate(
         result.control.values @ b_matrix.T + forcing)
     assert np.max(np.linalg.norm(image - x, axis=1)) <= 10.0 * cfg.picard_tol
@@ -413,7 +414,7 @@ def test_semilinear_rejects_a_table_on_another_grid():
     other = TimeGrid.from_tau_horizon(ORDER, 0.0, 1.0, 101)
     problem = ControlProblem(family=fam, grid=other, x0=np.ones(6),
                              b_matrix=np.eye(6),
-                             nonlinearity=lambda t, x: 0.05 * x)
+                             nonlinearity=lambda tau, x: 0.05 * x)
     with pytest.raises(DomainError):
         exact_null_control_semilinear(problem, gram)
 
@@ -425,7 +426,7 @@ def test_semilinear_over_gain_reports_failure():
     x0[0] = 1.0
     problem = ControlProblem(family=fam, grid=grid, x0=x0,
                              b_matrix=np.eye(6),
-                             nonlinearity=lambda t, x: 5.0 * x,
+                             nonlinearity=lambda tau, x: 5.0 * x,
                              picard_tol=1e-9, max_iter=40)
     with pytest.raises((ConvergenceError, NullControlFailed)):
         exact_null_control_semilinear(problem, gram)
@@ -434,7 +435,7 @@ def test_semilinear_over_gain_reports_failure():
 def test_inequality_fails_for_destabilizing_potential():
     # one growing mode (rate -1): the response energy ratio drops to
     # (e^2-1)/2 / (e^2 + (e^2-1)/2) = 0.30184 < 0.5 and the check reports it
-    fam = SpectralHeatFamily(lambda t: -2.0, 1)
+    fam = SpectralHeatFamily(lambda tau: -2.0, 1)
     grid = TimeGrid.from_tau_horizon(FractionalOrder(1.0), 0.0, 1.0, 801)
     table = build_propagator(fam, grid)
     gram = build_gramian(np.eye(1), table)
@@ -452,7 +453,7 @@ def test_tolerance_miss_raises_with_result_attached():
     x0[0] = 1.0
     problem = ControlProblem(family=fam, grid=grid, x0=x0,
                              b_matrix=np.eye(6),
-                             nonlinearity=lambda t, x: 0.05 * x)
+                             nonlinearity=lambda tau, x: 0.05 * x)
     with pytest.raises(NullControlFailed) as info:
         exact_null_control_semilinear(problem, gram, null_tol=1e-20)
     assert info.value.result is not None

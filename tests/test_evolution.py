@@ -22,34 +22,36 @@ from conftest import (Parametrix, block_view,
                       trapezoid_march)
 
 ORDER = FractionalOrder(0.75)
+# tau at t = 1 under ORDER: a threshold on t, written in tau
+TAU_AT_T1 = float(ORDER.to_tau(1.0))
 
 
 def window(n, order=ORDER, lo=0.4, hi=1.4):
     return TimeGrid.from_tau_horizon(order, lo, hi, n)
 
 
-def commuting_family(alpha=0.75):
-    def mat(t):
-        tau = t**alpha / alpha
-        return np.diag([1.0 + 0.5 * tau, 2.0 + 0.25 * tau])
+def commuting_family():
+    def mat(tau):
+        rates = np.stack([1.0 + 0.5 * tau, 2.0 + 0.25 * tau], axis=-1)
+        return rates[..., None] * np.eye(2)
     return DenseMatrixFamily(mat, 2)
 
 
 # --- frozen semigroup (the test-side reference in conftest) ----------------
 
 def test_frozen_semigroup_zero_elapsed_is_identity():
-    fam = DenseMatrixFamily(lambda t: np.diag([1.0, 2.0]), 2)
+    fam = DenseMatrixFamily(lambda tau: np.diag([1.0, 2.0]), 2)
     assert np.array_equal(frozen_semigroup(fam, 0.7, 0.0), np.eye(2))
 
 
 def test_frozen_semigroup_single_mode_value():
-    fam = SpectralHeatFamily(lambda t: 1.0, 1)
+    fam = SpectralHeatFamily(lambda tau: 1.0, 1)
     val = frozen_semigroup(fam, 0.3, 0.5)[0, 0]
     assert val == pytest.approx(np.exp(-1.0), rel=1e-14)
 
 
 def test_frozen_semigroup_diagonal_value():
-    fam = DenseMatrixFamily(lambda t: np.diag([1.0, 2.0]), 2)
+    fam = DenseMatrixFamily(lambda tau: np.diag([1.0, 2.0]), 2)
     out = frozen_semigroup(fam, 0.0, 1.0)
     assert np.allclose(np.diag(out), [np.exp(-1.0), np.exp(-2.0)], rtol=1e-12)
     assert frozen_semigroup(fam, 0.0, 1.0)[0, 1] == pytest.approx(0.0,
@@ -57,7 +59,7 @@ def test_frozen_semigroup_diagonal_value():
 
 
 def test_frozen_semigroup_negative_elapsed_rejected():
-    fam = SpectralHeatFamily(lambda t: 0.0, 2)
+    fam = SpectralHeatFamily(lambda tau: 0.0, 2)
     with pytest.raises(DomainError):
         frozen_semigroup(fam, 0.5, -0.1)
 
@@ -65,7 +67,7 @@ def test_frozen_semigroup_negative_elapsed_rejected():
 # --- kernel equation --------------------------------------------------------
 
 def test_constant_family_has_zero_kernel():
-    fam = DenseMatrixFamily(lambda t: np.diag([1.0, 2.0]), 2)
+    fam = DenseMatrixFamily(lambda tau: np.diag([1.0, 2.0]), 2)
     table = build_kernel(fam, window(41))
     assert np.max(np.abs(table.lower)) == 0.0
     assert np.max(np.abs(materialise_resolvent(table))) == 0.0
@@ -150,8 +152,37 @@ def test_memory_guard_counts_the_stored_arrays(rng, n):
     assert evolution._table_bytes(n, 3) == 2 * sum(a.nbytes for a in stored)
 
 
+@pytest.mark.parametrize("build", ["spectral", "dense", "kernel"])
+def test_each_table_calls_its_family_once(rng, build):
+    # with the array of the points it samples: the nodes, or the Gauss
+    # points of the steps of the dense table
+    grid, calls = window(41), []
+
+    def counted(fn):
+        def wrapped(tau):
+            calls.append(np.shape(tau))
+            return fn(tau)
+        return wrapped
+
+    if build == "spectral":
+        fam = SpectralHeatFamily(counted(lambda tau: 1.0 + np.sin(tau)), 5)
+    else:
+        fam = DenseMatrixFamily(counted(make_dense_family(rng, 3).matrix), 3)
+    (build_kernel if build == "kernel" else build_propagator)(fam, grid)
+    assert calls == [(40, 2) if build == "dense" else (41,)]
+
+
+@pytest.mark.parametrize("family", [
+    DenseMatrixFamily(lambda tau: np.eye(3), 2),
+    SpectralHeatFamily(lambda tau: np.ones(3), 4),
+], ids=["matrix", "potential"])
+def test_a_family_that_does_not_broadcast_is_a_domain_error(family):
+    with pytest.raises(DomainError, match=r"has shape \(3,"):
+        build_propagator(family, window(41))
+
+
 def test_kernel_requires_dense_backend():
-    fam = SpectralHeatFamily(lambda t: 1.0, 3)
+    fam = SpectralHeatFamily(lambda tau: 1.0, 3)
     with pytest.raises(DomainError):
         build_kernel(fam, window(21))
 
@@ -166,7 +197,7 @@ def test_propagator_diagonal_is_exact_identity(rng):
 
 
 def test_spectral_constant_potential_closed_form():
-    fam = SpectralHeatFamily(lambda t: 1.0, 8)
+    fam = SpectralHeatFamily(lambda tau: 1.0, 8)
     grid = TimeGrid.from_tau_horizon(FractionalOrder(0.8), 0.0, 1.0, 201)
     table = build_propagator(fam, grid)
     rates = np.arange(1, 9) ** 2 + 1.0
@@ -178,7 +209,7 @@ def test_spectral_constant_potential_closed_form():
 
 def test_spectral_matches_oracle_per_mode():
     order = FractionalOrder(0.8)
-    fam = SpectralHeatFamily(lambda t: 1.0 + (t**0.8 / 0.8) / 2.0, 8)
+    fam = SpectralHeatFamily(lambda tau: 1.0 + tau / 2.0, 8)
     grid = TimeGrid.from_tau_horizon(order, 0.0, 1.0, 201)
     table = build_propagator(fam, grid)
     x = np.ones(8)
@@ -228,8 +259,9 @@ def oracle_errors(fam, lo, sizes):
 @pytest.mark.parametrize("name", ["coupled_3x3", "rotation_drift",
                                   "commuting_diagonal", "jordan"])
 def test_dense_table_is_fourth_order_away_from_tau_zero(tmp_path, name):
-    # the error ratio per halving of h is 16 on the window from tau = 0.4,
-    # and about 5 on one from tau = 0, where t ~ tau**(4/3) is not smooth.
+    # the error ratio per halving of h is 16 on the window from tau = 0.4;
+    # on one from tau = 0 it is about 5 for the families of t, where
+    # t ~ tau**(4/3) is not smooth, and 16 for jordan, a family of tau.
     # commuting_diagonal is linear in tau and its steps commute, so the two
     # Gauss points integrate it exactly: its error is the oracle's, 5e-15
     fam = jordan_family() if name == "jordan" \
@@ -290,13 +322,13 @@ def test_dense_accumulate_matches_the_per_step_loop(rng, n):
 
 
 def test_oracle_trivial_cases():
-    fam = DenseMatrixFamily(lambda t: np.zeros((2, 2)), 2)
+    fam = DenseMatrixFamily(lambda tau: np.zeros((2, 2)), 2)
     x = np.array([1.0, -2.0])
     out = propagate_oracle(fam, ORDER, 0.5, 1.5, x, steps=64)
     assert np.allclose(out, x, atol=1e-14)
 
     lam = 0.8
-    fam = DenseMatrixFamily(lambda t: np.array([[lam]]), 1)
+    fam = DenseMatrixFamily(lambda tau: np.array([[lam]]), 1)
     out = propagate_oracle(fam, ORDER, 0.5, 1.5, np.array([2.0]), steps=512)
     dtau = float(ORDER.to_tau(1.5) - ORDER.to_tau(0.5))
     assert out[0] == pytest.approx(2.0 * np.exp(-lam * dtau), rel=1e-10)
@@ -326,7 +358,7 @@ def test_composition_law_within_quadrature_error(rng):
 
 
 def test_spectral_composition_exact():
-    fam = SpectralHeatFamily(lambda t: 1.0, 6)
+    fam = SpectralHeatFamily(lambda tau: 1.0, 6)
     grid = TimeGrid.from_tau_horizon(FractionalOrder(0.8), 0.0, 1.0, 201)
     table = build_propagator(fam, grid)
     rng = np.random.default_rng(5)
@@ -352,7 +384,7 @@ def test_norm_bound_envelope_and_stability(rng):
 
 
 def test_spectral_factors_contractive_for_nonnegative_potential():
-    fam = SpectralHeatFamily(lambda t: 0.5 + 0.5 * np.sin(t) ** 2, 6)
+    fam = SpectralHeatFamily(lambda tau: 0.5 + 0.5 * np.sin(tau) ** 2, 6)
     grid = TimeGrid.from_tau_horizon(FractionalOrder(0.6), 0.0, 1.0, 101)
     table = build_propagator(fam, grid)
     for i in range(0, 101, 10):
@@ -381,7 +413,7 @@ def test_continuity_step_scales_linearly(rng):
 # --- evolution-equation residuals -------------------------------------------
 
 def test_residual_constant_diagonal_family():
-    fam = DenseMatrixFamily(lambda t: np.diag([0.5, 1.0]), 2)
+    fam = DenseMatrixFamily(lambda tau: np.diag([0.5, 1.0]), 2)
     grid = window(401)
     table = build_propagator(fam, grid)
     assert conformable_residual(table, fam, 200, 0) < 1e-6
@@ -459,10 +491,10 @@ def test_column_table_homogeneous_matches_apply(rng):
 # spectral scans: nodes, modes, potential; the window spans one unit of tau,
 # so the top mode's exponent rises by about modes**2 over it
 SPECTRAL_SCANS = {
-    "spectral": (31, 5, lambda t: 1.0 + 0.5 * np.sin(3.0 * t)),
-    "unit_chunks": (41, 64, lambda t: 1.0),
-    "many_chunks": (4001, 64, lambda t: 1.0),
-    "sign_changing": (201, 16, lambda t: 40.0 * np.sin(8.0 * t)),
+    "spectral": (31, 5, lambda tau: 1.0 + 0.5 * np.sin(3.0 * tau)),
+    "unit_chunks": (41, 64, lambda tau: 1.0),
+    "many_chunks": (4001, 64, lambda tau: 1.0),
+    "sign_changing": (201, 16, lambda tau: 40.0 * np.sin(8.0 * tau)),
 }
 
 
@@ -513,7 +545,8 @@ def test_spectral_scan_chunks():
 
 def jordan_family():
     return DenseMatrixFamily(
-        lambda t: np.array([[1.0, 1.0 + 0.2 * np.sin(t)], [0.0, 1.0]]), 2)
+        lambda tau: np.array([[1.0, 1.0], [0.0, 1.0]])
+        + np.multiply.outer(0.2 * np.sin(tau), [[0.0, 1.0], [0.0, 0.0]]), 2)
 
 
 def test_defective_family_matches_oracle():
@@ -539,7 +572,8 @@ def reference_family(name, tmp_path):
     if name == "rotation":
         # eigenvalues 0.65 +- 3.2i to 0.65 +- 3.9i
         return DenseMatrixFamily(
-            lambda t: np.array([[0.5, 3.0 + np.sin(t)], [-3.0, 0.8]]), 2)
+            lambda tau: np.array([[0.5, 3.0], [-3.0, 0.8]])
+            + np.multiply.outer(np.sin(tau), [[0.0, 1.0], [0.0, 0.0]]), 2)
     if name == "jordan":
         return jordan_family()
     if name == "random":
@@ -548,26 +582,27 @@ def reference_family(name, tmp_path):
     # h * 1e6 is about 1.7e4, 15 times, which would cost the slow mode about
     # 2**15 ulps if the squarings rounded I + F
     return DenseMatrixFamily(
-        lambda t: np.diag([1.0, (500.0 if name == "stiff" else 1e6) + t]), 2)
+        lambda tau: np.diag([1.0, 500.0 if name == "stiff" else 1e6])
+        + np.multiply.outer(tau, [[0.0, 0.0], [0.0, 1.0]]), 2)
 
 
 @pytest.mark.parametrize("name", ["coupled_3x3", "rotation", "jordan",
                                   "random", "stiff", "very_stiff"])
 def test_semigroup_blocks_match_reference_exponential(tmp_path, name):
     # every block S[i, j] = E_j**(i - j) of the parametrix against scipy's
-    # expm of -(tau_i - tau_j) A(t_j), up to the 60th power.  The worst case
+    # expm of -(tau_i - tau_j) A(tau_j), up to the 60th power.  The worst case
     # measured is 9.1e-15 relative to max(1, |block|), on the random family; the
     # bound leaves about 5x.  Then every one-step exponential E_r of the
     # dense table against scipy's expm of the Magnus exponent Omega_r, to
     # the same bound
     fam = reference_family(name, tmp_path)
     grid = window(61)
-    tau, t = grid.tau_nodes, grid.t_nodes
+    tau = grid.tau_nodes
     blocks = block_view(Parametrix.build(fam, grid).semigroups, fam.dim)
     worst = 0.0
     for j in range(61):
         for i in range(j, 61):
-            ref = frozen_semigroup(fam, t[j], tau[i] - tau[j])
+            ref = frozen_semigroup(fam, tau[j], tau[i] - tau[j])
             worst = max(worst, np.max(np.abs(blocks[i, j] - ref))
                         / max(1.0, np.max(np.abs(ref))))
     assert worst < 5e-14
@@ -602,7 +637,7 @@ def test_tau_horizon_validation():
 
 def test_spectral_family_validation():
     with pytest.raises(DomainError):
-        SpectralHeatFamily(lambda t: 1.0, 0)
+        SpectralHeatFamily(lambda tau: 1.0, 0)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e308])
@@ -610,26 +645,32 @@ def test_non_finite_potential_is_numeric_error(bad):
     # the scan's chunk sizing reads the exponent steps, so the table refuses
     # a potential that is not finite at some node, or whose integral
     # overflows (1e308), without a RuntimeWarning
-    fam = SpectralHeatFamily(lambda t: bad if t > 1.0 else 1.0, 4)
+    fam = SpectralHeatFamily(lambda tau: np.where(tau > TAU_AT_T1, bad, 1.0),
+                             4)
     with pytest.raises(NumericError, match="potential"):
         build_propagator(fam, window(41))
 
 
+def nan_past_t1(tau):
+    """diag(1, 2), with nan in place of the 2 past t = 1."""
+    past = np.asarray(tau)[..., None, None] > TAU_AT_T1
+    return np.where(past, np.diag([1.0, np.nan]), np.diag([1.0, 2.0]))
+
+
 NON_FINITE_DENSE = {
-    # A(t) itself, at a Gauss point of the step to node 38, the first node
+    # A itself, at a Gauss point of the step to node 38, the first node
     # past t = 1
-    "a_matrix": (lambda t: np.diag([1.0, np.nan if t > 1.0 else 2.0]),
-                 r"A\(t\) is not finite at node 38 "),
+    "a_matrix": (nan_past_t1, r"A\(t\) is not finite at node 38 "),
     # each step exp(25) is finite, but exp(1000 dtau) overflows past
     # dtau = 0.71, at node 29 of the window
-    "semigroups": (lambda t: np.diag([1.0, -1000.0]),
+    "semigroups": (lambda tau: np.diag([1.0, -1000.0]),
                    "the propagator is not finite at node 29 "),
     # finite products of a constant non-normal family, but mu_2(-A) is
     # about 1000, so the bound exp(sum mu_2(Omega_r)) overflows
-    "norm_bound": (lambda t: np.array([[1.0, 2000.0], [0.0, 2.0]]),
+    "norm_bound": (lambda tau: np.array([[1.0, 2000.0], [0.0, 2.0]]),
                    "logarithmic-norm bound"),
     # finite entries whose Gauss-point sum A_1 + A_2 overflows
-    "symmetric_part": (lambda t: np.full((2, 2), 1.7e308),
+    "symmetric_part": (lambda tau: np.full((2, 2), 1.7e308),
                        "the Magnus exponent is not finite at node 1 "),
 }
 
@@ -659,7 +700,8 @@ def test_dense_operator_matrix_matches_oracle_columns():
     rng = np.random.default_rng(314)
     a0 = rng.standard_normal((4, 4)) * 0.25
     a1 = rng.standard_normal((4, 4)) * 0.2
-    fam = DenseMatrixFamily(lambda t: a0 + np.sin(1.1 * t) * a1, 4)
+    fam = DenseMatrixFamily(
+        lambda tau: a0 + np.sin(1.1 * tau)[..., None, None] * a1, 4)
     grid = window(201)
     table = build_propagator(fam, grid)
     columns = [propagate_oracle(fam, ORDER, grid.t_start, grid.t_end, e,
@@ -753,7 +795,7 @@ def check_final_row(table, final, values, y):
 
 
 def test_spectral_final_row_matches_node_pair_matrices():
-    fam = SpectralHeatFamily(lambda t: 1.0 + 0.3 * np.sin(t), 5)
+    fam = SpectralHeatFamily(lambda tau: 1.0 + 0.3 * np.sin(tau), 5)
     grid = window(61)
     table = build_propagator(fam, grid)
     final = np.stack([table.matrix(60, r) for r in range(61)])
@@ -769,7 +811,7 @@ def test_final_gram_matches_generic_sum(backend):
     # non-normal, so its blocks do not commute with M
     rng = np.random.default_rng(71)
     if backend == "spectral":
-        fam = SpectralHeatFamily(lambda t: 1.0 + 0.3 * np.sin(t), 5)
+        fam = SpectralHeatFamily(lambda tau: 1.0 + 0.3 * np.sin(tau), 5)
     else:
         fam = make_dense_family(rng, 3)
     table = build_propagator(fam, window(61))

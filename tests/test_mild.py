@@ -14,7 +14,7 @@ ORDER = FractionalOrder(0.8)
 
 
 def heat_setup(n_nodes=401, n_modes=6, potential=1.0):
-    fam = SpectralHeatFamily(lambda t: potential, n_modes)
+    fam = SpectralHeatFamily(lambda tau: potential, n_modes)
     grid = TimeGrid.from_tau_horizon(ORDER, 0.0, 1.0, n_nodes)
     return fam, grid, build_propagator(fam, grid)
 
@@ -34,12 +34,12 @@ def test_homogeneous_case_converges_in_one_sweep():
 
 def test_scalar_linear_gain_absorbed_into_rate():
     lam, gain = 1.0, 0.4
-    fam = DenseMatrixFamily(lambda t: np.array([[lam]]), 1)
+    fam = DenseMatrixFamily(lambda tau: np.array([[lam]]), 1)
     grid = TimeGrid.from_tau_horizon(ORDER, 0.0, 1.0, 801)
     table = build_propagator(fam, grid)
     problem = ControlProblem(family=fam, grid=grid, x0=np.array([2.0]),
                              b_matrix=np.eye(1),
-                             nonlinearity=lambda t, x: gain * x,
+                             nonlinearity=lambda tau, x: gain * x,
                              picard_tol=1e-12)
     result = picard_solve(problem, table)
     exact = 2.0 * np.exp((gain - lam) * (grid.tau_nodes - grid.tau_nodes[0]))
@@ -52,10 +52,10 @@ def test_heat_linear_gain_matches_shifted_potential():
     x0 = np.ones(8) / np.sqrt(8.0)
     problem = ControlProblem(family=fam, grid=grid, x0=x0,
                              b_matrix=np.eye(8),
-                             nonlinearity=lambda t, x: gain * x,
+                             nonlinearity=lambda tau, x: gain * x,
                              picard_tol=1e-12)
     result = picard_solve(problem, table)
-    shifted = SpectralHeatFamily(lambda t: 1.0 - gain, 8)
+    shifted = SpectralHeatFamily(lambda tau: 1.0 - gain, 8)
     reference = build_propagator(shifted, grid)
     ref = np.stack([reference.matrix(i, 0) @ x0
                     for i in range(grid.n_nodes)])
@@ -69,7 +69,7 @@ def test_updates_decrease_geometrically_under_small_gain(rng):
     x0[0] = 1.0
     problem = ControlProblem(family=fam, grid=grid, x0=x0,
                              b_matrix=np.eye(6),
-                             nonlinearity=lambda t, x: 0.2 * x,
+                             nonlinearity=lambda tau, x: 0.2 * x,
                              picard_tol=1e-11)
     report = contraction_report(problem, gram, gamma_growth=0.2)
     assert report.satisfied
@@ -89,7 +89,7 @@ def test_residual_tracks_tolerance():
     x0[0] = 1.0
     problem = ControlProblem(family=fam, grid=grid, x0=x0,
                              b_matrix=np.eye(6),
-                             nonlinearity=lambda t, x: 0.3 * x,
+                             nonlinearity=lambda tau, x: 0.3 * x,
                              picard_tol=1e-8)
     result = picard_solve(problem, table)
     assert result.residual <= 10.0 * problem.picard_tol
@@ -97,14 +97,14 @@ def test_residual_tracks_tolerance():
 
 def test_trajectory_error_second_order_in_grid():
     lam, gain = 1.0, 0.3
-    fam = DenseMatrixFamily(lambda t: np.array([[lam]]), 1)
+    fam = DenseMatrixFamily(lambda tau: np.array([[lam]]), 1)
 
     def solve(n):
         grid = TimeGrid.from_tau_horizon(ORDER, 0.0, 1.0, n)
         table = build_propagator(fam, grid)
         problem = ControlProblem(family=fam, grid=grid, x0=np.array([1.0]),
                                  b_matrix=np.eye(1),
-                                 nonlinearity=lambda t, x: gain * x,
+                                 nonlinearity=lambda tau, x: gain * x,
                                  picard_tol=1e-13)
         return picard_solve(problem, table).trajectory.values[:, 0]
 
@@ -122,7 +122,7 @@ def test_iteration_cap_raises_with_last_norm():
     x0[0] = 1.0
     problem = ControlProblem(family=fam, grid=grid, x0=x0,
                              b_matrix=np.eye(6),
-                             nonlinearity=lambda t, x: 5.0 * x,
+                             nonlinearity=lambda tau, x: 5.0 * x,
                              max_iter=8)
     with pytest.raises(ConvergenceError) as info:
         picard_solve(problem, table)
@@ -136,7 +136,7 @@ def test_transient_blowup_trips_divergence_guard():
     x0[0] = 1.0
     problem = ControlProblem(family=fam, grid=grid, x0=x0,
                              b_matrix=np.eye(6),
-                             nonlinearity=lambda t, x: 40.0 * x)
+                             nonlinearity=lambda tau, x: 40.0 * x)
     with pytest.raises(ConvergenceError) as info:
         picard_solve(problem, table)
     assert "diverged" in str(info.value)
@@ -146,8 +146,9 @@ def test_nonlinearity_called_once_per_sweep():
     fam, grid, table = heat_setup(n_nodes=201)
     calls = []
 
-    def fun(t, x):
-        calls.append((t.shape, x.shape))
+    def fun(tau, x):
+        assert np.array_equal(tau, grid.tau_nodes[:, None])
+        calls.append((tau.shape, x.shape))
         return 0.05 * x
 
     problem = ControlProblem(family=fam, grid=grid, x0=np.ones(6) / 6.0,
@@ -162,10 +163,12 @@ def test_nonlinearity_called_once_per_sweep():
 
 
 @pytest.mark.parametrize("fun, error", [
-    (lambda t, x: np.where(t > 0.5, np.inf, x), NumericError),
-    (lambda t, x: np.where(x > 0.0, np.nan, x), NumericError),
-    (lambda t, x: x[:, :1], DomainError),
-    (lambda t, x: 0.1, DomainError),
+    # inf past t = 0.5
+    (lambda tau, x: np.where(tau > ORDER.to_tau(0.5), np.inf, x),
+     NumericError),
+    (lambda tau, x: np.where(x > 0.0, np.nan, x), NumericError),
+    (lambda tau, x: x[:, :1], DomainError),
+    (lambda tau, x: 0.1, DomainError),
 ], ids=["inf", "nan", "one_column", "scalar"])
 def test_bad_nonlinearity_values_are_refused(fun, error):
     fam, grid, table = heat_setup(n_nodes=41)
@@ -238,7 +241,7 @@ def test_contraction_report_formula():
     gram = build_gramian(np.eye(6), table)
     problem = ControlProblem(family=fam, grid=grid, x0=np.zeros(6),
                              b_matrix=np.eye(6),
-                             nonlinearity=lambda t, x: 0.05 * x)
+                             nonlinearity=lambda tau, x: 0.05 * x)
     report = contraction_report(problem, gram, gamma_growth=0.05)
     n_const = horizon_factor(0.8, grid.t_start, grid.t_end)
     expect = 0.05 * report.propagator_bound * n_const \
@@ -251,7 +254,7 @@ def test_contraction_report_formula():
 def test_constant_control_drive_closed_form():
     # x(tau) = e^{-lam tau} x0 + (b u / lam)(1 - e^{-lam tau})
     lam, b, u = 1.3, 0.7, 0.5
-    fam = DenseMatrixFamily(lambda t: np.array([[lam]]), 1)
+    fam = DenseMatrixFamily(lambda tau: np.array([[lam]]), 1)
     grid = TimeGrid.from_tau_horizon(ORDER, 0.0, 1.0, 801)
     table = build_propagator(fam, grid)
     from cfcontrol import GridFunction
