@@ -123,11 +123,9 @@ def run_scenario(config: ScenarioConfig, pipeline: str, out_dir: str,
         return 0
 
     if pipeline == "verify":
-        gramian = build_gramian(b_matrix, table)
-        horizon = config.tau_end - config.tau_start
-        outcome = verify_null_inequality(gramian, horizon)
+        outcome = verify_null_inequality(build_gramian(b_matrix, table))
         summary.update(gamma_emp=outcome.gamma_emp,
-                       gamma_threshold=horizon / (horizon + 1.0),
+                       gamma_threshold=grid.tau_span / (grid.tau_span + 1.0),
                        iterations=0)
         _write_summary(os.path.join(out_dir, "summary.txt"), summary)
         if not outcome.passes:

@@ -13,8 +13,8 @@ Recognized keys (see README for the full schema):
 
     schema_version   integer, must be 1
     alpha            fractional order in (0, 1]
-    tau_start        horizon start in transformed time (>= 0)
-    tau_end          horizon end in transformed time
+    tau_start        window start in transformed time (>= 0)
+    tau_end          window end in transformed time
     n_nodes          grid nodes (>= 2)
     backend          spectral_heat | dense_matrix
     n_modes          spectral mode count
@@ -91,8 +91,8 @@ class ScenarioConfig:
         return FractionalOrder(self.alpha)
 
     def grid(self) -> TimeGrid:
-        return TimeGrid.from_tau_horizon(self.order(), self.tau_start,
-                                         self.tau_end, self.n_nodes)
+        return TimeGrid(self.order(), self.tau_start, self.tau_end,
+                        self.n_nodes)
 
     def family(self):
         if self.backend == "spectral_heat":

@@ -104,8 +104,8 @@ __all__ = [
 _SCAN_SPAN = 64.0
 # Gauss-Legendre points of a step [tau_r, tau_r + h], as fractions of h
 _GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0
-# degree of the Taylor polynomial of a one-step exponential whose scaled
-# 1-norm is below one: the remainder is below 1/19! * 1.06 < 1e-17
+# largest degree of the Taylor polynomial of a one-step exponential whose
+# scaled 1-norm is below one: the remainder is below 1/19! * 1.06 < 1e-17
 _TAYLOR_DEGREE = 18
 
 
@@ -208,18 +208,27 @@ def _one_step_exponentials(exponents: np.ndarray) -> np.ndarray:
     ``X_j`` is scaled by ``2**-s_j``, the least power that brings its
     1-norm below one, and the Taylor polynomial of its exponential, batched
     over the stack in Horner form, is squared ``s_j`` times (Moler & Van
-    Loan, SIAM Review 45, 2003, method 3); no eigenbasis is needed.  The
+    Loan, SIAM Review 45, 2003, method 3); no eigenbasis is needed.  Its
+    degree m is the least, up to ``_TAYLOR_DEGREE``, whose remainder
+    ``theta**(m+1) / (m+1)!`` falls below ``2**-60`` at the largest scaled
+    1-norm theta of the stack.  The
     squarings act on ``F = exp(.) - I`` as ``F <- F F + 2 F``: squaring
     ``I + F`` would round away the part of F far below one, and a slow mode
     of a stiff family would lose ``2**s_j`` ulps.  A 1-norm that overflows
     leaves ``s_j = 0``, so the exponential comes out non-finite.
     """
-    _, squarings = np.frexp(np.abs(exponents).sum(axis=1).max(axis=1))
+    norms = np.abs(exponents).sum(axis=1).max(axis=1)
+    _, squarings = np.frexp(norms)
     squarings = np.maximum(squarings, 0)
     x = exponents * np.ldexp(1.0, -squarings)[:, None, None]
+    theta = float(np.max(np.ldexp(norms, -squarings), initial=0.0))
+    degree, remainder = 1, theta * theta / 2.0
+    while degree < _TAYLOR_DEGREE and not remainder < 2.0**-60:
+        degree += 1
+        remainder *= theta / (degree + 1)
     eye = np.eye(exponents.shape[1])
-    poly = eye + x / _TAYLOR_DEGREE
-    for k in range(_TAYLOR_DEGREE - 1, 1, -1):
+    poly = eye + x / degree if degree > 1 else eye
+    for k in range(degree - 1, 1, -1):
         poly = eye + (x @ poly) / k
     diff = x @ poly
     for k in range(int(squarings.max())):

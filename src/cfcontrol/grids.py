@@ -4,7 +4,8 @@ Everything downstream works in the transformed time ``tau = t**alpha / alpha``.
 Under that substitution the weighted measure ``s**(alpha-1) ds`` becomes the
 flat Lebesgue measure, so uniform grids in tau are the natural discretization
 and ordinary trapezoid weights integrate the weighted integrals exactly to
-second order.
+second order.  A grid is given by its tau window; physical time is only the
+image of its nodes.
 """
 
 from __future__ import annotations
@@ -121,63 +122,55 @@ class FractionalOrder:
 
 @dataclass
 class TimeGrid:
-    """Uniform-in-tau discretization of a time window.
+    """Uniform discretization of the window ``[tau_start, tau_end]`` in tau.
 
-    Nodes are stored both in tau (uniformly spaced) and in t.  ``t_start``
-    may be zero: the tau-form of every integral is regular there, and
+    The grid is its tau window: ``tau_nodes`` is ``np.linspace`` over it, so
+    both ends are exactly the values given, and ``t_nodes`` is their image
+    ``(alpha * tau)**(1/alpha)`` under the order.  ``tau_start`` may be
+    zero: the tau-form of every integral is regular there, and
     derivative-type operations are only ever evaluated at interior nodes.
     """
 
     order: FractionalOrder
-    t_start: float
-    t_end: float
+    tau_start: float
+    tau_end: float
     n_nodes: int
     tau_nodes: np.ndarray = field(init=False, repr=False)
     t_nodes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.t_start < 0.0:
-            raise DomainError(f"t_start must be >= 0, got {self.t_start}")
-        if self.t_end <= self.t_start:
-            raise DomainError("t_end must exceed t_start")
+        if self.tau_start < 0.0:
+            raise DomainError(f"tau_start must be >= 0, got {self.tau_start}")
+        if not self.tau_end > self.tau_start:
+            raise DomainError("tau_end must exceed tau_start")
         if self.n_nodes < 2:
             raise DomainError("need at least two grid nodes")
-        # the tau and t nodes
         require_memory(16 * self.n_nodes, f"a grid of {self.n_nodes} nodes")
-        tau0 = float(self.order.to_tau(self.t_start))
-        tauf = float(self.order.to_tau(self.t_end))
-        self.tau_nodes = np.linspace(tau0, tauf, self.n_nodes)
-        self.t_nodes = self.order.from_tau(self.tau_nodes)
-        # pin the endpoints so round-trips are exact
-        self.t_nodes[0] = self.t_start
-        self.t_nodes[-1] = self.t_end
-
-    @classmethod
-    def from_tau_horizon(cls, order, tau_start, tau_end, n_nodes):
-        """Build a grid from a horizon given in transformed time."""
-        if tau_start < 0.0:
-            raise DomainError("tau_start must be >= 0")
-        if tau_end <= tau_start:
-            raise DomainError("tau_end must exceed tau_start")
+        self.tau_nodes = np.linspace(self.tau_start, self.tau_end,
+                                     self.n_nodes)
         with np.errstate(over="ignore"):
-            t0 = float(order.from_tau(tau_start))
-            tf = float(order.from_tau(tau_end))
-        if math.isinf(tf):
-            raise DomainError(f"t = (alpha*tau)**(1/alpha) overflows at tau = "
-                              f"{tau_end!r} and alpha = {order.alpha!r}")
-        return cls(order, t0, tf, n_nodes)
+            self.t_nodes = self.order.from_tau(self.tau_nodes)
+        first, last = float(self.t_nodes[0]), float(self.t_nodes[-1])
+        if math.isinf(last) or not last > first:
+            fault = ("overflows" if math.isinf(last)
+                     else f"collapses to the one point {first}")
+            raise DomainError(
+                f"t = (alpha*tau)**(1/alpha) {fault} on the window tau in "
+                f"[{self.tau_start}, {self.tau_end}] at alpha = "
+                f"{self.order.alpha}")
 
     @property
     def h(self):
         """Uniform spacing in tau."""
-        return (self.tau_nodes[-1] - self.tau_nodes[0]) / (self.n_nodes - 1)
+        return self.tau_span / (self.n_nodes - 1)
 
     @property
     def tau_span(self):
+        """Length T of the tau window."""
         return self.tau_nodes[-1] - self.tau_nodes[0]
 
     def weights(self):
-        """Trapezoid quadrature weights over the full tau horizon."""
+        """Trapezoid quadrature weights over the tau window."""
         w = np.full(self.n_nodes, self.h)
         w[0] *= 0.5
         w[-1] *= 0.5

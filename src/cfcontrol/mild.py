@@ -259,8 +259,9 @@ def contraction_report(problem: ControlProblem,
     m_bound = gramian.propagator.norm_bound
     b_norm = float(np.linalg.norm(problem.b_matrix, 2))
     h_norm = gramian.gain_norm_est
-    n_const = horizon_factor(problem.grid.order.alpha,
-                             problem.grid.t_start, problem.grid.t_end)
+    t_nodes = problem.grid.t_nodes
+    n_const = horizon_factor(problem.grid.order.alpha, float(t_nodes[0]),
+                             float(t_nodes[-1]))
     if gamma_growth == 0.0:
         lhs = 0.0
     else:

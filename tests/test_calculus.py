@@ -26,12 +26,30 @@ def test_grid_tau_spacing_uniform_and_roundtrip():
     assert np.allclose(back, grid.tau_nodes, rtol=1e-13)
 
 
-def test_grid_from_tau_horizon_matches_window():
+def test_grid_nodes_end_on_its_tau_window():
     order = FractionalOrder(0.8)
-    grid = TimeGrid.from_tau_horizon(order, 0.0, 1.0, 11)
+    grid = TimeGrid(order, 0.0, 1.0, 11)
     assert grid.tau_nodes[0] == 0.0
-    assert grid.tau_nodes[-1] == pytest.approx(1.0, abs=1e-15)
+    assert grid.tau_nodes[-1] == 1.0
     assert grid.t_nodes[0] == 0.0
+
+
+def test_grid_is_its_tau_window_exactly_at_every_order():
+    # the tau nodes are never taken through t, so no window comes back an
+    # ulp off: [0, 1] at alpha = 0.1, 0.2 and 0.45 did through t**alpha/alpha
+    missed = []
+    for alpha in np.round(np.arange(0.10, 1.0001, 0.05), 2):
+        order = FractionalOrder(float(alpha))
+        for start in (0.0, 0.1, 0.25, 0.5, 1.0, 2.0):
+            for end in (0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0):
+                if end <= start:
+                    continue
+                grid = TimeGrid(order, start, end, 101)
+                if not (grid.tau_nodes[0] == start
+                        and grid.tau_nodes[-1] == end
+                        and grid.h == (end - start) / 100):
+                    missed.append((float(alpha), start, end))
+    assert missed == []
 
 
 def test_grid_validation():

@@ -445,6 +445,26 @@ def test_oversized_config_value_is_one_domain_error(tmp_path, capsys,
     assert "GB, more than the " in err[0]
 
 
+@pytest.mark.parametrize("overrides", [
+    {"alpha": "1e-300"},
+    {"alpha": "0.001"},
+    {"tau_start": "1e-320", "tau_end": "2e-320"},
+], ids=["alpha_1e-300", "alpha_0.001", "subnormal_window"])
+def test_window_whose_t_images_collapse_is_one_domain_line(tmp_path,
+                                                           overrides):
+    # t = (alpha tau)**(1/alpha) underflows to one point; the message names
+    # the tau window and alpha the config gave, not a t window
+    proc = run_fresh(["evolve", "--config", write_cfg(tmp_path, **overrides),
+                      "--out", str(tmp_path / "out")])
+    assert proc.returncode == 3
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR DOMAIN: ")
+    window = (overrides.get("tau_start", "0.0"),
+              overrides.get("tau_end", "1.0"))
+    assert f"tau in [{window[0]}, {window[1]}]" in err[0]
+    assert f"alpha = {overrides.get('alpha', '0.8')}" in err[0]
+
+
 # the CLI commands of the README, and the over-gained demo, which exits 5
 SHIPPED_RUNS = {
     "control": (["control", "--config", str(DEMO)], 0),

@@ -34,8 +34,7 @@ from cfcontrol import (DenseMatrixFamily, FractionalOrder, TimeGrid,
 fam = DenseMatrixFamily(
     lambda tau: np.array([[1.0, 1.0], [0.0, 1.0]])
     + np.multiply.outer(0.2 * np.sin(tau), [[0.0, 1.0], [0.0, 0.0]]), 2)
-build_propagator(fam, TimeGrid.from_tau_horizon(FractionalOrder(0.75), 0.4,
-                                                1.4, 201))
+build_propagator(fam, TimeGrid(FractionalOrder(0.75), 0.4, 1.4, 201))
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 

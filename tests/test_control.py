@@ -21,14 +21,14 @@ DENSE = DEMO.with_name("dense_evolve.cfg")
 def scalar_setup(lam=1.0, n=801, alpha=1.0):
     order = FractionalOrder(alpha)
     fam = DenseMatrixFamily(lambda tau: np.array([[lam]]), 1)
-    grid = TimeGrid.from_tau_horizon(order, 0.0, 1.0, n)
+    grid = TimeGrid(order, 0.0, 1.0, n)
     table = build_propagator(fam, grid)
     return fam, grid, table
 
 
 def heat_setup(n_modes=6, n=401, potential=1.0):
     fam = SpectralHeatFamily(lambda tau: potential, n_modes)
-    grid = TimeGrid.from_tau_horizon(ORDER, 0.0, 1.0, n)
+    grid = TimeGrid(ORDER, 0.0, 1.0, n)
     table = build_propagator(fam, grid)
     return fam, grid, table
 
@@ -71,7 +71,7 @@ def test_heat_gramian_diagonal_positive_definite():
 def test_gramian_symmetry(rng):
     from conftest import make_dense_family
     fam = make_dense_family(rng, 3)
-    grid = TimeGrid.from_tau_horizon(FractionalOrder(0.75), 0.4, 1.4, 201)
+    grid = TimeGrid(FractionalOrder(0.75), 0.4, 1.4, 201)
     table = build_propagator(fam, grid)
     gram = build_gramian(rng.standard_normal((3, 2)), table)
     w = gram.gramian
@@ -96,7 +96,7 @@ def test_identity_input_takes_one_final_gram(monkeypatch, backend):
     if backend == "spectral":
         _, _, table = heat_setup(n=201)
     else:
-        grid = TimeGrid.from_tau_horizon(ORDER, 0.0, 1.0, 41)
+        grid = TimeGrid(ORDER, 0.0, 1.0, 41)
         table = build_propagator(parse_config(DENSE).family(), grid)
     d = table.dim
     final_gram = table.final_gram
@@ -123,7 +123,7 @@ def test_identity_input_takes_one_final_gram(monkeypatch, backend):
 def gramian_oracle_cases():
     """A spectral and a dense table, each with a regular and a singular input."""
     _, _, heat = heat_setup(n=201)
-    grid = TimeGrid.from_tau_horizon(ORDER, 0.0, 1.0, 41)
+    grid = TimeGrid(ORDER, 0.0, 1.0, 41)
     # A = I/2, so every operator is a scalar multiple of I and W is a
     # multiple of B B^T: rank 2 up to 1e-20 for this B
     flat = build_propagator(
@@ -251,10 +251,10 @@ def test_mode_truncation_stability():
 def test_inequality_single_mode_closed_form():
     # rate one, unit horizon: energy ratio tanh(1) = 0.761594...
     fam = SpectralHeatFamily(lambda tau: 0.0, 1)
-    grid = TimeGrid.from_tau_horizon(FractionalOrder(1.0), 0.0, 1.0, 1601)
+    grid = TimeGrid(FractionalOrder(1.0), 0.0, 1.0, 1601)
     table = build_propagator(fam, grid)
     gram = build_gramian(np.eye(1), table)
-    outcome = verify_null_inequality(gram, 1.0)
+    outcome = verify_null_inequality(gram)
     assert outcome.gamma_emp == pytest.approx(0.7615941559557649, abs=1e-7)
     assert outcome.passes
 
@@ -262,7 +262,7 @@ def test_inequality_single_mode_closed_form():
 def test_inequality_heat_demo_clears_threshold():
     fam, grid, table = heat_setup()
     gram = build_gramian(np.eye(6), table)
-    outcome = verify_null_inequality(gram, 1.0)
+    outcome = verify_null_inequality(gram)
     assert outcome.gamma_emp >= 0.5 - 1e-6
     assert outcome.passes
 
@@ -288,11 +288,10 @@ def test_dense_inequality_reads_its_own_gramian(rng):
     from conftest import make_dense_family
     for _ in range(5):
         fam = make_dense_family(rng, 3)
-        grid = TimeGrid.from_tau_horizon(FractionalOrder(0.75), 0.0, 1.0,
-                                         121)
+        grid = TimeGrid(FractionalOrder(0.75), 0.0, 1.0, 121)
         table = build_propagator(fam, grid)
         gram = build_gramian(np.eye(3), table)
-        outcome = verify_null_inequality(gram, 1.0)
+        outcome = verify_null_inequality(gram)
         assert outcome.gamma_emp == pytest.approx(pencil_minimum(gram, table),
                                                   rel=1e-12)
         z = rng.standard_normal((2000, 3))
@@ -306,7 +305,7 @@ def test_heat_inequality_constant_is_the_pencil_minimum():
     # minimum over 500 random unit vectors stays above it and passed
     _, _, table = heat_setup(n_modes=64, potential=-1.02)
     gram = build_gramian(np.eye(64), table)
-    outcome = verify_null_inequality(gram, 1.0)
+    outcome = verify_null_inequality(gram)
     assert outcome.gamma_emp == pytest.approx(pencil_minimum(gram, table),
                                               rel=1e-12)
     assert outcome.gamma_emp == pytest.approx(0.4950168, abs=1e-7)
@@ -325,7 +324,7 @@ def test_gramian_and_inequality_memory_stays_per_mode():
     tracemalloc.start()
     try:
         gram = build_gramian(np.eye(64), table)
-        outcome = verify_null_inequality(gram, 1.0)
+        outcome = verify_null_inequality(gram)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -337,14 +336,7 @@ def test_inequality_requires_identity_input():
     fam, grid, table = heat_setup(n=101)
     gram = build_gramian(0.5 * np.eye(6), table)
     with pytest.raises(DomainError):
-        verify_null_inequality(gram, 1.0)
-
-
-def test_inequality_checks_horizon_consistency():
-    fam, grid, table = heat_setup(n=101)
-    gram = build_gramian(np.eye(6), table)
-    with pytest.raises(DomainError):
-        verify_null_inequality(gram, 2.0)
+        verify_null_inequality(gram)
 
 
 def test_inequality_pass_implies_gramian_built_and_zero_input_fails_both():
@@ -352,7 +344,7 @@ def test_inequality_pass_implies_gramian_built_and_zero_input_fails_both():
     # map fails the gramian build outright
     fam, grid, table = heat_setup(n=201)
     gram = build_gramian(np.eye(6), table)
-    outcome = verify_null_inequality(gram, 1.0)
+    outcome = verify_null_inequality(gram)
     assert outcome.gamma_emp > 0.0
     assert gram.jitter == 0.0
     with pytest.raises(ControllabilityError):
@@ -411,7 +403,7 @@ def test_semilinear_demo_is_a_fixed_point_of_the_closed_loop_map():
 def test_semilinear_rejects_a_table_on_another_grid():
     fam, _, table = heat_setup(n=101)
     gram = build_gramian(np.eye(6), table)
-    other = TimeGrid.from_tau_horizon(ORDER, 0.0, 1.0, 101)
+    other = TimeGrid(ORDER, 0.0, 1.0, 101)
     problem = ControlProblem(family=fam, grid=other, x0=np.ones(6),
                              b_matrix=np.eye(6),
                              nonlinearity=lambda tau, x: 0.05 * x)
@@ -436,10 +428,10 @@ def test_inequality_fails_for_destabilizing_potential():
     # one growing mode (rate -1): the response energy ratio drops to
     # (e^2-1)/2 / (e^2 + (e^2-1)/2) = 0.30184 < 0.5 and the check reports it
     fam = SpectralHeatFamily(lambda tau: -2.0, 1)
-    grid = TimeGrid.from_tau_horizon(FractionalOrder(1.0), 0.0, 1.0, 801)
+    grid = TimeGrid(FractionalOrder(1.0), 0.0, 1.0, 801)
     table = build_propagator(fam, grid)
     gram = build_gramian(np.eye(1), table)
-    outcome = verify_null_inequality(gram, 1.0)
+    outcome = verify_null_inequality(gram)
     lhs = (np.exp(2.0) - 1.0) / 2.0
     assert outcome.gamma_emp == pytest.approx(lhs / (np.exp(2.0) + lhs),
                                               abs=1e-5)

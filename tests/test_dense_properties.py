@@ -31,8 +31,8 @@ def dense_cases(draw):
         lambda tau: a0 + np.sin(w * tau)[..., None, None] * a1, d)
     n = draw(st.integers(2, 81))
     lo = draw(st.floats(0.0, 1.0))
-    grid = TimeGrid.from_tau_horizon(FractionalOrder(0.75), lo,
-                                     lo + draw(st.floats(0.2, 1.5)), n)
+    grid = TimeGrid(FractionalOrder(0.75), lo,
+                    lo + draw(st.floats(0.2, 1.5)), n)
     nodes = sorted(draw(st.lists(st.integers(0, n - 1), min_size=3,
                                  max_size=3)), reverse=True)
     x0 = draw(arrays(np.float64, d, elements=ENTRIES).filter(

@@ -27,7 +27,7 @@ TAU_AT_T1 = float(ORDER.to_tau(1.0))
 
 
 def window(n, order=ORDER, lo=0.4, hi=1.4):
-    return TimeGrid.from_tau_horizon(order, lo, hi, n)
+    return TimeGrid(order, lo, hi, n)
 
 
 def commuting_family():
@@ -198,7 +198,7 @@ def test_propagator_diagonal_is_exact_identity(rng):
 
 def test_spectral_constant_potential_closed_form():
     fam = SpectralHeatFamily(lambda tau: 1.0, 8)
-    grid = TimeGrid.from_tau_horizon(FractionalOrder(0.8), 0.0, 1.0, 201)
+    grid = TimeGrid(FractionalOrder(0.8), 0.0, 1.0, 201)
     table = build_propagator(fam, grid)
     rates = np.arange(1, 9) ** 2 + 1.0
     for i, j in ((200, 0), (150, 30), (80, 80)):
@@ -210,11 +210,11 @@ def test_spectral_constant_potential_closed_form():
 def test_spectral_matches_oracle_per_mode():
     order = FractionalOrder(0.8)
     fam = SpectralHeatFamily(lambda tau: 1.0 + tau / 2.0, 8)
-    grid = TimeGrid.from_tau_horizon(order, 0.0, 1.0, 201)
+    grid = TimeGrid(order, 0.0, 1.0, 201)
     table = build_propagator(fam, grid)
     x = np.ones(8)
     got = table.matrix(200, 0) @ x
-    want = propagate_oracle(fam, order, grid.t_start, grid.t_end, x,
+    want = propagate_oracle(fam, order, *grid.t_nodes[[0, -1]], x,
                             steps=4000)
     assert np.max(np.abs(got - want)) < 1e-7
 
@@ -223,7 +223,7 @@ def test_dense_matches_oracle_with_second_order_convergence(rng):
     fam = make_dense_family(rng, 4)
     x = rng.standard_normal(4)
     x /= np.linalg.norm(x)
-    ref = propagate_oracle(fam, ORDER, window(3).t_start, window(3).t_end, x,
+    ref = propagate_oracle(fam, ORDER, *window(3).t_nodes[[0, -1]], x,
                            steps=3000)
     errs = []
     for n in (101, 201):
@@ -248,7 +248,7 @@ def oracle_errors(fam, lo, sizes):
     unit tau window from ``lo``, for each node count."""
     grid = window(3, lo=lo, hi=lo + 1.0)
     x = np.ones(fam.dim)
-    ref = propagate_oracle(fam, ORDER, grid.t_start, grid.t_end, x,
+    ref = propagate_oracle(fam, ORDER, *grid.t_nodes[[0, -1]], x,
                            steps=4000)
     return [np.linalg.norm(build_propagator(fam, window(n, lo=lo,
                                                        hi=lo + 1.0))
@@ -297,7 +297,7 @@ def test_dense_table_agrees_with_the_parametrix(tmp_path, lo):
     fam = config_family("coupled_3x3", tmp_path)
     grid = window(81, lo=lo, hi=lo + 1.0)
     x = np.ones(3)
-    ref = propagate_oracle(fam, ORDER, grid.t_start, grid.t_end, x,
+    ref = propagate_oracle(fam, ORDER, *grid.t_nodes[[0, -1]], x,
                            steps=4000)
     unit = np.zeros(81 * 3)
     unit[:3] = x
@@ -359,7 +359,7 @@ def test_composition_law_within_quadrature_error(rng):
 
 def test_spectral_composition_exact():
     fam = SpectralHeatFamily(lambda tau: 1.0, 6)
-    grid = TimeGrid.from_tau_horizon(FractionalOrder(0.8), 0.0, 1.0, 201)
+    grid = TimeGrid(FractionalOrder(0.8), 0.0, 1.0, 201)
     table = build_propagator(fam, grid)
     rng = np.random.default_rng(5)
     worst = 0.0
@@ -385,7 +385,7 @@ def test_norm_bound_envelope_and_stability(rng):
 
 def test_spectral_factors_contractive_for_nonnegative_potential():
     fam = SpectralHeatFamily(lambda tau: 0.5 + 0.5 * np.sin(tau) ** 2, 6)
-    grid = TimeGrid.from_tau_horizon(FractionalOrder(0.6), 0.0, 1.0, 101)
+    grid = TimeGrid(FractionalOrder(0.6), 0.0, 1.0, 101)
     table = build_propagator(fam, grid)
     for i in range(0, 101, 10):
         for j in range(0, i + 1, 10):
@@ -556,7 +556,7 @@ def test_defective_family_matches_oracle():
     grid = window(201)
     table = build_propagator(fam, grid)
     x = np.array([0.7, -0.4])
-    ref = propagate_oracle(fam, ORDER, grid.t_start, grid.t_end, x,
+    ref = propagate_oracle(fam, ORDER, *grid.t_nodes[[0, -1]], x,
                            steps=2000)
     assert np.linalg.norm(table.matrix(200, 0) @ x - ref) \
         / np.linalg.norm(ref) < 1e-5
@@ -616,6 +616,27 @@ def test_semigroup_blocks_match_reference_exponential(tmp_path, name):
     assert worst < 5e-14
 
 
+@pytest.mark.parametrize("theta", [0.0, 1e-12, 0.0144, 0.5, 0.999])
+def test_one_step_exponentials_take_their_degree_from_the_norm(theta):
+    # the Taylor degree follows the largest 1-norm of the stack (degree 7
+    # at 0.0144, the dense_control exponents), and each E_r still matches
+    # scipy's expm; a Jordan block rides along as the non-normal case
+    from scipy.linalg import expm
+    from cfcontrol.evolution import _one_step_exponentials
+    rng = np.random.default_rng(20240601)
+    stack = np.concatenate((rng.standard_normal((40, 3, 3)),
+                            [[[1.0, 1.0, 0.0], [0.0, 1.0, 1.0],
+                              [0.0, 0.0, 1.0]]]))
+    # 1-norms theta times 1 (the first) and uniform draws in [0, 1)
+    scales = theta * np.append(1.0, rng.uniform(0.0, 1.0, len(stack) - 1))
+    stack *= (scales / np.abs(stack).sum(axis=1).max(axis=1))[:, None, None]
+    steps = _one_step_exponentials(stack)
+    for step, omega in zip(steps, stack):
+        ref = expm(omega)
+        assert np.max(np.abs(step - ref)) <= 5e-14 * max(1.0,
+                                                         np.max(np.abs(ref)))
+
+
 def test_grid_function_helpers():
     from cfcontrol import GridFunction
     grid = window(5)
@@ -630,9 +651,9 @@ def test_grid_function_helpers():
 def test_tau_horizon_validation():
     from cfcontrol import TimeGrid
     with pytest.raises(DomainError):
-        TimeGrid.from_tau_horizon(ORDER, -0.5, 1.0, 11)
+        TimeGrid(ORDER, -0.5, 1.0, 11)
     with pytest.raises(DomainError):
-        TimeGrid.from_tau_horizon(ORDER, 1.0, 1.0, 11)
+        TimeGrid(ORDER, 1.0, 1.0, 11)
 
 
 def test_spectral_family_validation():
@@ -704,7 +725,7 @@ def test_dense_operator_matrix_matches_oracle_columns():
         lambda tau: a0 + np.sin(1.1 * tau)[..., None, None] * a1, 4)
     grid = window(201)
     table = build_propagator(fam, grid)
-    columns = [propagate_oracle(fam, ORDER, grid.t_start, grid.t_end, e,
+    columns = [propagate_oracle(fam, ORDER, *grid.t_nodes[[0, -1]], e,
                                 steps=2000) for e in np.eye(4)]
     oracle = np.stack(columns, axis=1)
     got = table.matrix(200, 0)

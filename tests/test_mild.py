@@ -15,7 +15,7 @@ ORDER = FractionalOrder(0.8)
 
 def heat_setup(n_nodes=401, n_modes=6, potential=1.0):
     fam = SpectralHeatFamily(lambda tau: potential, n_modes)
-    grid = TimeGrid.from_tau_horizon(ORDER, 0.0, 1.0, n_nodes)
+    grid = TimeGrid(ORDER, 0.0, 1.0, n_nodes)
     return fam, grid, build_propagator(fam, grid)
 
 
@@ -35,7 +35,7 @@ def test_homogeneous_case_converges_in_one_sweep():
 def test_scalar_linear_gain_absorbed_into_rate():
     lam, gain = 1.0, 0.4
     fam = DenseMatrixFamily(lambda tau: np.array([[lam]]), 1)
-    grid = TimeGrid.from_tau_horizon(ORDER, 0.0, 1.0, 801)
+    grid = TimeGrid(ORDER, 0.0, 1.0, 801)
     table = build_propagator(fam, grid)
     problem = ControlProblem(family=fam, grid=grid, x0=np.array([2.0]),
                              b_matrix=np.eye(1),
@@ -100,7 +100,7 @@ def test_trajectory_error_second_order_in_grid():
     fam = DenseMatrixFamily(lambda tau: np.array([[lam]]), 1)
 
     def solve(n):
-        grid = TimeGrid.from_tau_horizon(ORDER, 0.0, 1.0, n)
+        grid = TimeGrid(ORDER, 0.0, 1.0, n)
         table = build_propagator(fam, grid)
         problem = ControlProblem(family=fam, grid=grid, x0=np.array([1.0]),
                                  b_matrix=np.eye(1),
@@ -188,7 +188,7 @@ def test_problem_validation():
     with pytest.raises(DomainError):
         ControlProblem(family=fam, grid=grid, x0=np.zeros(6),
                        b_matrix=np.eye(6), picard_tol=0.0)
-    other_grid = TimeGrid.from_tau_horizon(ORDER, 0.0, 1.0, 21)
+    other_grid = TimeGrid(ORDER, 0.0, 1.0, 21)
     problem = ControlProblem(family=fam, grid=other_grid, x0=np.zeros(6),
                              b_matrix=np.eye(6))
     table = build_propagator(fam, grid)
@@ -243,7 +243,8 @@ def test_contraction_report_formula():
                              b_matrix=np.eye(6),
                              nonlinearity=lambda tau, x: 0.05 * x)
     report = contraction_report(problem, gram, gamma_growth=0.05)
-    n_const = horizon_factor(0.8, grid.t_start, grid.t_end)
+    n_const = horizon_factor(0.8, float(grid.t_nodes[0]),
+                             float(grid.t_nodes[-1]))
     expect = 0.05 * report.propagator_bound * n_const \
         * (report.input_norm * report.gain_norm + 1.0)
     assert report.lhs == pytest.approx(expect, rel=1e-12)
@@ -255,7 +256,7 @@ def test_constant_control_drive_closed_form():
     # x(tau) = e^{-lam tau} x0 + (b u / lam)(1 - e^{-lam tau})
     lam, b, u = 1.3, 0.7, 0.5
     fam = DenseMatrixFamily(lambda tau: np.array([[lam]]), 1)
-    grid = TimeGrid.from_tau_horizon(ORDER, 0.0, 1.0, 801)
+    grid = TimeGrid(ORDER, 0.0, 1.0, 801)
     table = build_propagator(fam, grid)
     from cfcontrol import GridFunction
     control = GridFunction(grid, np.full((grid.n_nodes, 1), u))

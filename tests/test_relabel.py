@@ -14,6 +14,8 @@ import pytest
 from cfcontrol.cli import main
 
 ALPHAS = ("0.3", "0.5", "0.8", "1")
+# tau windows: from zero, and one whose ends came back an ulp off through t
+WINDOWS = (("0", "1"), ("0.5", "1.5"))
 # the summary keys that carry the paper's constant, written in t
 T_KEYS = {"contraction_lhs", "contraction_satisfied"}
 
@@ -23,12 +25,13 @@ DENSE = {"backend": "dense_matrix", "n_nodes": "101", "x0": "ones 1.0"}
 
 
 def run(tmp_path, pipeline, alpha, keys):
-    """Outputs of one run on tau in [0, 1]: CSV cells without the t column,
-    by file, and the summary entries without ``T_KEYS``."""
+    """Outputs of one run on tau in [0, 1], or the window ``keys`` gives:
+    CSV cells without the t column, by file, and the summary entries
+    without ``T_KEYS``."""
     lines = {"schema_version": "1", "alpha": alpha, "tau_start": "0",
              "tau_end": "1", "control": "identity",
              "nonlinearity": "linear 0.05", **keys}
-    name = f"{pipeline}_{alpha}"
+    name = f"{pipeline}_{alpha}_{lines['tau_start']}"
     cfg = tmp_path / f"{name}.cfg"
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
     out = tmp_path / name
@@ -43,10 +46,11 @@ def run(tmp_path, pipeline, alpha, keys):
     return tables, {k: v for k, v in summary.items() if k not in T_KEYS}
 
 
-def small_gain(tmp_path, pipeline, alpha):
+def small_gain(tmp_path, pipeline, alpha, tau_start):
     """``contraction_lhs`` as a float and ``contraction_satisfied`` as
-    written by the run of ``run`` at this alpha."""
-    text = (tmp_path / f"{pipeline}_{alpha}" / "summary.txt").read_text()
+    written by the run of ``run`` at this alpha and window start."""
+    text = (tmp_path / f"{pipeline}_{alpha}_{tau_start}"
+            / "summary.txt").read_text()
     summary = dict(line.split("=", 1) for line in text.splitlines())
     return float(summary["contraction_lhs"]), summary["contraction_satisfied"]
 
@@ -62,23 +66,28 @@ def as_floats(outputs):
 @pytest.mark.parametrize("potential", ["constant 1.0", "affine 1.0 0.7"])
 def test_alpha_only_relabels_spectral_time(tmp_path, pipeline, potential):
     # every output but the t column and the paper's constant, byte for byte,
-    # so the fixed point takes the same sweeps at every alpha.  At t0 = 0 the
-    # constant's horizon factor int t**(2 alpha - 2) dt diverges for
-    # alpha <= 1/2: its lhs reads inf there, and finite above
-    keys = {**SPECTRAL, "potential": potential}
-    first = run(tmp_path, pipeline, ALPHAS[0], keys)
-    assert first[0]
-    if pipeline == "control":
-        assert int(first[1]["iterations"]) > 0
-    for alpha in ALPHAS:
-        if alpha != ALPHAS[0]:
-            assert run(tmp_path, pipeline, alpha, keys) == first
+    # on every window, so the fixed point takes the same sweeps at every
+    # alpha.  At t0 = 0 the constant's horizon factor int t**(2 alpha - 2) dt
+    # diverges for alpha <= 1/2: its lhs reads inf there, and finite above
+    # and off zero
+    for start, end in WINDOWS:
+        keys = {**SPECTRAL, "potential": potential, "tau_start": start,
+                "tau_end": end}
+        first = run(tmp_path, pipeline, ALPHAS[0], keys)
+        assert first[0]
         if pipeline == "control":
-            lhs, satisfied = small_gain(tmp_path, pipeline, alpha)
-            if float(alpha) > 0.5:
-                assert np.isfinite(lhs) and satisfied == "1"
-            else:
-                assert lhs == np.inf and satisfied == "0"
+            assert int(first[1]["iterations"]) > 0
+        for alpha in ALPHAS:
+            if alpha != ALPHAS[0]:
+                assert run(tmp_path, pipeline, alpha, keys) == first
+            if pipeline == "control":
+                lhs, satisfied = small_gain(tmp_path, pipeline, alpha, start)
+                if start != "0":
+                    assert np.isfinite(lhs)
+                elif float(alpha) > 0.5:
+                    assert np.isfinite(lhs) and satisfied == "1"
+                else:
+                    assert lhs == np.inf and satisfied == "0"
 
 
 @pytest.mark.parametrize("pipeline", ["control", "evolve"])
@@ -87,11 +96,13 @@ def test_alpha_only_relabels_dense_time_on_a_tau_family(tmp_path, pipeline):
     # outputs agree byte for byte, as the spectral ones do.  Its slopes in
     # tau at scale 4, 2 and 1, carry the rounding of a t-to-tau round trip
     # into the rates, where a test at scale 0.5 would round it away
-    keys = {**DENSE, "dense_family": "commuting_diagonal 4.0"}
-    first = run(tmp_path, pipeline, ALPHAS[0], keys)
-    assert first[0]
-    for alpha in ALPHAS[1:]:
-        assert run(tmp_path, pipeline, alpha, keys) == first
+    for start, end in WINDOWS:
+        keys = {**DENSE, "dense_family": "commuting_diagonal 4.0",
+                "tau_start": start, "tau_end": end}
+        first = run(tmp_path, pipeline, ALPHAS[0], keys)
+        assert first[0]
+        for alpha in ALPHAS[1:]:
+            assert run(tmp_path, pipeline, alpha, keys) == first
 
 
 @pytest.mark.parametrize("pipeline", ["control", "evolve"])
