@@ -106,9 +106,8 @@ def run_scenario(config: ScenarioConfig, pipeline: str, out_dir: str,
     table = build_propagator(family, grid)
     b_matrix = config.control_matrix(dim)
     fun, gamma_growth = config.nonlinearity()
-    problem = ControlProblem(family=family, grid=grid,
-                             x0=config.initial_state(dim), b_matrix=b_matrix,
-                             nonlinearity=fun, picard_tol=config.picard_tol,
+    problem = ControlProblem(x0=config.initial_state(dim), nonlinearity=fun,
+                             picard_tol=config.picard_tol,
                              max_iter=config.max_iter)
 
     if pipeline == "solve":
@@ -125,8 +124,7 @@ def run_scenario(config: ScenarioConfig, pipeline: str, out_dir: str,
     if pipeline == "verify":
         outcome = verify_null_inequality(build_gramian(b_matrix, table))
         summary.update(gamma_emp=outcome.gamma_emp,
-                       gamma_threshold=grid.tau_span / (grid.tau_span + 1.0),
-                       iterations=0)
+                       gamma_threshold=outcome.threshold, iterations=0)
         _write_summary(os.path.join(out_dir, "summary.txt"), summary)
         if not outcome.passes:
             print(f"ERROR VERIFY: inequality constant {outcome.gamma_emp!r} "
@@ -136,8 +134,7 @@ def run_scenario(config: ScenarioConfig, pipeline: str, out_dir: str,
 
     if pipeline == "control":
         gramian = build_gramian(b_matrix, table)
-        report = contraction_report(problem, gramian,
-                                    gamma_growth=gamma_growth)
+        report = contraction_report(gramian, gamma_growth=gamma_growth)
         summary.update(contraction_lhs=report.lhs,
                        contraction_satisfied=int(report.satisfied),
                        propagator_bound=report.propagator_bound,

@@ -32,7 +32,8 @@ truncated system is not exactly null controllable and raises
 
 The semilinear closed loop is the fixed point of one map, x -> the mild
 solution ``hom + V[B u(x) + F(x)]`` under the nonlinearity F and the
-minimum-norm control u(x) for the forcing F(x).
+minimum-norm control u(x) for the forcing F(x); the linear synthesis is
+one sweep of the same body, with B and the grid the Gramian's.
 """
 
 from __future__ import annotations
@@ -193,6 +194,7 @@ class NullControlResult:
 class VerifyResult(NamedTuple):
     gamma_emp: float
     passes: bool
+    threshold: float
 
 
 def synthesize_null_control(gramian: GramianSolve,
@@ -203,20 +205,31 @@ def synthesize_null_control(gramian: GramianSolve,
 
     Simulates the closed linear loop with the synthesized control and
     records the final state norm and the control energy in the weighted
-    L2 norm (flat tau quadrature).
+    L2 norm (flat tau quadrature).  Raises :class:`DomainError` unless z0
+    has shape ``(dim,)`` and the forcing ``(n_nodes, dim)``.
     """
-    z0 = np.asarray(z0, dtype=float).reshape(-1)
-    f_values = None if forcing is None else forcing.values
     table = gramian.propagator
+    f_values = None if forcing is None else forcing.values
+    shape = (table.grid.n_nodes, table.dim)
+    if f_values is not None and f_values.shape != shape:
+        raise DomainError(f"forcing has shape {f_values.shape}, "
+                          f"expected {shape}")
     # an overflow shows as a non-finite loop, which _closed_loop refuses
     with np.errstate(all="ignore"):
-        target = gramian.free_response(z0, f_values)
-        u_values = gramian.control_from_target(target)
-        drive = u_values @ gramian.b_matrix.T
-        if f_values is not None:
-            drive = drive + f_values
-        traj = table.homogeneous(z0) + table.accumulate(drive)
+        u_values, traj = _null_sweep(gramian, table.homogeneous(z0), z0,
+                                     f_values)
     return _closed_loop(gramian.grid, u_values, traj)
+
+
+def _null_sweep(gramian, hom, z0, forcing):
+    """The minimum-norm control u steering ``z0`` under ``forcing`` to zero,
+    and the mild solution ``hom + V[u B^T + forcing]``.  ``None`` forcing
+    adds nothing, not a zero array, so a -0.0 of ``u B^T`` stays -0.0."""
+    u_values = gramian.control_from_target(gramian.free_response(z0, forcing))
+    drive = u_values @ gramian.b_matrix.T
+    if forcing is not None:
+        drive = drive + forcing
+    return u_values, hom + gramian.propagator.accumulate(drive)
 
 
 def _closed_loop(grid, u_values, traj, iterations=1):
@@ -240,10 +253,11 @@ def verify_null_inequality(gramian: GramianSolve) -> VerifyResult:
         ratio(z) = int ||op(end, s)^T z||^2 dtau_s
                    / ( ||op(end, 0)^T z||^2 + int ||op(end, s)^T z||^2 dtau_s )
 
-    with the verdict ``gamma_emp >= T/(T+1) - 1e-6``, where T is the
-    length ``tau_span`` of the Gramian's tau window.  With an identity
-    input matrix, which it requires, the integral is ``z^T W z``, so the
-    infimum is ``1 / gain_norm_est**2`` from the pencil (P P^T + W, W).
+    with the verdict ``gamma_emp >= threshold - 1e-6``, ``threshold`` =
+    T/(T+1) for T the length ``tau_span`` of the Gramian's tau window.
+    With an identity input matrix, which it requires, the integral is
+    ``z^T W z``, so the infimum is ``1 / gain_norm_est**2`` from the pencil
+    (P P^T + W, W).
     """
     d = gramian.propagator.dim
     if gramian.b_matrix.shape != (d, d) or not np.allclose(
@@ -251,8 +265,9 @@ def verify_null_inequality(gramian: GramianSolve) -> VerifyResult:
         raise DomainError("the inequality check assumes an identity input map")
     span = gramian.grid.tau_span
     gamma_emp = 1.0 / gramian.gain_norm_est**2
-    return VerifyResult(gamma_emp,
-                        bool(gamma_emp >= span / (span + 1.0) - _TOL_INEQ))
+    threshold = span / (span + 1.0)
+    return VerifyResult(gamma_emp, bool(gamma_emp >= threshold - _TOL_INEQ),
+                        threshold)
 
 
 def exact_null_control_semilinear(problem: ControlProblem,
@@ -265,11 +280,11 @@ def exact_null_control_semilinear(problem: ControlProblem,
         x  ->  hom + V[u(x) B^T + F(x)],
         u(x) = control_from_target(free_response(x0, F(x))),
 
-    with ``V`` the table's trapezoid Volterra accumulation; the small-gain
-    ``lhs`` of :func:`~cfcontrol.mild.contraction_report` bounds its
-    contraction constant.  ``iterations`` counts sweeps, and the control
-    returned is the one the last sweep applied.  With no nonlinearity this
-    returns exactly :func:`synthesize_null_control`.
+    with ``V`` the trapezoid Volterra accumulation, and the grid and B the
+    Gramian's; the small-gain ``lhs`` of ``mild.contraction_report``
+    bounds its contraction constant.  ``iterations`` counts sweeps, and the
+    control returned is the one the last sweep applied.  With no
+    nonlinearity this returns :func:`synthesize_null_control` exactly.
 
     Raises
     ------
@@ -279,7 +294,8 @@ def exact_null_control_semilinear(problem: ControlProblem,
         ``picard_tol * max(1, ||x0||)``.
     NumericError, DomainError
         If the nonlinearity returns a non-finite value or an array of the
-        wrong shape (see :func:`~cfcontrol.mild.nonlinearity_values`).
+        wrong shape (see :func:`~cfcontrol.mild.nonlinearity_values`), or
+        x0 has the wrong shape.
     NullControlFailed
         If the converged loop misses ``null_tol * max(1, ||x0||)``; the
         offending result rides along on the exception.
@@ -290,22 +306,18 @@ def exact_null_control_semilinear(problem: ControlProblem,
         _check_tolerance(result, problem.x0, null_tol)
         return result
 
-    propagator = gramian.propagator
-    if propagator.grid is not problem.grid:
-        raise DomainError("propagator and problem must share the same grid")
-    hom = propagator.homogeneous(problem.x0)
+    grid = gramian.grid
+    hom = gramian.propagator.homogeneous(problem.x0)
     u_values = None
 
     def sweep(x):
         nonlocal u_values
-        forcing = nonlinearity_values(fun, problem.grid, x)
-        u_values = gramian.control_from_target(
-            gramian.free_response(problem.x0, forcing))
-        return hom + propagator.accumulate(u_values @ problem.b_matrix.T
-                                           + forcing)
+        u_values, x = _null_sweep(gramian, hom, problem.x0,
+                                  nonlinearity_values(fun, grid, x))
+        return x
 
     x, iterations, _ = iterate_fixed_point(sweep, hom, problem)
-    result = _closed_loop(problem.grid, u_values, x, iterations)
+    result = _closed_loop(grid, u_values, x, iterations)
     _check_tolerance(result, problem.x0, null_tol)
     return result
 

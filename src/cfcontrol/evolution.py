@@ -119,6 +119,14 @@ def _broadcast(value, shape: tuple, what: str) -> np.ndarray:
                           f"{shape}") from None
 
 
+def _state(x0, dim: int) -> np.ndarray:
+    """``x0`` as a float array of shape ``(dim,)``, else :class:`DomainError`."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (dim,):
+        raise DomainError(f"x0 has shape {x0.shape}, expected ({dim},)")
+    return x0
+
+
 @dataclass(frozen=True)
 class SpectralHeatFamily:
     """Sine-mode heat family: mode n carries the rate n**2 + p(tau).
@@ -431,7 +439,7 @@ class SpectralPropagatorTable:
 
     def homogeneous(self, x0: np.ndarray) -> np.ndarray:
         """``op(i, 0) x0`` at every node i, shape (n_nodes, modes)."""
-        return self._between(np.s_[:], 0) * np.asarray(x0, dtype=float)
+        return self._between(np.s_[:], 0) * _state(x0, self.dim)
 
     def accumulate(self, values: np.ndarray) -> np.ndarray:
         """Trapezoid ``int_0^{tau_i} op(i, r) values[r] dtau_r`` at every node i.
@@ -547,7 +555,7 @@ class DensePropagatorTable:
 
     def homogeneous(self, x0: np.ndarray) -> np.ndarray:
         """``op(i, 0) x0`` at every node i, shape (n_nodes, dim)."""
-        return self.levels[-1] @ np.asarray(x0, dtype=float)
+        return self.levels[-1] @ _state(x0, self.dim)
 
     def accumulate(self, values: np.ndarray) -> np.ndarray:
         """Trapezoid ``int_0^{tau_i} op(i, r) values[r] dtau_r`` at every node i.

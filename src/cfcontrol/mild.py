@@ -7,14 +7,16 @@ A mild trajectory satisfies the variation-of-constants equation
 
 on the grid, with the integral discretized by trapezoid weights in tau.
 The propagator table evaluates both terms itself (``homogeneous`` and
-``accumulate``).  ``picard_solve`` iterates the right-hand side starting
-from the homogeneous trajectory (fewer iterations than a cold start, same
-fixed point whenever the iteration contracts) and reports the residual of
-the discrete equation for the converged iterate.  Its loop,
+``accumulate``) on its own grid.  A :class:`ControlProblem` adds x0, F,
+a tolerance and a sweep cap; an open-loop drive ``B u`` is part of F.
+``picard_solve`` iterates the right-hand side starting from the
+homogeneous trajectory (fewer iterations than a cold start, same fixed
+point whenever the iteration contracts) and reports the residual of the
+discrete equation for the converged iterate.  Its loop,
 ``iterate_fixed_point``, also drives the closed-loop map of
 :func:`cfcontrol.control.exact_null_control_semilinear`.
 
-``contraction_report`` evaluates the small-gain quantity
+``contraction_report`` evaluates the small-gain quantity of a Gramian
 
     lhs = ||B|| * ||H|| * M * gamma * N  +  gamma * M * N
 
@@ -36,7 +38,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, NumericError
 from .grids import GridFunction, TimeGrid, safe_norm
-from .evolution import OperatorFamily, PropagatorTable
+from .evolution import PropagatorTable
 
 __all__ = [
     "ControlProblem",
@@ -57,37 +59,24 @@ Nonlinearity = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 @dataclass
 class ControlProblem:
-    """Data of a semilinear control problem on a fixed grid.
+    """What a semilinear problem adds to its table (grid, family) and
+    Gramian (B): the initial state, F, and the loop's tolerance and cap.
 
     ``nonlinearity`` maps (tau, X) to the state increments ``F(tau, X)``
     at all nodes at once: tau is the ``(n_nodes, 1)`` column of the tau
     nodes and X the ``(n_nodes, dim)`` trajectory, and the result has the
     shape of X.  An elementwise ``lambda tau, x: c * x`` meets this
-    contract.  It is called once per fixed-point sweep; ``None`` means
-    zero.  ``control`` is a grid function of input values or ``None``.
+    contract, and an open-loop drive ``B u`` is part of F.  It is called
+    once per fixed-point sweep; ``None`` means zero.
     """
 
-    family: OperatorFamily
-    grid: TimeGrid
     x0: np.ndarray
-    b_matrix: np.ndarray
     nonlinearity: Optional[Nonlinearity] = None
-    control: Optional[GridFunction] = None
     picard_tol: float = 1e-9
     max_iter: int = 50
 
     def __post_init__(self):
-        self.x0 = np.asarray(self.x0, dtype=float).reshape(-1)
-        self.b_matrix = np.atleast_2d(np.asarray(self.b_matrix, dtype=float))
-        d = self.family.dim
-        if self.x0.shape != (d,):
-            raise DomainError(f"x0 has shape {self.x0.shape}, expected ({d},)")
-        if self.b_matrix.shape[0] != d:
-            raise DomainError(
-                f"control matrix has {self.b_matrix.shape[0]} rows, expected {d}"
-            )
-        if self.control is not None and self.control.dim != self.b_matrix.shape[1]:
-            raise DomainError("control width does not match the input matrix")
+        self.x0 = np.asarray(self.x0, dtype=float)
         if self.picard_tol <= 0.0:
             raise DomainError("picard_tol must be positive")
         if self.max_iter < 1:
@@ -186,9 +175,9 @@ def picard_solve(problem: ControlProblem,
     Parameters
     ----------
     problem : ControlProblem
-        Must share its grid with ``propagator``.
+        Initial state of shape (dim,), nonlinearity, tolerance, sweep cap.
     propagator : PropagatorTable
-        Full-pair table on the problem grid.
+        Full-pair table; its grid is the problem's.
     x_init : ndarray, optional
         Starting trajectory of shape (n_nodes, dim); defaults to the
         homogeneous trajectory.
@@ -208,17 +197,12 @@ def picard_solve(problem: ControlProblem,
         If the nonlinearity returns a non-finite value or an array of the
         wrong shape (see :func:`nonlinearity_values`).
     """
-    if propagator.grid is not problem.grid:
-        raise DomainError("propagator and problem must share the same grid")
-    grid = problem.grid
+    grid = propagator.grid
     hom = propagator.homogeneous(problem.x0)
 
-    drive = 0.0 if problem.control is None \
-        else problem.control.values @ problem.b_matrix.T
-
     def sweep(x):
-        forcing = nonlinearity_values(problem.nonlinearity, grid, x)
-        return hom + propagator.accumulate(drive + forcing)
+        return hom + propagator.accumulate(
+            nonlinearity_values(problem.nonlinearity, grid, x))
 
     x = hom.copy() if x_init is None else np.array(x_init, dtype=float)
     if x.shape != hom.shape:
@@ -247,21 +231,19 @@ def horizon_factor(alpha: float, t1: float, t2: float) -> float:
     return (t2**expo - t1**expo) / expo
 
 
-def contraction_report(problem: ControlProblem,
-                       gramian,
-                       gamma_growth: float) -> ContractionReport:
-    """Assemble the small-gain report for a problem.
+def contraction_report(gramian, gamma_growth: float) -> ContractionReport:
+    """Assemble the small-gain report of the closed loop on a Gramian.
 
-    M is the ``norm_bound`` of the Gramian's propagator table.
-    ``gamma_growth`` is the (pointwise) growth constant of the
-    nonlinearity, zero for none.
+    ||B||, ||H|| and the grid are the Gramian's, and M is the
+    ``norm_bound`` of its propagator table.  ``gamma_growth`` is the
+    (pointwise) growth constant of the nonlinearity, zero for none.
     """
     m_bound = gramian.propagator.norm_bound
-    b_norm = float(np.linalg.norm(problem.b_matrix, 2))
+    b_norm = float(np.linalg.norm(gramian.b_matrix, 2))
     h_norm = gramian.gain_norm_est
-    t_nodes = problem.grid.t_nodes
-    n_const = horizon_factor(problem.grid.order.alpha, float(t_nodes[0]),
-                             float(t_nodes[-1]))
+    grid = gramian.grid
+    n_const = horizon_factor(grid.order.alpha, float(grid.t_nodes[0]),
+                             float(grid.t_nodes[-1]))
     if gamma_growth == 0.0:
         lhs = 0.0
     else:

@@ -418,8 +418,7 @@ def test_criterion_06_mild_solver():
     fam = DenseMatrixFamily(lambda tau: np.array([[lam]]), 1)
     grid = TimeGrid(order, 0.0, 1.0, 801)
     table = build_propagator(fam, grid)
-    problem = ControlProblem(family=fam, grid=grid, x0=np.array([2.0]),
-                             b_matrix=np.eye(1),
+    problem = ControlProblem(x0=np.array([2.0]),
                              nonlinearity=lambda tau, x: gain * x,
                              picard_tol=1e-12)
     result = picard_solve(problem, table)
@@ -434,11 +433,9 @@ def test_criterion_06_mild_solver():
     gram = build_gramian(np.eye(6), htab)
     x0 = np.zeros(6)
     x0[0] = 1.0
-    hprob = ControlProblem(family=heat, grid=hgrid, x0=x0,
-                           b_matrix=np.eye(6),
-                           nonlinearity=lambda tau, x: 0.2 * x,
+    hprob = ControlProblem(x0=x0, nonlinearity=lambda tau, x: 0.2 * x,
                            picard_tol=1e-11)
-    rep = contraction_report(hprob, gram, gamma_growth=0.2)
+    rep = contraction_report(gram, gamma_growth=0.2)
     start = np.random.default_rng(3).standard_normal((201, 6))
     updates = picard_solve(hprob, htab, x_init=start).update_norms
     tail_ratios = [updates[i + 1] / updates[i]

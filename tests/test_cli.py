@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfcontrol import ConfigError, parse_config
+from cfcontrol import ConfigError, horizon_factor, parse_config
 from cfcontrol.cli import _ERROR_TABLE, main
 
 from conftest import limit_sources
@@ -224,6 +224,24 @@ def test_over_gain_config_converges_with_a_larger_budget(tmp_path):
     assert summary["contraction_satisfied"] == "0"
     assert float(summary["contraction_lhs"]) > 1.0
     assert 50 < int(summary["iterations"]) <= 200
+    assert float(summary["final_state_norm"]) <= parse_config(cfg).null_tol
+
+
+def test_scaled_input_map_enters_the_closed_loop_and_its_report(tmp_path):
+    # B = 2I: the closed loop reaches null_tol, and the small-gain lhs reads
+    # ||B|| = 2 off the Gramian, gamma * M * N * (2 ||H|| + 1)
+    cfg = write_cfg(tmp_path, control="scalar 2",
+                    nonlinearity="linear 0.05")
+    out = str(tmp_path / "out")
+    assert main(["control", "--config", cfg, "--out", out]) == 0
+    summary = read_summary(out)
+    grid = parse_config(cfg).grid()
+    n_const = horizon_factor(grid.order.alpha, float(grid.t_nodes[0]),
+                             float(grid.t_nodes[-1]))
+    expect = 0.05 * float(summary["propagator_bound"]) * n_const \
+        * (2.0 * float(summary["gain_norm"]) + 1.0)
+    assert float(summary["contraction_lhs"]) == pytest.approx(expect,
+                                                              rel=1e-12)
     assert float(summary["final_state_norm"]) <= parse_config(cfg).null_tol
 
 

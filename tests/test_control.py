@@ -233,6 +233,31 @@ def test_minimum_norm_among_kernel_perturbations(rng):
         assert pert > base
 
 
+@pytest.mark.parametrize("backend", ["spectral", "dense"])
+def test_null_control_refuses_a_state_of_another_shape(backend):
+    if backend == "spectral":
+        _, grid, table = heat_setup(n=101)
+    else:
+        grid = TimeGrid(ORDER, 0.0, 1.0, 101)
+        table = build_propagator(parse_config(DENSE).family(), grid)
+    gram = build_gramian(np.eye(table.dim), table)
+    for z0 in (np.ones(table.dim - 1), np.ones((2, table.dim)),
+               np.ones((table.dim, 1))):
+        with pytest.raises(DomainError, match="x0"):
+            synthesize_null_control(gram, z0)
+
+
+def test_null_control_refuses_a_forcing_of_another_width():
+    _, grid, table = heat_setup(n=101)
+    gram = build_gramian(np.eye(6), table)
+    forcing = GridFunction(grid, np.ones((grid.n_nodes, 5)))
+    with pytest.raises(DomainError, match="forcing"):
+        synthesize_null_control(gram, np.ones(6), forcing)
+    short = GridFunction(TimeGrid(ORDER, 0.0, 1.0, 51), np.ones((51, 6)))
+    with pytest.raises(DomainError, match="forcing"):
+        synthesize_null_control(gram, np.ones(6), short)
+
+
 def test_mode_truncation_stability():
     finals = []
     for n_modes in (6, 12):
@@ -264,6 +289,7 @@ def test_inequality_heat_demo_clears_threshold():
     gram = build_gramian(np.eye(6), table)
     outcome = verify_null_inequality(gram)
     assert outcome.gamma_emp >= 0.5 - 1e-6
+    assert outcome.threshold == 0.5
     assert outcome.passes
 
 
@@ -358,8 +384,7 @@ def test_semilinear_zero_gain_reduces_to_linear_synthesis():
     gram = build_gramian(np.eye(6), table)
     x0 = np.zeros(6)
     x0[0] = 1.0
-    problem = ControlProblem(family=fam, grid=grid, x0=x0,
-                             b_matrix=np.eye(6))
+    problem = ControlProblem(x0=x0)
     looped = exact_null_control_semilinear(problem, gram)
     direct = synthesize_null_control(gram, x0)
     assert np.array_equal(looped.control.values, direct.control.values)
@@ -370,9 +395,7 @@ def test_semilinear_small_gain_converges():
     gram = build_gramian(np.eye(6), table)
     x0 = np.zeros(6)
     x0[0] = 1.0
-    problem = ControlProblem(family=fam, grid=grid, x0=x0,
-                             b_matrix=np.eye(6),
-                             nonlinearity=lambda tau, x: 0.05 * x,
+    problem = ControlProblem(x0=x0, nonlinearity=lambda tau, x: 0.05 * x,
                              picard_tol=1e-9)
     result = exact_null_control_semilinear(problem, gram, null_tol=1e-5)
     assert result.final_state_norm <= 1e-5
@@ -385,10 +408,8 @@ def test_semilinear_demo_is_a_fixed_point_of_the_closed_loop_map():
     table = build_propagator(fam, grid)
     b_matrix = cfg.control_matrix(fam.dim)
     fun, _ = cfg.nonlinearity()
-    problem = ControlProblem(family=fam, grid=grid,
-                             x0=cfg.initial_state(fam.dim), b_matrix=b_matrix,
-                             nonlinearity=fun, picard_tol=cfg.picard_tol,
-                             max_iter=cfg.max_iter)
+    problem = ControlProblem(x0=cfg.initial_state(fam.dim), nonlinearity=fun,
+                             picard_tol=cfg.picard_tol, max_iter=cfg.max_iter)
     result = exact_null_control_semilinear(
         problem, build_gramian(b_matrix, table), null_tol=cfg.null_tol)
     x = result.closed_loop_trajectory.values
@@ -400,15 +421,27 @@ def test_semilinear_demo_is_a_fixed_point_of_the_closed_loop_map():
     assert result.final_state_norm <= cfg.null_tol
 
 
-def test_semilinear_rejects_a_table_on_another_grid():
-    fam, _, table = heat_setup(n=101)
-    gram = build_gramian(np.eye(6), table)
-    other = TimeGrid(ORDER, 0.0, 1.0, 101)
-    problem = ControlProblem(family=fam, grid=other, x0=np.ones(6),
-                             b_matrix=np.eye(6),
-                             nonlinearity=lambda tau, x: 0.05 * x)
-    with pytest.raises(DomainError):
-        exact_null_control_semilinear(problem, gram)
+def test_semilinear_closed_loop_applies_the_gramians_input_matrix():
+    # B = diag(1, 2, 0.5, 1, 1, 3): the loop's control enters through the
+    # Gramian's B, so the result is a fixed point of its map
+    _, _, table = heat_setup()
+    b_matrix = np.diag([1.0, 2.0, 0.5, 1.0, 1.0, 3.0])
+    gram = build_gramian(b_matrix, table)
+    x0 = np.zeros(6)
+    x0[0] = 5.0
+
+    def fun(tau, x):
+        return 0.05 * x
+
+    problem = ControlProblem(x0=x0, nonlinearity=fun, picard_tol=1e-9)
+    result = exact_null_control_semilinear(problem, gram, null_tol=1e-6)
+    x = result.closed_loop_trajectory.values
+    image = table.homogeneous(x0) + table.accumulate(
+        result.control.values @ b_matrix.T + fun(None, x))
+    assert np.max(np.linalg.norm(image - x, axis=1)) \
+        <= 10.0 * problem.picard_tol
+    assert result.final_state_norm <= 1e-6 * np.linalg.norm(x0)
+    assert result.iterations > 1
 
 
 def test_semilinear_over_gain_reports_failure():
@@ -416,9 +449,7 @@ def test_semilinear_over_gain_reports_failure():
     gram = build_gramian(np.eye(6), table)
     x0 = np.zeros(6)
     x0[0] = 1.0
-    problem = ControlProblem(family=fam, grid=grid, x0=x0,
-                             b_matrix=np.eye(6),
-                             nonlinearity=lambda tau, x: 5.0 * x,
+    problem = ControlProblem(x0=x0, nonlinearity=lambda tau, x: 5.0 * x,
                              picard_tol=1e-9, max_iter=40)
     with pytest.raises((ConvergenceError, NullControlFailed)):
         exact_null_control_semilinear(problem, gram)
@@ -443,9 +474,7 @@ def test_tolerance_miss_raises_with_result_attached():
     gram = build_gramian(np.eye(6), table)
     x0 = np.zeros(6)
     x0[0] = 1.0
-    problem = ControlProblem(family=fam, grid=grid, x0=x0,
-                             b_matrix=np.eye(6),
-                             nonlinearity=lambda tau, x: 0.05 * x)
+    problem = ControlProblem(x0=x0, nonlinearity=lambda tau, x: 0.05 * x)
     with pytest.raises(NullControlFailed) as info:
         exact_null_control_semilinear(problem, gram, null_tol=1e-20)
     assert info.value.result is not None

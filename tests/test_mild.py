@@ -23,8 +23,7 @@ def test_homogeneous_case_converges_in_one_sweep():
     fam, grid, table = heat_setup()
     x0 = np.zeros(6)
     x0[0] = 1.0
-    problem = ControlProblem(family=fam, grid=grid, x0=x0,
-                             b_matrix=np.eye(6))
+    problem = ControlProblem(x0=x0)
     result = picard_solve(problem, table)
     assert result.iterations == 1
     assert result.residual == 0.0
@@ -37,8 +36,7 @@ def test_scalar_linear_gain_absorbed_into_rate():
     fam = DenseMatrixFamily(lambda tau: np.array([[lam]]), 1)
     grid = TimeGrid(ORDER, 0.0, 1.0, 801)
     table = build_propagator(fam, grid)
-    problem = ControlProblem(family=fam, grid=grid, x0=np.array([2.0]),
-                             b_matrix=np.eye(1),
+    problem = ControlProblem(x0=np.array([2.0]),
                              nonlinearity=lambda tau, x: gain * x,
                              picard_tol=1e-12)
     result = picard_solve(problem, table)
@@ -50,9 +48,7 @@ def test_heat_linear_gain_matches_shifted_potential():
     gain = 0.1
     fam, grid, table = heat_setup(n_nodes=801, n_modes=8)
     x0 = np.ones(8) / np.sqrt(8.0)
-    problem = ControlProblem(family=fam, grid=grid, x0=x0,
-                             b_matrix=np.eye(8),
-                             nonlinearity=lambda tau, x: gain * x,
+    problem = ControlProblem(x0=x0, nonlinearity=lambda tau, x: gain * x,
                              picard_tol=1e-12)
     result = picard_solve(problem, table)
     shifted = SpectralHeatFamily(lambda tau: 1.0 - gain, 8)
@@ -67,11 +63,9 @@ def test_updates_decrease_geometrically_under_small_gain(rng):
     gram = build_gramian(np.eye(6), table)
     x0 = np.zeros(6)
     x0[0] = 1.0
-    problem = ControlProblem(family=fam, grid=grid, x0=x0,
-                             b_matrix=np.eye(6),
-                             nonlinearity=lambda tau, x: 0.2 * x,
+    problem = ControlProblem(x0=x0, nonlinearity=lambda tau, x: 0.2 * x,
                              picard_tol=1e-11)
-    report = contraction_report(problem, gram, gamma_growth=0.2)
+    report = contraction_report(gram, gamma_growth=0.2)
     assert report.satisfied
     for _ in range(3):
         start = rng.standard_normal((grid.n_nodes, 6)) * 0.5
@@ -87,9 +81,7 @@ def test_residual_tracks_tolerance():
     fam, grid, table = heat_setup(n_nodes=201)
     x0 = np.zeros(6)
     x0[0] = 1.0
-    problem = ControlProblem(family=fam, grid=grid, x0=x0,
-                             b_matrix=np.eye(6),
-                             nonlinearity=lambda tau, x: 0.3 * x,
+    problem = ControlProblem(x0=x0, nonlinearity=lambda tau, x: 0.3 * x,
                              picard_tol=1e-8)
     result = picard_solve(problem, table)
     assert result.residual <= 10.0 * problem.picard_tol
@@ -102,8 +94,7 @@ def test_trajectory_error_second_order_in_grid():
     def solve(n):
         grid = TimeGrid(ORDER, 0.0, 1.0, n)
         table = build_propagator(fam, grid)
-        problem = ControlProblem(family=fam, grid=grid, x0=np.array([1.0]),
-                                 b_matrix=np.eye(1),
+        problem = ControlProblem(x0=np.array([1.0]),
                                  nonlinearity=lambda tau, x: gain * x,
                                  picard_tol=1e-13)
         return picard_solve(problem, table).trajectory.values[:, 0]
@@ -120,9 +111,7 @@ def test_iteration_cap_raises_with_last_norm():
     fam, grid, table = heat_setup(n_nodes=201)
     x0 = np.zeros(6)
     x0[0] = 1.0
-    problem = ControlProblem(family=fam, grid=grid, x0=x0,
-                             b_matrix=np.eye(6),
-                             nonlinearity=lambda tau, x: 5.0 * x,
+    problem = ControlProblem(x0=x0, nonlinearity=lambda tau, x: 5.0 * x,
                              max_iter=8)
     with pytest.raises(ConvergenceError) as info:
         picard_solve(problem, table)
@@ -134,9 +123,7 @@ def test_transient_blowup_trips_divergence_guard():
     fam, grid, table = heat_setup(n_nodes=201)
     x0 = np.zeros(6)
     x0[0] = 1.0
-    problem = ControlProblem(family=fam, grid=grid, x0=x0,
-                             b_matrix=np.eye(6),
-                             nonlinearity=lambda tau, x: 40.0 * x)
+    problem = ControlProblem(x0=x0, nonlinearity=lambda tau, x: 40.0 * x)
     with pytest.raises(ConvergenceError) as info:
         picard_solve(problem, table)
     assert "diverged" in str(info.value)
@@ -151,8 +138,7 @@ def test_nonlinearity_called_once_per_sweep():
         calls.append((tau.shape, x.shape))
         return 0.05 * x
 
-    problem = ControlProblem(family=fam, grid=grid, x0=np.ones(6) / 6.0,
-                             b_matrix=np.eye(6), nonlinearity=fun)
+    problem = ControlProblem(x0=np.ones(6) / 6.0, nonlinearity=fun)
     result = picard_solve(problem, table)
     # every sweep, and the one that measures the residual
     assert calls == [((201, 1), (201, 6))] * (result.iterations + 1)
@@ -172,8 +158,7 @@ def test_nonlinearity_called_once_per_sweep():
 ], ids=["inf", "nan", "one_column", "scalar"])
 def test_bad_nonlinearity_values_are_refused(fun, error):
     fam, grid, table = heat_setup(n_nodes=41)
-    problem = ControlProblem(family=fam, grid=grid, x0=np.ones(6) / 6.0,
-                             b_matrix=np.eye(6), nonlinearity=fun)
+    problem = ControlProblem(x0=np.ones(6) / 6.0, nonlinearity=fun)
     with pytest.raises(error, match="nonlinearity"):
         picard_solve(problem, table)
     with pytest.raises(error, match="nonlinearity"):
@@ -181,19 +166,23 @@ def test_bad_nonlinearity_values_are_refused(fun, error):
 
 
 def test_problem_validation():
-    fam, grid, _ = heat_setup(n_nodes=11)
+    # the table checks the state it is handed, the problem its own numbers
+    _, _, table = heat_setup(n_nodes=11)
+    gram = build_gramian(np.eye(6), table)
+    for x0 in (np.zeros(5), np.zeros((2, 3)), np.zeros((1, 6))):
+        for fun in (None, lambda tau, x: 0.05 * x):
+            problem = ControlProblem(x0=x0, nonlinearity=fun)
+            with pytest.raises(DomainError, match="x0"):
+                picard_solve(problem, table)
+            with pytest.raises(DomainError, match="x0"):
+                exact_null_control_semilinear(problem, gram)
+    with pytest.raises(DomainError, match="x_init"):
+        picard_solve(ControlProblem(x0=np.zeros(6)), table,
+                     x_init=np.zeros((11, 5)))
     with pytest.raises(DomainError):
-        ControlProblem(family=fam, grid=grid, x0=np.zeros(5),
-                       b_matrix=np.eye(6))
+        ControlProblem(x0=np.zeros(6), picard_tol=0.0)
     with pytest.raises(DomainError):
-        ControlProblem(family=fam, grid=grid, x0=np.zeros(6),
-                       b_matrix=np.eye(6), picard_tol=0.0)
-    other_grid = TimeGrid(ORDER, 0.0, 1.0, 21)
-    problem = ControlProblem(family=fam, grid=other_grid, x0=np.zeros(6),
-                             b_matrix=np.eye(6))
-    table = build_propagator(fam, grid)
-    with pytest.raises(DomainError):
-        picard_solve(problem, table)
+        ControlProblem(x0=np.zeros(6), max_iter=0)
 
 
 # --- horizon factor ----------------------------------------------------------
@@ -226,23 +215,18 @@ def test_horizon_factor_divergence_and_validation():
 # --- contraction report -------------------------------------------------------
 
 def test_contraction_report_zero_gain_always_satisfied():
-    fam, grid, table = heat_setup(n_nodes=201)
+    _, _, table = heat_setup(n_nodes=201)
     gram = build_gramian(np.eye(6), table)
-    problem = ControlProblem(family=fam, grid=grid, x0=np.zeros(6),
-                             b_matrix=np.eye(6))
-    report = contraction_report(problem, gram, gamma_growth=0.0)
+    report = contraction_report(gram, gamma_growth=0.0)
     assert report.lhs == 0.0
     assert report.satisfied
     assert report.gamma_growth == 0.0
 
 
 def test_contraction_report_formula():
-    fam, grid, table = heat_setup(n_nodes=201)
+    _, grid, table = heat_setup(n_nodes=201)
     gram = build_gramian(np.eye(6), table)
-    problem = ControlProblem(family=fam, grid=grid, x0=np.zeros(6),
-                             b_matrix=np.eye(6),
-                             nonlinearity=lambda tau, x: 0.05 * x)
-    report = contraction_report(problem, gram, gamma_growth=0.05)
+    report = contraction_report(gram, gamma_growth=0.05)
     n_const = horizon_factor(0.8, float(grid.t_nodes[0]),
                              float(grid.t_nodes[-1]))
     expect = 0.05 * report.propagator_bound * n_const \
@@ -253,15 +237,14 @@ def test_contraction_report_formula():
 
 
 def test_constant_control_drive_closed_form():
+    # an open-loop drive B u is passed as part of F:
     # x(tau) = e^{-lam tau} x0 + (b u / lam)(1 - e^{-lam tau})
     lam, b, u = 1.3, 0.7, 0.5
     fam = DenseMatrixFamily(lambda tau: np.array([[lam]]), 1)
     grid = TimeGrid(ORDER, 0.0, 1.0, 801)
     table = build_propagator(fam, grid)
-    from cfcontrol import GridFunction
-    control = GridFunction(grid, np.full((grid.n_nodes, 1), u))
-    problem = ControlProblem(family=fam, grid=grid, x0=np.array([1.0]),
-                             b_matrix=np.array([[b]]), control=control,
+    problem = ControlProblem(x0=np.array([1.0]),
+                             nonlinearity=lambda tau, x: np.full_like(x, b * u),
                              picard_tol=1e-13)
     result = picard_solve(problem, table)
     tau = grid.tau_nodes
