@@ -23,7 +23,7 @@ import numpy as np
 from .config import ScenarioConfig, parse_config
 from .control import (build_gramian, exact_null_control_semilinear,
                       verify_null_inequality)
-from .emit import write_csv, write_text
+from .emit import write_csv, write_csvs, write_text
 from .errors import (CfcontrolError, ConfigError, ControllabilityError,
                      ConvergenceError, DomainError, NullControlFailed,
                      NumericError)
@@ -155,12 +155,16 @@ def run_scenario(config: ScenarioConfig, pipeline: str, out_dir: str,
                            if exc.last_norm is not None else float("nan"))
             _write_summary(os.path.join(out_dir, "summary.txt"), summary)
             raise
-        write_csv(os.path.join(out_dir, "trajectory.csv"), _state_header(dim),
-                  grid.tau_nodes, grid.t_nodes,
-                  result.closed_loop_trajectory.values)
-        write_csv(os.path.join(out_dir, "control.csv"),
-                  _state_header(result.control.dim, prefix="u"),
-                  grid.tau_nodes, grid.t_nodes, result.control.values)
+        # one table (tau, t, x..., u...); each file prints tau, t and its
+        # own components
+        inputs = result.control.dim
+        write_csvs([(os.path.join(out_dir, "trajectory.csv"),
+                     _state_header(dim), range(2 + dim)),
+                    (os.path.join(out_dir, "control.csv"),
+                     _state_header(inputs, prefix="u"),
+                     [0, 1, *range(2 + dim, 2 + dim + inputs)])],
+                   grid.tau_nodes, grid.t_nodes,
+                   result.closed_loop_trajectory.values, result.control.values)
         summary.update(final_state_norm=result.final_state_norm,
                        control_energy=result.control_energy,
                        iterations=result.iterations)

@@ -31,6 +31,7 @@ Recognized keys (see README for the full schema):
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -113,10 +114,17 @@ class ScenarioConfig:
                 raise ConfigError("tabulated potential needs a file path",
                                   self.lines.get("potential"))
             try:
-                data = np.loadtxt(words[1], delimiter=",", ndmin=2)
+                with warnings.catch_warnings():
+                    # a file without rows is reported below, on one line
+                    warnings.filterwarnings(
+                        "ignore", "loadtxt: input contained no data")
+                    data = np.loadtxt(words[1], delimiter=",", ndmin=2)
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"potential: cannot read {words[1]}: {exc}",
                                   self.lines.get("potential")) from exc
+            if data.size == 0:
+                raise ConfigError(f"potential: {words[1]} holds no rows",
+                                  self.lines.get("potential"))
             if data.shape[1] != 2:
                 raise ConfigError(
                     f"potential: {words[1]} needs two columns tau,value, "
@@ -130,6 +138,13 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"potential: the tau column of {words[1]} must be "
                     "strictly increasing", self.lines.get("potential"))
+            if taus[0] > self.tau_start or taus[-1] < self.tau_end:
+                # np.interp would hold the end values past the table
+                raise ConfigError(
+                    f"potential: the tau column of {words[1]} spans "
+                    f"[{float(taus[0])!r}, {float(taus[-1])!r}], which does "
+                    f"not cover the tau window [{self.tau_start!r}, "
+                    f"{self.tau_end!r}]", self.lines.get("potential"))
             return lambda tau: np.interp(tau, taus, vals)
         raise ConfigError(f"unknown potential kind {kind!r}",
                           self.lines.get("potential"))

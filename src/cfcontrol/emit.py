@@ -20,10 +20,18 @@ with kappa = 2, runs here on whole arrays, with no Python call per value:
 * the characters gathered through one template per layout (sign, digit
   count, and ``0.00ddd`` / ``dd.ddd`` / ``ddd00.0`` / ``d.ddde±XX``
   position of the point), padded with NUL and packed by
-  ``bytes.translate``.
+  ``bytes.translate``.  The newline is a template variant: each layout
+  has a second template that ends the cell with the newline column in
+  place of the comma, and a line's last cell takes it, so no source byte
+  is patched for a file.
 
-A table is formatted in blocks of at most ``_CORE_CELLS`` values, so the
-memory held while writing does not grow with the table.
+Files are cut from one table (:func:`write_csvs`).  The table is taken
+in blocks of at most ``_CORE_CELLS`` cells, counted over all its
+columns; each block's digits are found once, and each file's lines for
+the block are one gather from the block's source rows.  So a column that
+several files print (``tau`` and ``t`` of ``trajectory.csv`` and
+``control.csv``) is formatted once, and the memory held while writing
+does not grow with the table.
 
 Portability: numpy 1.x promotes uint64 combined with a signed integer
 array to float64.  Every uint64 operation below combines uint64 arrays
@@ -34,17 +42,18 @@ explicit ``astype``.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
+
 import numpy as np
 
 from .errors import ConfigError
 
-__all__ = ["format_values", "write_csv", "write_text"]
+__all__ = ["format_values", "write_csv", "write_csvs", "write_text"]
 
-# The shortest digits are found on blocks of _CORE_CELLS values, which
-# spreads the core's fixed cost per call, and the cells packed on
-# sub-blocks of _PACK_CELLS, whose gather index is an (N, 25) intp array.
+# The shortest digits are found on blocks of _CORE_CELLS table cells,
+# which spreads the core's fixed cost per call
 _CORE_CELLS = 1 << 12
-_PACK_CELLS = 1 << 11
 
 _U = np.uint64
 _M32 = _U(0xFFFFFFFF)
@@ -178,14 +187,16 @@ def _templates():
 
     A cell's source row holds the 20 digits of the shortest decimal
     (right-aligned, columns 0-19), the 4 digits of the decimal exponent's
-    magnitude (20-23), then the characters of ``_CONSTANTS``; the last is
-    the separator after the cell, and the first is NUL, which pads every
-    template to the same width and is dropped when the cells are packed.
+    magnitude (20-23), then the characters of ``_CONSTANTS``; the last two
+    are the separators after a cell, comma and newline, and the first is
+    NUL, which pads every template to the same width and is dropped when
+    the cells are packed.
     Layout ``(place, ndigits)`` has id
     ``place·17 + ndigits - 1``: place 0-19 is the fixed-point form with
     ``decpt = place - 3``, 20-23 the exponent form (sign, two or three
     digits).  Ids ``_ZERO``, ``_INF`` and ``_NAN`` follow; adding ``_NEG``
-    to an id prefixes a minus sign.
+    to an id prefixes a minus sign, and adding ``_NL`` ends the cell with
+    the newline column in place of the comma.
     """
     col = {ch: 24 + k for k, ch in enumerate(_CONSTANTS)}
     zero, point = col["0"], col["."]
@@ -212,16 +223,20 @@ def _templates():
                       for row in rows], np.uint8)
     signed = np.concatenate((np.full_like(table[:, :1], col["-"]),
                              table[:, :-1]), axis=1)
-    return np.concatenate((table, signed))
+    table = np.concatenate((table, signed))
+    return np.concatenate((table, np.where(table == col[","], col["\n"],
+                                           table)))
 
 
-_CONSTANTS = "\0-.0e+infa,"
+_CONSTANTS = "\0-.0e+infa,\n"
 _NEG = 24 * 17 + 3
+_NL = 2 * _NEG
 _ZERO, _INF, _NAN = _NEG - 3, _NEG - 2, _NEG - 1
 _TPL = _templates()
 _SRC_WIDTH = 24 + len(_CONSTANTS)
-_ROWS_AT = np.arange(0, _PACK_CELLS * _SRC_WIDTH, _SRC_WIDTH)[:, None]
-_CONSTANT_BYTES = np.frombuffer(_CONSTANTS.encode(), np.uint8)
+# a source row is nine 4-byte words: five of digits, one of exponent
+# digits and three of constants
+_CONSTANT_WORDS = np.frombuffer(_CONSTANTS.encode(), np.uint32)
 
 # per decimal point position decpt in [-400, 400]: the layout place as
 # the id offset ``place·17 - 1`` (the digit count is added after), and the
@@ -232,9 +247,9 @@ _PLACE = np.where((_DECPT > -4) & (_DECPT < 17), _DECPT + 3,
 _EXP_DIGITS = _DIG4.take(np.abs(_DECPT - 1))
 
 
-def _digits(x):
-    """The 20 decimal digits of each uint64 of ``x``, as zero-padded ASCII
-    bytes along a new last axis."""
+def _digit_groups(x):
+    """The 20 decimal digits of each uint64 of ``x`` as five numbers below
+    10**4, most significant first, along a new last axis."""
     groups = np.empty(x.shape + (5,), np.intp)
     for col in (4, 3, 2, 1):
         # numpy divides by a scalar through libdivide; np.divmod does not
@@ -242,7 +257,7 @@ def _digits(x):
         groups[..., col] = x - q * _U10K
         x = q
     groups[..., 0] = x
-    return _DIG4.take(groups).view(np.uint8)
+    return groups
 
 
 def _shortest(bexp, mant):
@@ -309,15 +324,13 @@ def _shortest(bexp, mant):
     return out, exp10
 
 
-def _cells(block):
+def _cells(values):
     """The source rows (see :func:`_templates`) and the template ids of the
-    cells of a 2-D float64 array."""
-    rows, cols = block.shape
-    bits = block.reshape(-1).view(np.uint64)
+    cells of a 1-D float64 array."""
+    bits = values.view(np.uint64)
     bexp = (bits >> _U(52)).astype(np.intp) & 0x7FF
     mant = bits & _MANT
     out, exp10 = _shortest(bexp, mant)
-    digits = _digits(out)
     ndigits = np.searchsorted(_POW10, out, side="right")
     decpt = exp10 + ndigits
 
@@ -332,65 +345,119 @@ def _cells(block):
         neg[special[tid[special] == _NAN]] = 0
     tid += neg * _NEG
 
-    src = np.empty((bits.size, _SRC_WIDTH), np.uint8)
-    src[:, :20] = digits
-    src[:, 20:24] = _EXP_DIGITS.take(at).view(np.uint8).reshape(-1, 4)
-    src[:, 24:] = _CONSTANT_BYTES
-    src.reshape(rows, cols, _SRC_WIDTH)[:, -1, -1] = ord("\n")
-    return src, tid
+    src = np.empty((bits.size, _SRC_WIDTH // 4), np.uint32)
+    src[:, :5] = _DIG4.take(_digit_groups(out))
+    src[:, 5] = _EXP_DIGITS.take(at)
+    src[:, 6:] = _CONSTANT_WORDS
+    return src.view(np.uint8).reshape(-1), tid
+
+
+def _pack(src, tid, cell, start):
+    """The bytes of the cells ``cell`` of a block with source ``src`` and
+    template ids ``tid`` (see :func:`_cells`), as CSV lines: ``cell`` holds
+    one row of cell indices per line and ``start`` their source offsets.
+    The last cell of each line takes the newline variant of its
+    template."""
+    ids = tid.take(cell)
+    ids[:, -1] += _NL
+    index = _TPL.take(ids, axis=0) + start
+    # the translate drops the templates' NUL padding
+    return src.take(index).tobytes().translate(None, b"\0")
+
+
+def _block_lines(values, cells, starts):
+    """One chunk of CSV lines per file, from a block's table cells
+    ``values`` (row by row) and each file's cells and offsets.
+
+    A function of its own, so that a block's source rows and gather
+    indices are freed before the next block is formatted."""
+    src, tid = _cells(values)
+    return [_pack(src, tid, cell, start) for cell, start in zip(cells, starts)]
+
+
+def _lines(columns, picks):
+    """The CSV lines of the table ``columns``, block by block: for each
+    block of at most ``_CORE_CELLS`` table cells, one bytes chunk per
+    entry of ``picks``, the table columns a file prints (see
+    :func:`write_csvs`)."""
+    parts = [np.asarray(c, dtype=np.float64) for c in columns]
+    parts = [p.reshape(len(p), -1) for p in parts]
+    rows = len(parts[0])
+    width = sum(p.shape[1] for p in parts)
+    picks = [np.asarray(p, np.intp) for p in picks]
+    if any(p.size == 0 or p.min() < 0 or p.max() >= width for p in picks):
+        raise ValueError(f"each file prints table columns among 0 to "
+                         f"{width - 1}")
+    step = max(1, min(rows, _CORE_CELLS // width))
+    # per file, the table cell of each printed cell in a block, and the
+    # offset of its source row
+    cells = [np.arange(step)[:, None] * width + p for p in picks]
+    starts = [(c * _SRC_WIDTH)[..., None] for c in cells]
+    block = np.empty((step, width))
+    for first in range(0, rows, step):
+        part = block[:min(step, rows - first)]
+        left = 0
+        for p in parts:
+            part[:, left:left + p.shape[1]] = p[first:first + len(part)]
+            left += p.shape[1]
+        yield _block_lines(part.reshape(-1), [c[:len(part)] for c in cells],
+                           [s[:len(part)] for s in starts])
 
 
 def format_values(block):
     """The CSV bytes of a 2-D float64 array: each value's ``repr``, values
     of a row joined by ``,``, each row ended by a newline."""
-    src, tid = _cells(np.ascontiguousarray(block, dtype=np.float64))
-    # the templates pad each cell with the NUL column, dropped when packed
-    parts = []
-    for start in range(0, tid.size, _PACK_CELLS):
-        ids = tid[start:start + _PACK_CELLS]
-        index = _TPL.take(ids, axis=0) + _ROWS_AT[:ids.size]
-        parts.append(src[start:start + ids.size].reshape(-1).take(index)
-                     .tobytes().translate(None, b"\0"))
-    return np.frombuffer(b"".join(parts), np.uint8)
+    block = np.asarray(block, dtype=np.float64)
+    return np.frombuffer(b"".join(
+        chunk for chunk, in _lines([block], [range(block.shape[1])])),
+        np.uint8)
 
 
-def _write(path, chunks):
+def _write(paths, blocks):
+    """Open every file of ``paths``, then write the chunks of each item of
+    ``blocks`` to them in order; a failed open or write is a ConfigError
+    naming the file."""
+    handles = []
     try:
-        with open(path, "wb") as fh:
-            for chunk in chunks:
+        for path in paths:
+            handles.append(open(path, "wb"))
+        for chunks in blocks:
+            for path, fh, chunk in zip(paths, handles, chunks):
                 fh.write(chunk)
+        for path, fh in zip(paths, handles):
+            fh.close()
     except OSError as exc:
         raise ConfigError(
             f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        for fh in handles:
+            with contextlib.suppress(OSError):
+                fh.close()
 
 
 def write_text(path, text):
     """Write ``text`` to ``path`` as UTF-8; a failed write is a ConfigError."""
-    _write(path, [text.encode("utf-8")])
+    _write([path], [[text.encode("utf-8")]])
+
+
+def write_csvs(files, *columns):
+    """Write CSV files cut from one table, each cell formatted once.
+
+    ``columns`` are 1-D arrays (one table column each) or 2-D arrays (one
+    table column per array column), all with the same number of rows.
+    ``files`` holds ``(path, header, picks)`` triples: a file gets the
+    ``header`` names, then one line per row of the table columns
+    ``picks``, in order.  Every value is written as its ``repr``.  All
+    files are opened before the first is written; a failed open or write
+    is a ConfigError naming the file.
+    """
+    paths, headers, picks = zip(*files)
+    head = [(",".join(h) + "\n").encode("utf-8") for h in headers]
+    _write(paths, itertools.chain([head], _lines(columns, picks)))
 
 
 def write_csv(path, header, *columns):
-    """Write a CSV file: the ``header`` names, then one line per row.
-
-    ``columns`` are 1-D arrays (one CSV column each) or 2-D arrays (one CSV
-    column per array column), all with the same number of rows.  Every
-    value is written as its ``repr``; a failed write is a ConfigError.
-    """
-    parts = [np.asarray(c, dtype=np.float64) for c in columns]
-    parts = [p.reshape(len(p), -1) for p in parts]
-    rows = len(parts[0])
-    width = sum(p.shape[1] for p in parts)
-    step = max(1, _CORE_CELLS // width)
-
-    def chunks():
-        yield (",".join(header) + "\n").encode("utf-8")
-        block = np.empty((min(step, rows), width))
-        for start in range(0, rows, step):
-            part = block[:min(step, rows - start)]
-            left = 0
-            for p in parts:
-                part[:, left:left + p.shape[1]] = p[start:start + len(part)]
-                left += p.shape[1]
-            yield format_values(part)
-
-    _write(path, chunks())
+    """Write one CSV file of all ``columns``: :func:`write_csvs` with one
+    file."""
+    width = sum(int(np.prod(np.shape(c)[1:])) for c in columns)
+    write_csvs([(path, header, range(width))], *columns)

@@ -391,18 +391,54 @@ def test_bad_input_is_one_config_error(tmp_path, capsys, overrides):
     assert len(err) == 1 and err[0].startswith("ERROR CONFIG: line ")
 
 
-@pytest.mark.parametrize("table", ["0\n1\n", "0,1\n1,nan\n",
-                                   "1,3\n0.5,2\n0,1\n"],
-                         ids=["one_column", "nan_value", "tau_not_increasing"])
+@pytest.mark.parametrize("table, reason", [
+    ("0\n1\n", "needs two columns tau,value, found 1"),
+    ("0,1\n1,nan\n", "holds a non-finite value"),
+    ("1,3\n0.5,2\n0,1\n", "must be strictly increasing"),
+    ("", "holds no rows"),
+], ids=["one_column", "nan_value", "tau_not_increasing", "empty"])
 def test_malformed_tabulated_potential_is_one_config_error(tmp_path, capsys,
-                                                           table):
+                                                           table, reason):
     path = tmp_path / "pot.csv"
     path.write_text(table)
     cfg = write_cfg(tmp_path, potential=f"tabulated {path}")
     rc = main(["evolve", "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("ERROR CONFIG: line ")
+    assert len(err) == 1 and err[0].startswith("ERROR CONFIG: line 8: ")
+    assert err[0].endswith(reason)
+
+
+@pytest.mark.parametrize("table", ["", "\n\n\n", "# tau,value\n# none\n"],
+                         ids=["empty", "blank_lines", "comments_only"])
+def test_tabulated_potential_without_rows_is_one_config_line(tmp_path, table):
+    # numpy warns on a file without data; no warning reaches stderr
+    path = tmp_path / "pot.csv"
+    path.write_text(table)
+    proc = run_fresh(["evolve", "--config",
+                      write_cfg(tmp_path, potential=f"tabulated {path}"),
+                      "--out", str(tmp_path / "out")])
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        f"ERROR CONFIG: line 8: potential: {path} holds no rows"]
+
+
+@pytest.mark.parametrize("table, spans", [
+    ("0,1\n", "[0.0, 0.0]"),
+    ("0,1\n0.5,2\n", "[0.0, 0.5]"),
+    ("0.25,1\n1,2\n", "[0.25, 1.0]"),
+], ids=["one_row", "ends_early", "starts_late"])
+def test_tabulated_potential_must_cover_the_window(tmp_path, capsys, table,
+                                                   spans):
+    # np.interp would hold the end values past the table
+    path = tmp_path / "pot.csv"
+    path.write_text(table)
+    cfg = write_cfg(tmp_path, potential=f"tabulated {path}")
+    rc = main(["evolve", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"ERROR CONFIG: line 8: potential: the tau column of {path} spans "
+        f"{spans}, which does not cover the tau window [0.0, 1.0]"]
 
 
 def test_dense_table_over_memory_is_one_domain_error(tmp_path, capsys,
@@ -527,6 +563,23 @@ def test_failed_artifact_write_is_one_config_error(tmp_path):
     assert len(err) == 1
     assert err[0].startswith("ERROR CONFIG: cannot write ")
     assert "trajectory.csv" in err[0] and "Traceback" not in proc.stderr
+
+
+def test_failed_second_artifact_write_names_that_file(tmp_path):
+    # both CSVs are opened before either is written: a directory where
+    # control.csv should go fails the run and names control.csv alone
+    out = tmp_path / "out"
+    (out / "control.csv").mkdir(parents=True)
+    proc = run_fresh(["control", "--config", str(DEMO), "--out", str(out)])
+    assert proc.returncode == 2
+    err = proc.stderr.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"ERROR CONFIG: cannot write "
+                             f"{out / 'control.csv'}: ")
+    assert "trajectory.csv" not in err[0] and "Traceback" not in proc.stderr
+    # trajectory.csv was opened first and is left empty; no summary
+    assert (out / "trajectory.csv").read_bytes() == b""
+    assert not (out / "summary.txt").exists()
 
 
 def test_explicit_out_overrides_the_config_out_dir(tmp_path, monkeypatch):

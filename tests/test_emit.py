@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cfcontrol import emit
-from cfcontrol.emit import format_values, write_csv
+from cfcontrol.emit import format_values, write_csv, write_csvs
 
 
 def mismatches(values, cols=1):
@@ -172,18 +172,62 @@ def test_cells_read_back_bit_for_bit(tmp_path):
                               table[~nan].view(np.uint64))
 
 
+def assert_files_match_one_file_writes(tmp_path, columns, picks):
+    """Each file of one ``write_csvs`` call over ``columns`` holds the bytes
+    that ``write_csv`` writes for its columns alone."""
+    table = np.column_stack(columns)
+    files = [(tmp_path / f"joint{k}.csv", [f"c{c}" for c in pick], pick)
+             for k, pick in enumerate(picks)]
+    write_csvs(files, *columns)
+    for path, header, pick in files:
+        alone = tmp_path / "alone.csv"
+        write_csv(alone, header, table[:, pick])
+        assert path.read_bytes() == alone.read_bytes(), pick
+
+
+def test_files_of_one_table_match_their_one_file_writes(tmp_path):
+    rng = np.random.default_rng(13)
+    # the rare branches, in a table of three columns (the last one the
+    # negated values); the files print them in several orders
+    rare = np.array([v for values in RARE_BRANCH_CASES.values()
+                     for v in values])
+    assert_files_match_one_file_writes(
+        tmp_path, [rare, rare[::-1], -rare], [[0, 1, 2], [2], [1, 0], [2, 2]])
+    # random bit patterns over several blocks; files like trajectory.csv
+    # and control.csv (tau, t, then their own columns: not a prefix of the
+    # table), a one-column file, and one of the whole table
+    table = rng.integers(0, 2**64 - 1, (3001, 13), dtype=np.uint64,
+                         endpoint=True).view(np.float64)
+    assert_files_match_one_file_writes(
+        tmp_path, [table[:, 0], table[:, 1], table[:, 2:7], table[:, 7:]],
+        [list(range(7)), [0, 1, *range(7, 13)], [5], list(range(13))])
+    # a column outside the table would read a neighbouring row's cell
+    for pick in ([13], [-1], []):
+        with pytest.raises(ValueError, match="among 0 to 12"):
+            write_csvs([(tmp_path / "bad.csv", ["c"] * len(pick), pick)],
+                       table)
+
+
 def test_writing_a_large_table_holds_little_memory(tmp_path):
     # the table is formatted in blocks: the traced peak is well below the
-    # 10.6 MB of the float table itself
+    # 10.6 MB of the float table itself, also for two files that share the
+    # tau and t columns
     rng = np.random.default_rng(5)
     tau = np.linspace(0.0, 1.0, 20001)
     values = rng.standard_normal((20001, 64))
+    control = rng.standard_normal((20001, 64))
+    header = ["tau", "t"] + [f"x{k}" for k in range(64)]
     tracemalloc.start()
     try:
-        write_csv(tmp_path / "big.csv", ["tau", "t"] + [f"x{k}" for k in
-                                                        range(64)],
-                  tau, tau ** 1.25, values)
-        peak = tracemalloc.get_traced_memory()[1]
+        write_csv(tmp_path / "big.csv", header, tau, tau ** 1.25, values)
+        one = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        write_csvs([(tmp_path / "x.csv", header, range(66)),
+                    (tmp_path / "u.csv", header, [0, 1, *range(66, 130)])],
+                   tau, tau ** 1.25, values, control)
+        two = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10e6
+    assert one < 10e6 and two < 10e6
+    assert (tmp_path / "x.csv").read_bytes() \
+        == (tmp_path / "big.csv").read_bytes()
