@@ -10,9 +10,9 @@ synthesis, all wired together by a scenario-driven CLI.
 """
 
 from .errors import (CfcontrolError, ConfigError, ControllabilityError,
-                     ConvergenceError, DomainError, NullControlFailed,
-                     NumericError)
-from .grids import FractionalOrder, GridFunction, TimeGrid
+                     ConvergenceError, DomainError, InequalityFailed,
+                     NullControlFailed, NumericError)
+from .grids import FractionalOrder, TimeGrid
 from .calculus import (chain_rule_residual, conformable_derivative,
                        conformable_integral, inverse_matrix_derivative_check,
                        leibniz_check)
@@ -35,8 +35,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CfcontrolError", "ConfigError", "ControllabilityError",
-    "ConvergenceError", "DomainError", "NullControlFailed", "NumericError",
-    "FractionalOrder", "GridFunction", "TimeGrid",
+    "ConvergenceError", "DomainError", "InequalityFailed",
+    "NullControlFailed", "NumericError",
+    "FractionalOrder", "TimeGrid",
     "chain_rule_residual", "conformable_derivative", "conformable_integral",
     "inverse_matrix_derivative_check", "leibniz_check",
     "SpecfunParams", "beta_via_k_reduction", "conformable_beta",

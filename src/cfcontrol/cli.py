@@ -23,10 +23,10 @@ import numpy as np
 from .config import ScenarioConfig, parse_config
 from .control import (build_gramian, exact_null_control_semilinear,
                       verify_null_inequality)
-from .emit import write_csv, write_csvs, write_text
+from .emit import write_csvs, write_text
 from .errors import (CfcontrolError, ConfigError, ControllabilityError,
-                     ConvergenceError, DomainError, NullControlFailed,
-                     NumericError)
+                     ConvergenceError, DomainError, InequalityFailed,
+                     NullControlFailed, NumericError)
 from .evolution import build_propagator
 from .grids import safe_norm
 from .mild import ControlProblem, contraction_report, picard_solve
@@ -41,8 +41,11 @@ _ERROR_TABLE = (
     (ConvergenceError, "CONVERGENCE", 5),
     (ControllabilityError, "CONTROLLABILITY", 6),
     (NullControlFailed, "CONTROL_TOLERANCE", 7),
+    (InequalityFailed, "VERIFY", 8),
 )
-_VERIFY_STATUS = 8
+# the failures that judge a finished computation: they leave its summary
+_VERDICTS = (ConvergenceError, NullControlFailed, InequalityFailed)
+_PIPELINES = ("evolve", "solve", "verify", "control")
 
 _SUMMARY_KEYS = ("final_state_norm", "control_energy", "gamma_emp",
                  "contraction_lhs", "iterations")
@@ -54,57 +57,96 @@ def _fmt(value):
     return repr(float(value))
 
 
-def _write_summary(path, entries):
+def _write_summary(out_dir, entries):
     ordered = {key: entries.get(key, float("nan")) for key in _SUMMARY_KEYS}
     ordered.update((k, entries[k]) for k in sorted(entries)
                    if k not in _SUMMARY_KEYS)
-    write_text(path, "".join(f"{key}={_fmt(value)}\n"
-                             for key, value in ordered.items()))
+    write_text(os.path.join(out_dir, "summary.txt"),
+               "".join(f"{key}={_fmt(value)}\n"
+                       for key, value in ordered.items()))
 
 
 def _state_header(dim, prefix="x"):
     return ["tau", "t"] + [f"{prefix}{i}" for i in range(dim)]
 
 
+def _loop_entries(result):
+    return dict(final_state_norm=result.final_state_norm,
+                control_energy=result.control_energy,
+                iterations=result.iterations)
+
+
 def run_scenario(config: ScenarioConfig, pipeline: str, out_dir: str,
                  dump_pairs=None) -> int:
-    """Run one pipeline, write its artifacts, and return the exit status.
+    """Run one pipeline, write its files, and return 0.
 
-    Library-level failures propagate as exceptions (mapped to exit codes
-    by :func:`main`); an inequality-check miss returns the verify status
-    after writing its summary.
+    The pipeline fills one summary and returns its CSV tables; they are
+    written here, each table by one :func:`write_csvs` call, and then
+    ``summary.txt``.  Every failure propagates as an exception, mapped to
+    an exit code by :func:`main`.  A verdict (``ConvergenceError``,
+    ``NullControlFailed``, ``InequalityFailed``) first writes the summary
+    computed so far and no CSV; any other failure writes nothing.
     """
+    if pipeline not in _PIPELINES:
+        raise ConfigError(f"unknown pipeline {pipeline!r}")
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"output directory: {exc}") from exc
     grid = config.grid()
-    for i, j in dump_pairs or []:
+    dump_pairs = dump_pairs or ()
+    for i, j in dump_pairs:
         if not 0 <= j <= i < grid.n_nodes:
             raise DomainError(f"dump pair ({i}, {j}) outside the grid of "
                               f"{grid.n_nodes} nodes")
+    summary: dict = {}
+    try:
+        tables = _run(config, pipeline, grid, dump_pairs, summary)
+    except _VERDICTS as exc:
+        if isinstance(exc, ConvergenceError):
+            summary["last_update_norm"] = exc.last_norm
+        elif isinstance(exc, NullControlFailed):
+            summary.update(_loop_entries(exc.result))
+        _write_summary(out_dir, summary)
+        raise
+    for columns, files in tables:
+        write_csvs([(os.path.join(out_dir, name), header, picks)
+                    for name, header, picks in files], *columns)
+    _write_summary(out_dir, summary)
+    return 0
+
+
+def _run(config, pipeline, grid, dump_pairs, summary):
+    """Fill ``summary`` and return the CSV tables of one pipeline, each
+    ``(columns, files)`` with files ``(name, header, picks)`` as in
+    :func:`write_csvs`."""
     family = config.family()
     dim = family.dim
-    summary: dict = {}
+    table = build_propagator(family, grid)
+    trajectory = ("trajectory.csv", _state_header(dim), range(2 + dim))
 
     if pipeline == "evolve":
-        table = build_propagator(family, grid)
         with np.errstate(all="ignore"):
             values = table.homogeneous(config.initial_state(dim))
         if not np.isfinite(values).all():
             raise NumericError("the trajectory is not finite")
-        write_csv(os.path.join(out_dir, "trajectory.csv"), _state_header(dim),
-                  grid.tau_nodes, grid.t_nodes, values)
-        for i, j in dump_pairs or []:
-            write_csv(os.path.join(out_dir, f"psi_{i}_{j}.csv"),
-                      [f"c{c}" for c in range(dim)], table.matrix(i, j))
         summary.update(final_state_norm=safe_norm(values[-1]),
                        iterations=0, propagator_bound=table.norm_bound)
-        _write_summary(os.path.join(out_dir, "summary.txt"), summary)
-        return 0
+        pair = ([f"c{c}" for c in range(dim)], range(dim))
+        return [((grid.tau_nodes, grid.t_nodes, values), [trajectory])] + [
+            ((table.matrix(i, j),), [(f"psi_{i}_{j}.csv", *pair)])
+            for i, j in dump_pairs]
 
-    table = build_propagator(family, grid)
-    b_matrix = config.control_matrix(dim)
+    if pipeline == "verify":
+        outcome = verify_null_inequality(
+            build_gramian(config.control_matrix(dim), table))
+        summary.update(gamma_emp=outcome.gamma_emp,
+                       gamma_threshold=outcome.threshold, iterations=0)
+        if not outcome.passes:
+            raise InequalityFailed(f"inequality constant {outcome.gamma_emp!r}"
+                                   " fell below the bound")
+        return []
+
     fun, gamma_growth = config.nonlinearity()
     problem = ControlProblem(x0=config.initial_state(dim), nonlinearity=fun,
                              picard_tol=config.picard_tol,
@@ -112,66 +154,29 @@ def run_scenario(config: ScenarioConfig, pipeline: str, out_dir: str,
 
     if pipeline == "solve":
         result = picard_solve(problem, table)
-        values = result.trajectory.values
-        write_csv(os.path.join(out_dir, "trajectory.csv"), _state_header(dim),
-                  grid.tau_nodes, grid.t_nodes, values)
-        summary.update(final_state_norm=safe_norm(values[-1]),
+        summary.update(final_state_norm=safe_norm(result.trajectory[-1]),
                        iterations=result.iterations,
                        picard_residual=result.residual)
-        _write_summary(os.path.join(out_dir, "summary.txt"), summary)
-        return 0
+        return [((grid.tau_nodes, grid.t_nodes, result.trajectory),
+                 [trajectory])]
 
-    if pipeline == "verify":
-        outcome = verify_null_inequality(build_gramian(b_matrix, table))
-        summary.update(gamma_emp=outcome.gamma_emp,
-                       gamma_threshold=outcome.threshold, iterations=0)
-        _write_summary(os.path.join(out_dir, "summary.txt"), summary)
-        if not outcome.passes:
-            print(f"ERROR VERIFY: inequality constant {outcome.gamma_emp!r} "
-                  f"fell below the bound", file=sys.stderr)
-            return _VERIFY_STATUS
-        return 0
-
-    if pipeline == "control":
-        gramian = build_gramian(b_matrix, table)
-        report = contraction_report(gramian, gamma_growth=gamma_growth)
-        summary.update(contraction_lhs=report.lhs,
-                       contraction_satisfied=int(report.satisfied),
-                       propagator_bound=report.propagator_bound,
-                       gain_norm=report.gain_norm,
-                       gramian_jitter=gramian.jitter)
-        try:
-            result = exact_null_control_semilinear(problem, gramian,
-                                                   null_tol=config.null_tol)
-        except NullControlFailed as exc:
-            if exc.result is not None:
-                summary.update(final_state_norm=exc.result.final_state_norm,
-                               control_energy=exc.result.control_energy,
-                               iterations=exc.result.iterations)
-            _write_summary(os.path.join(out_dir, "summary.txt"), summary)
-            raise
-        except ConvergenceError as exc:
-            summary.update(last_update_norm=exc.last_norm
-                           if exc.last_norm is not None else float("nan"))
-            _write_summary(os.path.join(out_dir, "summary.txt"), summary)
-            raise
-        # one table (tau, t, x..., u...); each file prints tau, t and its
-        # own components
-        inputs = result.control.dim
-        write_csvs([(os.path.join(out_dir, "trajectory.csv"),
-                     _state_header(dim), range(2 + dim)),
-                    (os.path.join(out_dir, "control.csv"),
-                     _state_header(inputs, prefix="u"),
-                     [0, 1, *range(2 + dim, 2 + dim + inputs)])],
-                   grid.tau_nodes, grid.t_nodes,
-                   result.closed_loop_trajectory.values, result.control.values)
-        summary.update(final_state_norm=result.final_state_norm,
-                       control_energy=result.control_energy,
-                       iterations=result.iterations)
-        _write_summary(os.path.join(out_dir, "summary.txt"), summary)
-        return 0
-
-    raise ConfigError(f"unknown pipeline {pipeline!r}")
+    gramian = build_gramian(config.control_matrix(dim), table)
+    report = contraction_report(gramian, gamma_growth=gamma_growth)
+    summary.update(contraction_lhs=report.lhs,
+                   contraction_satisfied=int(report.satisfied),
+                   propagator_bound=report.propagator_bound,
+                   gain_norm=report.gain_norm,
+                   gramian_jitter=gramian.jitter)
+    result = exact_null_control_semilinear(problem, gramian,
+                                           null_tol=config.null_tol)
+    summary.update(_loop_entries(result))
+    # one table (tau, t, x..., u...); each file prints tau, t and its own
+    # components
+    inputs = result.control.shape[1]
+    return [((grid.tau_nodes, grid.t_nodes, result.closed_loop_trajectory,
+              result.control),
+             [trajectory, ("control.csv", _state_header(inputs, prefix="u"),
+                           [0, 1, *range(2 + dim, 2 + dim + inputs)])])]
 
 
 def _specfun(args) -> int:

@@ -61,6 +61,11 @@ _DEFAULTS = {
     "max_iter": "50",
 }
 
+# the numbers each kind of structured value takes; None is one per
+# component (state or input)
+_KINDS = {"control": {"identity": 0, "scalar": 1, "diag": None},
+          "x0": {"first_mode": 1, "ones": 1, "values": None}}
+
 _REQUIRED = ("schema_version", "alpha", "tau_start", "tau_end",
              "n_nodes", "backend")
 
@@ -114,11 +119,16 @@ class ScenarioConfig:
                 raise ConfigError("tabulated potential needs a file path",
                                   self.lines.get("potential"))
             try:
+                # loadtxt takes a line of spaces, or of spaces and a
+                # comment, for a row
+                with open(words[1], encoding="utf-8") as fh:
+                    rows = [line for line in fh
+                            if line.split("#", 1)[0].strip()]
                 with warnings.catch_warnings():
                     # a file without rows is reported below, on one line
                     warnings.filterwarnings(
                         "ignore", "loadtxt: input contained no data")
-                    data = np.loadtxt(words[1], delimiter=",", ndmin=2)
+                    data = np.loadtxt(rows, delimiter=",", ndmin=2)
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"potential: cannot read {words[1]}: {exc}",
                                   self.lines.get("potential")) from exc
@@ -178,18 +188,12 @@ class ScenarioConfig:
         return DenseMatrixFamily(mat, len(base))
 
     def control_matrix(self, dim: int) -> np.ndarray:
-        words = self.control_spec.split()
-        kind = words[0]
-        if kind == "identity":
-            return np.eye(dim)
-        if kind == "scalar":
-            c = self._floats(words[1:], 1, "control")[0]
-            return c * np.eye(dim)
+        kind, values = self._structured("control", dim)
         if kind == "diag":
-            vals = self._floats(words[1:], dim, "control")
-            return np.diag(vals)
-        raise ConfigError(f"unknown control kind {kind!r}",
-                          self.lines.get("control"))
+            return np.diag(values)
+        if kind == "scalar":
+            return values[0] * np.eye(dim)
+        return np.eye(dim)
 
     def nonlinearity(self):
         """Returns (callable or None, growth constant)."""
@@ -204,19 +208,24 @@ class ScenarioConfig:
                           self.lines.get("nonlinearity"))
 
     def initial_state(self, dim: int) -> np.ndarray:
-        words = self.x0_spec.split()
-        kind = words[0]
-        if kind == "first_mode":
-            amp = self._floats(words[1:], 1, "x0")[0]
-            x = np.zeros(dim)
-            x[0] = amp
-            return x
-        if kind == "ones":
-            amp = self._floats(words[1:], 1, "x0")[0]
-            return amp * np.ones(dim)
+        kind, values = self._structured("x0", dim)
         if kind == "values":
-            return np.array(self._floats(words[1:], dim, "x0"))
-        raise ConfigError(f"unknown x0 kind {kind!r}", self.lines.get("x0"))
+            return np.array(values)
+        if kind == "ones":
+            return values[0] * np.ones(dim)
+        x = np.zeros(dim)
+        x[0] = values[0]
+        return x
+
+    def _structured(self, key, dim):
+        """The kind of the ``control`` or ``x0`` value and its numbers,
+        checked against ``dim`` without building anything of that size."""
+        kind, *words = getattr(self, f"{key}_spec").split()
+        if kind not in _KINDS[key]:
+            raise ConfigError(f"unknown {key} kind {kind!r}",
+                              self.lines.get(key))
+        count = _KINDS[key][kind]
+        return kind, self._floats(words, dim if count is None else count, key)
 
     def _floats(self, words, count, key):
         if len(words) != count:
@@ -309,6 +318,8 @@ def parse_config(path) -> ScenarioConfig:
         raise ConfigError("tau_end must exceed tau_start",
                           lines.get("tau_end"))
     # fail fast on malformed structured values
-    cfg.family()
+    dim = cfg.family().dim
     cfg.nonlinearity()
+    cfg._structured("control", dim)
+    cfg._structured("x0", dim)
     return cfg

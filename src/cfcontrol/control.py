@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import (ControllabilityError, DomainError, NullControlFailed,
                      NumericError)
-from .grids import GridFunction, safe_norm
+from .grids import safe_norm
 from .evolution import PropagatorTable
 from .mild import ControlProblem, iterate_fixed_point, nonlinearity_values
 
@@ -182,12 +182,14 @@ def build_gramian(b_matrix: np.ndarray,
 
 @dataclass
 class NullControlResult:
-    """Synthesized control with its closed-loop diagnostics."""
+    """Synthesized control with its closed-loop diagnostics: ``control``
+    is ``(n_nodes, n_inputs)`` and ``closed_loop_trajectory``
+    ``(n_nodes, dim)``."""
 
-    control: GridFunction
+    control: np.ndarray
     final_state_norm: float
     control_energy: float
-    closed_loop_trajectory: GridFunction
+    closed_loop_trajectory: np.ndarray
     iterations: int = 1
 
 
@@ -199,7 +201,7 @@ class VerifyResult(NamedTuple):
 
 def synthesize_null_control(gramian: GramianSolve,
                             z0: np.ndarray,
-                            forcing: Optional[GridFunction] = None
+                            forcing: Optional[np.ndarray] = None
                             ) -> NullControlResult:
     """Minimum-norm control steering ``z0`` (plus forcing) to zero.
 
@@ -209,15 +211,14 @@ def synthesize_null_control(gramian: GramianSolve,
     has shape ``(dim,)`` and the forcing ``(n_nodes, dim)``.
     """
     table = gramian.propagator
-    f_values = None if forcing is None else forcing.values
     shape = (table.grid.n_nodes, table.dim)
-    if f_values is not None and f_values.shape != shape:
-        raise DomainError(f"forcing has shape {f_values.shape}, "
+    if forcing is not None and np.shape(forcing) != shape:
+        raise DomainError(f"forcing has shape {np.shape(forcing)}, "
                           f"expected {shape}")
     # an overflow shows as a non-finite loop, which _closed_loop refuses
     with np.errstate(all="ignore"):
         u_values, traj = _null_sweep(gramian, table.homogeneous(z0), z0,
-                                     f_values)
+                                     forcing)
     return _closed_loop(gramian.grid, u_values, traj)
 
 
@@ -235,12 +236,13 @@ def _null_sweep(gramian, hom, z0, forcing):
 def _closed_loop(grid, u_values, traj, iterations=1):
     if not (np.isfinite(u_values).all() and np.isfinite(traj).all()):
         raise NumericError("the closed loop or its control is not finite")
-    control = GridFunction(grid, u_values)
+    w = grid.weights()
     return NullControlResult(
-        control=control,
+        control=u_values,
         final_state_norm=safe_norm(traj[-1]),
-        control_energy=control.weighted_l2(),
-        closed_loop_trajectory=GridFunction(grid, traj),
+        control_energy=safe_norm(
+            u_values, lambda v: np.sqrt(np.sum(w * np.sum(v**2, axis=1)))),
+        closed_loop_trajectory=traj,
         iterations=iterations,
     )
 

@@ -16,11 +16,11 @@ class NumericError(CfcontrolError, ArithmeticError):
 class ConvergenceError(CfcontrolError):
     """An iterative procedure failed to converge.
 
-    ``last_norm`` records the final update or series-term norm so callers
-    can report how far from convergence the iteration stopped.
+    ``last_norm`` records the final update norm so callers can report how
+    far from convergence the iteration stopped.
     """
 
-    def __init__(self, message, last_norm=None):
+    def __init__(self, message, last_norm):
         super().__init__(message)
         self.last_norm = last_norm
 
@@ -36,9 +36,13 @@ class NullControlFailed(CfcontrolError):
     as ``result`` so the numbers are never lost.
     """
 
-    def __init__(self, message, result=None):
+    def __init__(self, message, result):
         super().__init__(message)
         self.result = result
+
+
+class InequalityFailed(CfcontrolError):
+    """The null-controllability inequality constant fell below its bound."""
 
 
 class ConfigError(CfcontrolError):

@@ -1,4 +1,4 @@
-"""Fractional orders, transformed time grids, and grid functions.
+"""Fractional orders and transformed time grids.
 
 Everything downstream works in the transformed time ``tau = t**alpha / alpha``.
 Under that substitution the weighted measure ``s**(alpha-1) ds`` becomes the
@@ -23,8 +23,7 @@ try:
 except ImportError:  # not on every platform
     resource = None
 
-__all__ = ["FractionalOrder", "TimeGrid", "GridFunction", "require_memory",
-           "safe_norm"]
+__all__ = ["FractionalOrder", "TimeGrid", "require_memory", "safe_norm"]
 
 _CGROUP_MEMORY_FILES = ("/sys/fs/cgroup/memory.max",
                         "/sys/fs/cgroup/memory/memory.limit_in_bytes")
@@ -175,29 +174,3 @@ class TimeGrid:
         w[0] *= 0.5
         w[-1] *= 0.5
         return w
-
-
-@dataclass
-class GridFunction:
-    """Vector-valued samples on a :class:`TimeGrid`, shape (n_nodes, dim)."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2 or self.values.shape[0] != self.grid.n_nodes:
-            raise DomainError(
-                f"values have shape {self.values.shape}, expected "
-                f"({self.grid.n_nodes}, dim)"
-            )
-
-    @property
-    def dim(self):
-        return self.values.shape[1]
-
-    def weighted_l2(self):
-        """L2 norm in the weighted measure, i.e. flat tau quadrature."""
-        w = self.grid.weights()
-        return safe_norm(self.values,
-                         lambda v: np.sqrt(np.sum(w * np.sum(v**2, axis=1))))

@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NumericError
-from .grids import GridFunction, TimeGrid, safe_norm
+from .grids import TimeGrid, safe_norm
 from .evolution import PropagatorTable
 
 __all__ = [
@@ -97,7 +97,7 @@ class ContractionReport:
 
 
 class PicardResult(NamedTuple):
-    trajectory: GridFunction
+    trajectory: np.ndarray
     iterations: int
     residual: float
     update_norms: tuple = ()
@@ -185,8 +185,8 @@ def picard_solve(problem: ControlProblem,
     Returns
     -------
     PicardResult
-        Converged trajectory, the number of sweeps used, and the sup-norm
-        residual of the discrete equation.
+        Converged trajectory of shape (n_nodes, dim), the number of sweeps
+        used, and the sup-norm residual of the discrete equation.
 
     Raises
     ------
@@ -211,7 +211,7 @@ def picard_solve(problem: ControlProblem,
     x, iterations, updates = iterate_fixed_point(sweep, x, problem)
     residual = safe_norm(sweep(x) - x,
                          lambda v: np.linalg.norm(v, axis=1).max())
-    return PicardResult(GridFunction(grid, x), iterations, residual, updates)
+    return PicardResult(x, iterations, residual, updates)
 
 
 def horizon_factor(alpha: float, t1: float, t2: float) -> float:

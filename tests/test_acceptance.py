@@ -423,7 +423,7 @@ def test_criterion_06_mild_solver():
                              picard_tol=1e-12)
     result = picard_solve(problem, table)
     exact = 2.0 * np.exp((gain - lam) * (grid.tau_nodes - grid.tau_nodes[0]))
-    absorption_err = float(np.max(np.abs(result.trajectory.values[:, 0]
+    absorption_err = float(np.max(np.abs(result.trajectory[:, 0]
                                          - exact)))
 
     # geometric decrease under a satisfied small-gain condition
@@ -485,7 +485,7 @@ def test_criterion_07_linear_null_control():
 
     # strict minimum-norm property against 50 kernel perturbations
     rng = np.random.default_rng(77)
-    u = res_h.control.values
+    u = res_h.control
     w = grid_h.weights()
     base = float(np.sum(w * np.sum(u**2, axis=1)))
     strict = 0

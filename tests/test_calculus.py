@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cfcontrol import (DomainError, FractionalOrder, GridFunction, TimeGrid,
+from cfcontrol import (DomainError, FractionalOrder, TimeGrid,
                        chain_rule_residual, conformable_derivative,
                        conformable_integral, inverse_matrix_derivative_check,
                        leibniz_check)
@@ -64,19 +64,6 @@ def test_grid_validation():
         FractionalOrder(1.2)
     with pytest.raises(DomainError):
         FractionalOrder(0.5, base_point=-1.0)
-
-
-@pytest.mark.parametrize("bad", [np.ones((4, 3)), np.ones(5), np.ones((1, 5))],
-                         ids=["rows", "one_d", "one_row"])
-def test_grid_function_shape_checks(bad):
-    # values are (n_nodes, dim); a row of n values is not transposed
-    grid = TimeGrid(FractionalOrder(1.0), 0.1, 1.0, 5)
-    gf = GridFunction(grid, np.ones((5, 3)))
-    assert gf.dim == 3
-    assert np.max(np.linalg.norm(gf.values, axis=1)) == pytest.approx(
-        np.sqrt(3))
-    with pytest.raises(DomainError):
-        GridFunction(grid, bad)
 
 
 # --- derivative ----------------------------------------------------------

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfcontrol import ConfigError, horizon_factor, parse_config
-from cfcontrol.cli import _ERROR_TABLE, main
+from cfcontrol.cli import _ERROR_TABLE, main, run_scenario
 
 from conftest import limit_sources
 
@@ -209,6 +209,12 @@ def test_over_gain_config_fails_loudly(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("ERROR CONVERGENCE: ")
     assert len(err.strip().splitlines()) == 1
+    # a verdict leaves the summary computed so far and no CSV
+    assert [p.name for p in Path(out).iterdir()] == ["summary.txt"]
+    summary = read_summary(out)
+    assert math.isfinite(float(summary["last_update_norm"]))
+    assert summary["contraction_satisfied"] == "0"
+    assert float(summary["contraction_lhs"]) > 1.0
 
 
 def test_over_gain_config_converges_with_a_larger_budget(tmp_path):
@@ -381,14 +387,29 @@ def test_evolve_final_state_decays(tmp_path):
     {"k": "2.0"},
     {"seed": "7"},
     {"trials": "50"},
+    {"control": "diag 1 2"},
+    {"control": "identity 1"},
+    {"control": "sideways"},
+    {"x0": "sideways 1"},
+    {"x0": "values 1 2"},
+    {"x0": "first_mode"},
 ], ids=["tau_end_inf", "x0_nan", "tabulated_missing", "kernel_tol_removed",
-        "k_removed", "seed_removed", "trials_removed"])
+        "k_removed", "seed_removed", "trials_removed", "control_diag_count",
+        "control_identity_count", "control_kind", "x0_kind", "x0_count",
+        "x0_amplitude"])
 def test_bad_input_is_one_config_error(tmp_path, capsys, overrides):
+    # refused when the config is parsed, even a key evolve does not read:
+    # one line naming the line of the last key set, and no output directory
     cfg = write_cfg(tmp_path, **overrides)
-    rc = main(["evolve", "--config", cfg, "--out", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    rc = main(["evolve", "--config", cfg, "--out", str(out)])
     assert rc == 2
+    keys = [text.partition("=")[0].strip()
+            for text in Path(cfg).read_text().splitlines()]
+    line = 1 + keys.index(list(overrides)[-1])
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("ERROR CONFIG: line ")
+    assert len(err) == 1 and err[0].startswith(f"ERROR CONFIG: line {line}: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("table, reason", [
@@ -409,8 +430,10 @@ def test_malformed_tabulated_potential_is_one_config_error(tmp_path, capsys,
     assert err[0].endswith(reason)
 
 
-@pytest.mark.parametrize("table", ["", "\n\n\n", "# tau,value\n# none\n"],
-                         ids=["empty", "blank_lines", "comments_only"])
+@pytest.mark.parametrize("table", ["", "\n\n\n", "# tau,value\n# none\n",
+                                   "   \n \t \n", "  # tau,value\n   \n"],
+                         ids=["empty", "blank_lines", "comments_only",
+                              "spaces_only", "spaces_and_comment"])
 def test_tabulated_potential_without_rows_is_one_config_line(tmp_path, table):
     # numpy warns on a file without data; no warning reaches stderr
     path = tmp_path / "pot.csv"
@@ -421,6 +444,22 @@ def test_tabulated_potential_without_rows_is_one_config_line(tmp_path, table):
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [
         f"ERROR CONFIG: line 8: potential: {path} holds no rows"]
+
+
+def test_tabulated_potential_skips_lines_of_spaces(tmp_path):
+    # a line of spaces after the rows is no row: the run reads the table
+    # as if the line were not there
+    rows = "0,1\n0.5,2\n1,3\n"
+    outputs = []
+    for name, table in (("plain", rows), ("spaces", rows + "   \n")):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(table)
+        cfg = write_cfg(tmp_path, name=f"{name}.cfg",
+                        potential=f"tabulated {path}")
+        out = tmp_path / name
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("table, spans", [
@@ -542,6 +581,41 @@ def test_shipped_config_reruns_byte_identical(tmp_path, name):
         outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert "summary.txt" in outputs[0]
     assert outputs[0] == outputs[1]
+
+
+def demo_failing(tmp_path, pipeline, old, new):
+    """The exit status, the files left and the summary of the demo run with
+    the config line ``old`` replaced by ``new``."""
+    path = tmp_path / "demo.cfg"
+    path.write_text(DEMO.read_text().replace(old, new))
+    out = tmp_path / "out"
+    status = main([pipeline, "--config", str(path), "--out", str(out)])
+    return status, sorted(p.name for p in out.iterdir()), read_summary(out)
+
+
+def test_control_that_misses_its_tolerance_leaves_only_its_summary(tmp_path):
+    status, files, summary = demo_failing(tmp_path, "control",
+                                          "null_tol = 1e-6", "null_tol = 1e-30")
+    assert (status, files) == (7, ["summary.txt"])
+    assert float(summary["final_state_norm"]) == pytest.approx(1.67e-16,
+                                                               rel=0.01)
+    assert float(summary["control_energy"]) > 0.0
+    assert summary["iterations"] == "5"
+
+
+def test_solve_that_runs_out_of_sweeps_leaves_only_its_summary(tmp_path):
+    status, files, summary = demo_failing(tmp_path, "solve",
+                                          "max_iter = 50", "max_iter = 1")
+    assert (status, files) == (5, ["summary.txt"])
+    assert float(summary["last_update_norm"]) > 1e-9
+    assert summary["iterations"] == "nan"
+
+
+def test_unknown_pipeline_is_refused_before_any_work(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match="unknown pipeline 'bogus'"):
+        run_scenario(parse_config(DEMO), "bogus", str(out))
+    assert not out.exists()
 
 
 def test_out_path_naming_a_file_is_config_error(tmp_path, capsys):

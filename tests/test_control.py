@@ -7,7 +7,7 @@ import pytest
 
 from cfcontrol import (ControllabilityError, ControlProblem, ConvergenceError,
                        DenseMatrixFamily, DomainError, FractionalOrder,
-                       GridFunction, NullControlFailed, NumericError,
+                       NullControlFailed, NumericError,
                        SpectralHeatFamily, TimeGrid, build_gramian,
                        build_propagator, exact_null_control_semilinear,
                        kernel_space_perturbation, synthesize_null_control,
@@ -182,7 +182,7 @@ def test_trivial_null_control_is_zero():
     fam, grid, table = scalar_setup()
     gram = build_gramian(np.eye(1), table)
     result = synthesize_null_control(gram, np.zeros(1))
-    assert np.max(np.abs(result.control.values)) == 0.0
+    assert np.max(np.abs(result.control)) == 0.0
     assert result.final_state_norm == 0.0
     assert result.control_energy == 0.0
 
@@ -195,7 +195,7 @@ def test_scalar_null_control_closed_form():
     assert result.final_state_norm <= 1e-8
     expect = -np.exp(-lam * (1.0 - grid.tau_nodes)) \
         / gram.gramian[0, 0] * np.exp(-lam)
-    assert np.max(np.abs(result.control.values[:, 0] - expect)) < 1e-12
+    assert np.max(np.abs(result.control[:, 0] - expect)) < 1e-12
 
 
 def test_heat_first_mode_bump_steered_to_zero():
@@ -208,10 +208,22 @@ def test_heat_first_mode_bump_steered_to_zero():
     assert result.control_energy > 0.0
 
 
+def test_control_energy_is_the_weighted_l2_norm_of_the_control():
+    # the trapezoid-weighted L2 norm sqrt(sum_r w_r |u_r|^2) in tau
+    _, grid, table = heat_setup(n=201)
+    result = synthesize_null_control(build_gramian(np.eye(6), table),
+                                     np.arange(1.0, 7.0))
+    u = result.control
+    assert u.shape == (grid.n_nodes, 6)
+    assert result.closed_loop_trajectory.shape == (grid.n_nodes, 6)
+    expect = np.sqrt(np.sum(grid.weights() * np.sum(u**2, axis=1)))
+    assert result.control_energy == pytest.approx(expect, rel=1e-14)
+
+
 def test_null_transfer_with_forcing(rng):
     fam, grid, table = heat_setup(n=201)
     gram = build_gramian(np.eye(6), table)
-    forcing = GridFunction(grid, 0.3 * rng.standard_normal((grid.n_nodes, 6)))
+    forcing = 0.3 * rng.standard_normal((grid.n_nodes, 6))
     z0 = rng.standard_normal(6)
     result = synthesize_null_control(gram, z0, forcing)
     assert result.final_state_norm <= 1e-10 * max(1.0, np.linalg.norm(z0))
@@ -223,7 +235,7 @@ def test_minimum_norm_among_kernel_perturbations(rng):
     x0 = np.zeros(6)
     x0[0] = 1.0
     result = synthesize_null_control(gram, x0)
-    u = result.control.values
+    u = result.control
     w = grid.weights()
     base = np.sum(w * np.sum(u**2, axis=1))
     for _ in range(10):
@@ -250,10 +262,10 @@ def test_null_control_refuses_a_state_of_another_shape(backend):
 def test_null_control_refuses_a_forcing_of_another_width():
     _, grid, table = heat_setup(n=101)
     gram = build_gramian(np.eye(6), table)
-    forcing = GridFunction(grid, np.ones((grid.n_nodes, 5)))
+    forcing = np.ones((grid.n_nodes, 5))
     with pytest.raises(DomainError, match="forcing"):
         synthesize_null_control(gram, np.ones(6), forcing)
-    short = GridFunction(TimeGrid(ORDER, 0.0, 1.0, 51), np.ones((51, 6)))
+    short = np.ones((51, 6))
     with pytest.raises(DomainError, match="forcing"):
         synthesize_null_control(gram, np.ones(6), short)
 
@@ -387,7 +399,7 @@ def test_semilinear_zero_gain_reduces_to_linear_synthesis():
     problem = ControlProblem(x0=x0)
     looped = exact_null_control_semilinear(problem, gram)
     direct = synthesize_null_control(gram, x0)
-    assert np.array_equal(looped.control.values, direct.control.values)
+    assert np.array_equal(looped.control, direct.control)
 
 
 def test_semilinear_small_gain_converges():
@@ -412,11 +424,11 @@ def test_semilinear_demo_is_a_fixed_point_of_the_closed_loop_map():
                              picard_tol=cfg.picard_tol, max_iter=cfg.max_iter)
     result = exact_null_control_semilinear(
         problem, build_gramian(b_matrix, table), null_tol=cfg.null_tol)
-    x = result.closed_loop_trajectory.values
+    x = result.closed_loop_trajectory
     forcing = np.stack([fun(tau, x[r])
                         for r, tau in enumerate(grid.tau_nodes)])
     image = table.homogeneous(problem.x0) + table.accumulate(
-        result.control.values @ b_matrix.T + forcing)
+        result.control @ b_matrix.T + forcing)
     assert np.max(np.linalg.norm(image - x, axis=1)) <= 10.0 * cfg.picard_tol
     assert result.final_state_norm <= cfg.null_tol
 
@@ -435,9 +447,9 @@ def test_semilinear_closed_loop_applies_the_gramians_input_matrix():
 
     problem = ControlProblem(x0=x0, nonlinearity=fun, picard_tol=1e-9)
     result = exact_null_control_semilinear(problem, gram, null_tol=1e-6)
-    x = result.closed_loop_trajectory.values
+    x = result.closed_loop_trajectory
     image = table.homogeneous(x0) + table.accumulate(
-        result.control.values @ b_matrix.T + fun(None, x))
+        result.control @ b_matrix.T + fun(None, x))
     assert np.max(np.linalg.norm(image - x, axis=1)) \
         <= 10.0 * problem.picard_tol
     assert result.final_state_norm <= 1e-6 * np.linalg.norm(x0)

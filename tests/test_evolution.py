@@ -637,17 +637,6 @@ def test_one_step_exponentials_take_their_degree_from_the_norm(theta):
                                                          np.max(np.abs(ref)))
 
 
-def test_grid_function_helpers():
-    from cfcontrol import GridFunction
-    grid = window(5)
-    gf = GridFunction(grid, np.column_stack([grid.t_nodes, 2.0 * grid.t_nodes]))
-    assert gf.values.shape == (5, 2)
-    assert gf.values[3, 1] == pytest.approx(2.0 * grid.t_nodes[3])
-    w = grid.weights()
-    expect = np.sqrt(np.sum(w * np.sum(gf.values**2, axis=1)))
-    assert gf.weighted_l2() == pytest.approx(expect, rel=1e-14)
-
-
 def test_tau_horizon_validation():
     from cfcontrol import TimeGrid
     with pytest.raises(DomainError):

@@ -28,7 +28,7 @@ def test_homogeneous_case_converges_in_one_sweep():
     assert result.iterations == 1
     assert result.residual == 0.0
     hom = np.stack([table.matrix(i, 0) @ x0 for i in range(grid.n_nodes)])
-    assert np.array_equal(result.trajectory.values, hom)
+    assert np.array_equal(result.trajectory, hom)
 
 
 def test_scalar_linear_gain_absorbed_into_rate():
@@ -41,7 +41,7 @@ def test_scalar_linear_gain_absorbed_into_rate():
                              picard_tol=1e-12)
     result = picard_solve(problem, table)
     exact = 2.0 * np.exp((gain - lam) * (grid.tau_nodes - grid.tau_nodes[0]))
-    assert np.max(np.abs(result.trajectory.values[:, 0] - exact)) < 1e-6
+    assert np.max(np.abs(result.trajectory[:, 0] - exact)) < 1e-6
 
 
 def test_heat_linear_gain_matches_shifted_potential():
@@ -55,7 +55,7 @@ def test_heat_linear_gain_matches_shifted_potential():
     reference = build_propagator(shifted, grid)
     ref = np.stack([reference.matrix(i, 0) @ x0
                     for i in range(grid.n_nodes)])
-    assert np.max(np.abs(result.trajectory.values - ref)) < 1e-6
+    assert np.max(np.abs(result.trajectory - ref)) < 1e-6
 
 
 def test_updates_decrease_geometrically_under_small_gain(rng):
@@ -97,7 +97,7 @@ def test_trajectory_error_second_order_in_grid():
         problem = ControlProblem(x0=np.array([1.0]),
                                  nonlinearity=lambda tau, x: gain * x,
                                  picard_tol=1e-13)
-        return picard_solve(problem, table).trajectory.values[:, 0]
+        return picard_solve(problem, table).trajectory[:, 0]
 
     coarse, mid, ref = solve(101), solve(201), solve(801)
     e_coarse = np.max(np.abs(coarse - ref[::8]))
@@ -249,4 +249,4 @@ def test_constant_control_drive_closed_form():
     result = picard_solve(problem, table)
     tau = grid.tau_nodes
     exact = np.exp(-lam * tau) + (b * u / lam) * (1.0 - np.exp(-lam * tau))
-    assert np.max(np.abs(result.trajectory.values[:, 0] - exact)) < 1e-6
+    assert np.max(np.abs(result.trajectory[:, 0] - exact)) < 1e-6
