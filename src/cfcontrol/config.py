@@ -72,7 +72,13 @@ _REQUIRED = ("schema_version", "alpha", "tau_start", "tau_end",
 
 @dataclass
 class ScenarioConfig:
-    """Parsed scenario parameters plus the source line of every key."""
+    """Parsed scenario parameters plus the source line of every key.
+
+    The operator family is built once, on the first :meth:`family` call,
+    which :func:`parse_config` makes when it checks the config, and kept:
+    a ``tabulated`` potential file is read once per parse, and a run uses
+    the rows that were checked.
+    """
 
     alpha: float
     tau_start: float
@@ -90,6 +96,8 @@ class ScenarioConfig:
     max_iter: int
     out_dir: Optional[str] = None
     lines: dict = field(default_factory=dict, repr=False)
+    _family: object = field(default=None, init=False, repr=False,
+                            compare=False)
 
     # -- builders ---------------------------------------------------------
 
@@ -101,9 +109,10 @@ class ScenarioConfig:
                         self.n_nodes)
 
     def family(self):
-        if self.backend == "spectral_heat":
-            return SpectralHeatFamily(self._potential(), self.n_modes)
-        return self._dense_family()
+        if self._family is None:
+            self._family = SpectralHeatFamily(self._potential(), self.n_modes) \
+                if self.backend == "spectral_heat" else self._dense_family()
+        return self._family
 
     def _potential(self):
         words = self.potential_spec.split()

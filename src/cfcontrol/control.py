@@ -94,11 +94,19 @@ class GramianSolve:
         return self.propagator.final_row(drive)
 
     def free_response(self, z0: np.ndarray,
-                      forcing: Optional[np.ndarray] = None) -> np.ndarray:
-        """Final state of the uncontrolled system (the map N)."""
-        values = np.zeros((self.grid.n_nodes, np.size(z0)))
-        if forcing is not None:
-            values += self.grid.weights()[:, None] * forcing
+                      forcing: Optional[np.ndarray] = None,
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Final state of the uncontrolled system (the map N).
+
+        The weighted forcing is formed in ``out`` when it is given, an
+        ``(n_nodes, dim)`` array.  ``final_row`` sums from +0.0, so a -0.0
+        among its terms counts as the +0.0 a sum onto zeros makes of it.
+        """
+        if forcing is None:
+            values = np.zeros((self.grid.n_nodes, np.size(z0)))
+        else:
+            values = np.multiply(self.grid.weights()[:, None], forcing,
+                                 out=out)
         values[0] += z0
         return self.propagator.final_row(values)
 
@@ -106,10 +114,15 @@ class GramianSolve:
         """``W^{-1} rhs`` through the lower Cholesky factor L, ``W = L L^T``."""
         return np.linalg.solve(self._chol.T, np.linalg.solve(self._chol, rhs))
 
-    def control_from_target(self, target: np.ndarray) -> np.ndarray:
-        """Minimum-norm control whose reachability image is -target."""
+    def control_from_target(self, target: np.ndarray,
+                            out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Minimum-norm control whose reachability image is -target.
+
+        The adjoint's rows are formed in ``out`` when it is given, a
+        C-contiguous ``(n_nodes, dim)`` array."""
         y = self.solve_gramian(target)
-        return -self.propagator.final_row_adjoint(y) @ self.b_matrix
+        rows = self.propagator.final_row_adjoint(y, out=out)
+        return np.negative(rows, out=rows) @ self.b_matrix
 
 
 def build_gramian(b_matrix: np.ndarray,
@@ -222,15 +235,23 @@ def synthesize_null_control(gramian: GramianSolve,
     return _closed_loop(gramian.grid, u_values, traj)
 
 
-def _null_sweep(gramian, hom, z0, forcing):
+def _null_sweep(gramian, hom, z0, forcing, work=None):
     """The minimum-norm control u steering ``z0`` under ``forcing`` to zero,
     and the mild solution ``hom + V[u B^T + forcing]``.  ``None`` forcing
-    adds nothing, not a zero array, so a -0.0 of ``u B^T`` stays -0.0."""
-    u_values = gramian.control_from_target(gramian.free_response(z0, forcing))
-    drive = u_values @ gramian.b_matrix.T
+    adds nothing, not a zero array, so a -0.0 of ``u B^T`` stays -0.0.
+    The weighted forcing, the adjoint's rows and then the drive are formed
+    in ``work`` when it is given, a C-contiguous ``(n_nodes, dim)`` array."""
+    u_values = gramian.control_from_target(
+        gramian.free_response(z0, forcing, out=work), out=work)
+    drive = np.matmul(u_values, gramian.b_matrix.T, out=work)
     if forcing is not None:
-        drive = drive + forcing
-    return u_values, hom + gramian.propagator.accumulate(drive)
+        drive += forcing
+        # the forcing's last reference: it is freed before the scan
+        # allocates the new state
+        forcing = None
+    state = gramian.propagator.accumulate(drive)
+    state += hom
+    return u_values, state
 
 
 def _closed_loop(grid, u_values, traj, iterations=1):
@@ -291,13 +312,13 @@ def exact_null_control_semilinear(problem: ControlProblem,
     Raises
     ------
     ConvergenceError
-        If an update of the map is non-finite or passes the divergence
-        guard, or ``max_iter`` sweeps end above
-        ``picard_tol * max(1, ||x0||)``.
+        If a finite update of the map passes the divergence guard, or
+        ``max_iter`` sweeps end above ``picard_tol * max(1, ||x0||)``.
     NumericError, DomainError
-        If the nonlinearity returns a non-finite value or an array of the
-        wrong shape (see :func:`~cfcontrol.mild.nonlinearity_values`), or
-        x0 has the wrong shape.
+        If a sweep's result is not finite, the nonlinearity returns a
+        non-finite value or an array of the wrong shape (see
+        :func:`~cfcontrol.mild.nonlinearity_values`), or x0 has the wrong
+        shape.
     NullControlFailed
         If the converged loop misses ``null_tol * max(1, ||x0||)``; the
         offending result rides along on the exception.
@@ -310,15 +331,18 @@ def exact_null_control_semilinear(problem: ControlProblem,
 
     grid = gramian.grid
     hom = gramian.propagator.homogeneous(problem.x0)
+    work = np.empty_like(hom)
     u_values = None
 
     def sweep(x):
         nonlocal u_values
+        # the last sweep's control is freed before this one is made
+        u_values = None
         u_values, x = _null_sweep(gramian, hom, problem.x0,
-                                  nonlinearity_values(fun, grid, x))
+                                  nonlinearity_values(fun, grid, x), work)
         return x
 
-    x, iterations, _ = iterate_fixed_point(sweep, hom, problem)
+    x, iterations, _ = iterate_fixed_point(sweep, hom, problem, work)
     result = _closed_loop(grid, u_values, x, iterations)
     _check_tolerance(result, problem.x0, null_tol)
     return result

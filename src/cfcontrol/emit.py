@@ -324,9 +324,9 @@ def _shortest(bexp, mant):
     return out, exp10
 
 
-def _cells(values):
-    """The source rows (see :func:`_templates`) and the template ids of the
-    cells of a 1-D float64 array."""
+def _cells(values, src):
+    """The template ids of the cells of a 1-D float64 array, with their
+    source rows (see :func:`_templates`) written to ``src``."""
     bits = values.view(np.uint64)
     bexp = (bits >> _U(52)).astype(np.intp) & 0x7FF
     mant = bits & _MANT
@@ -345,11 +345,9 @@ def _cells(values):
         neg[special[tid[special] == _NAN]] = 0
     tid += neg * _NEG
 
-    src = np.empty((bits.size, _SRC_WIDTH // 4), np.uint32)
     src[:, :5] = _DIG4.take(_digit_groups(out))
     src[:, 5] = _EXP_DIGITS.take(at)
-    src[:, 6:] = _CONSTANT_WORDS
-    return src.view(np.uint8).reshape(-1), tid
+    return tid
 
 
 def _pack(src, tid, cell, start):
@@ -360,18 +358,22 @@ def _pack(src, tid, cell, start):
     template."""
     ids = tid.take(cell)
     ids[:, -1] += _NL
-    index = _TPL.take(ids, axis=0) + start
+    # the gather index is built in place in intp, the one index type that
+    # take reads without a converted copy
+    index = _TPL.take(ids, axis=0).astype(np.intp)
+    index += start
     # the translate drops the templates' NUL padding
     return src.take(index).tobytes().translate(None, b"\0")
 
 
-def _block_lines(values, cells, starts):
+def _block_lines(values, cells, starts, src):
     """One chunk of CSV lines per file, from a block's table cells
     ``values`` (row by row) and each file's cells and offsets.
 
-    A function of its own, so that a block's source rows and gather
+    A function of its own, so that a block's template ids and gather
     indices are freed before the next block is formatted."""
-    src, tid = _cells(values)
+    tid = _cells(values, src)
+    src = src.view(np.uint8).reshape(-1)
     return [_pack(src, tid, cell, start) for cell, start in zip(cells, starts)]
 
 
@@ -394,6 +396,10 @@ def _lines(columns, picks):
     cells = [np.arange(step)[:, None] * width + p for p in picks]
     starts = [(c * _SRC_WIDTH)[..., None] for c in cells]
     block = np.empty((step, width))
+    # the source rows of every block, in one buffer whose constant words
+    # are written once
+    src = np.empty((step * width, _SRC_WIDTH // 4), np.uint32)
+    src[:, 6:] = _CONSTANT_WORDS
     for first in range(0, rows, step):
         part = block[:min(step, rows - first)]
         left = 0
@@ -401,7 +407,7 @@ def _lines(columns, picks):
             part[:, left:left + p.shape[1]] = p[first:first + len(part)]
             left += p.shape[1]
         yield _block_lines(part.reshape(-1), [c[:len(part)] for c in cells],
-                           [s[:len(part)] for s in starts])
+                           [s[:len(part)] for s in starts], src[:part.size])
 
 
 def format_values(block):

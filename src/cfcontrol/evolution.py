@@ -102,6 +102,9 @@ __all__ = [
 # largest exponent change |E(r) - E(anchor)| inside one chunk of the spectral
 # scan; exp(64) ~ 6e27 leaves every scaled term far from overflow
 _SCAN_SPAN = 64.0
+# values per row block of the scan's half-weight terms: 64 kB, a size the
+# heap serves from its free lists
+_SCAN_BLOCK_CELLS = 1 << 13
 # Gauss-Legendre points of a step [tau_r, tau_r + h], as fractions of h
 _GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0
 # largest degree of the Taylor polynomial of a one-step exponential whose
@@ -383,8 +386,9 @@ class SpectralPropagatorTable:
 
     def __post_init__(self):
         n, m = self.grid.n_nodes, self.family.n_modes
-        # the (n_nodes, modes) scale factors and final row it keeps, and the
-        # exponents and their suffix minima its build holds
+        # the (n_nodes, modes) scale factors and final row it keeps, which
+        # its build computes in the buffers of the exponents and their suffix
+        # minima, and as much again for the run's arrays of that shape
         require_memory(32 * n * m,
                        f"a spectral table of {n} nodes and {m} modes")
         with np.errstate(all="ignore"):
@@ -405,10 +409,12 @@ class SpectralPropagatorTable:
         # per-mode exponent E_n(i) = n^2 tau_i + P_i; the largest factor over
         # pairs i >= j is exp(max_j (E_n(j) - min_{i>=j} E_n(i)))
         with np.errstate(all="ignore"):
-            exponents = self._sq[None, :] * self.grid.tau_nodes[:, None] \
-                + self.potential_cumint[:, None]
-            suffix_min = np.minimum.accumulate(exponents[::-1], axis=0)[::-1]
-            self.norm_bound = float(np.exp(np.max(exponents - suffix_min)))
+            exponents = np.multiply.outer(self.grid.tau_nodes, self._sq)
+            exponents += self.potential_cumint[:, None]
+            # in reversed node order
+            suffix_min = np.minimum.accumulate(exponents[::-1], axis=0)
+            spread = np.subtract(exponents[::-1], suffix_min, out=suffix_min)
+            self.norm_bound = float(np.exp(np.max(spread)))
         if not np.isfinite(self.norm_bound):
             raise NumericError("the norm bound of the spectral propagator "
                                "is not finite")
@@ -416,18 +422,22 @@ class SpectralPropagatorTable:
         # carry the largest step of every node
         self._anchors = _scan_anchors(exponents[:, [0, -1]])
         owner = np.repeat(self._anchors[:-1], np.diff(self._anchors))
-        self._decay = self._between(np.s_[:], np.concatenate([[0], owner]))
-        self._final = self._between(-1, np.s_[:])
+        self._decay = self._between(np.s_[:], np.concatenate([[0], owner]),
+                                    out=exponents)
+        self._final = self._between(-1, np.s_[:], out=spread)
 
     @property
     def dim(self) -> int:
         return self.family.n_modes
 
-    def _between(self, i, j) -> np.ndarray:
-        """Mode factors from node(s) ``j`` to node(s) ``i``, shape (..., modes)."""
+    def _between(self, i, j, out=None) -> np.ndarray:
+        """Mode factors from node(s) ``j`` to node(s) ``i``, shape (..., modes),
+        in ``out`` when given: ``exp(-(tau_i - tau_j) n**2 - (P_i - P_j))``,
+        with the negation taken on the time step, which is exact."""
         tau, pot = self.grid.tau_nodes, self.potential_cumint
-        return np.exp(-np.multiply.outer(tau[i] - tau[j], self._sq)
-                      - (pot[i] - pot[j])[..., None])
+        out = np.multiply.outer(tau[j] - tau[i], self._sq, out=out)
+        out -= (pot[i] - pot[j])[..., None]
+        return np.exp(out, out=out)
 
     def factors(self, i: int, j: int) -> np.ndarray:
         if j > i:
@@ -439,7 +449,10 @@ class SpectralPropagatorTable:
 
     def homogeneous(self, x0: np.ndarray) -> np.ndarray:
         """``op(i, 0) x0`` at every node i, shape (n_nodes, modes)."""
-        return self._between(np.s_[:], 0) * _state(x0, self.dim)
+        x0 = _state(x0, self.dim)
+        out = self._between(np.s_[:], 0)
+        out *= x0
+        return out
 
     def accumulate(self, values: np.ndarray) -> np.ndarray:
         """Trapezoid ``int_0^{tau_i} op(i, r) values[r] dtau_r`` at every node i.
@@ -456,29 +469,44 @@ class SpectralPropagatorTable:
         ``|E(r) - E(a)|`` within ``_SCAN_SPAN``, so no scaled term
         overflows, and a step that alone exceeds it is a chunk of one node,
         which divides by nothing.
+
+        The cumulative sums run in the output array, and only the last
+        node of a chunk is finished inside the loop, to carry; every node
+        is then scaled by ``D`` and given its half-weight term in one pass,
+        the terms formed in row blocks of ``_SCAN_BLOCK_CELLS`` values.  So
+        the scan allocates its output and one row block, and ``values`` is
+        left as it is.
         """
-        h = self.grid.h
+        half = 0.5 * self.grid.h
         values = np.asarray(values, dtype=float)
-        half = 0.5 * h * values
-        acc = np.empty_like(half)
+        acc = np.empty_like(values)
         acc[0] = 0.0
+        carry = acc[0]
         for a, b in zip(self._anchors[:-1], self._anchors[1:]):
-            run = np.empty((b - a,) + half.shape[1:])
-            run[0] = acc[a] + half[a]
+            run = acc[a + 1:b + 1]
+            run[0] = carry + half * values[a]
             np.divide(values[a + 1:b], self._decay[a + 1:b], out=run[1:])
-            run[1:] *= h
+            run[1:] *= self.grid.h
             np.cumsum(run, axis=0, out=run)
-            acc[a + 1:b + 1] = self._decay[a + 1:b + 1] * run \
-                + half[a + 1:b + 1]
+            carry = self._decay[b] * run[-1] + half * values[b]
+        acc[1:] *= self._decay[1:]
+        rows = max(1, _SCAN_BLOCK_CELLS // max(1, values[0].size))
+        terms = np.empty_like(values[:rows])
+        for start in range(1, len(acc), rows):
+            part = terms[:len(acc) - start]
+            np.multiply(values[start:start + rows], half, out=part)
+            acc[start:start + rows] += part
         return acc
 
     def final_row(self, values: np.ndarray) -> np.ndarray:
         """``sum_r op(n-1, r) values[r]``; values (..., n_nodes, modes)."""
         return np.einsum("rm,...rm->...m", self._final, values)
 
-    def final_row_adjoint(self, y: np.ndarray) -> np.ndarray:
-        """``op(n-1, r)^T y`` at every node r, shape (..., n_nodes, modes)."""
-        return self._final * np.asarray(y, dtype=float)[..., None, :]
+    def final_row_adjoint(self, y: np.ndarray, out=None) -> np.ndarray:
+        """``op(n-1, r)^T y`` at every node r, shape (..., n_nodes, modes),
+        in ``out`` when given."""
+        return np.multiply(self._final, np.asarray(y, dtype=float)[..., None, :],
+                           out=out)
 
     def final_block(self, r: int) -> np.ndarray:
         """``op(n-1, r)``, shape (modes, modes)."""
@@ -581,10 +609,13 @@ class DensePropagatorTable:
         values = np.asarray(values, dtype=float)
         return values.reshape(*values.shape[:-2], -1) @ self._final_t
 
-    def final_row_adjoint(self, y: np.ndarray) -> np.ndarray:
-        """``Psi[n-1, r]^T y`` at every node r, shape (..., n_nodes, d)."""
-        out = np.asarray(y, dtype=float) @ self._final_t.T
-        return out.reshape(*out.shape[:-1], self.grid.n_nodes, self.dim)
+    def final_row_adjoint(self, y: np.ndarray, out=None) -> np.ndarray:
+        """``Psi[n-1, r]^T y`` at every node r, shape (..., n_nodes, d), in
+        ``out`` when given, a C-contiguous array of that shape."""
+        y = np.asarray(y, dtype=float)
+        flat = None if out is None else out.reshape(*out.shape[:-2], -1)
+        flat = np.matmul(y, self._final_t.T, out=flat)
+        return flat.reshape(*flat.shape[:-1], self.grid.n_nodes, self.dim)
 
     def final_block(self, r: int) -> np.ndarray:
         """``Psi[n-1, r]``, shape (d, d), read from the final row."""

@@ -23,7 +23,8 @@ try:
 except ImportError:  # not on every platform
     resource = None
 
-__all__ = ["FractionalOrder", "TimeGrid", "require_memory", "safe_norm"]
+__all__ = ["FractionalOrder", "TimeGrid", "require_memory", "safe_norm",
+           "unscaled"]
 
 _CGROUP_MEMORY_FILES = ("/sys/fs/cgroup/memory.max",
                         "/sys/fs/cgroup/memory/memory.limit_in_bytes")
@@ -73,12 +74,19 @@ def require_memory(need: int, what: str) -> None:
             f"the {have / 1e9:.3g} GB {label}")
 
 
+def unscaled(value: float) -> bool:
+    """Whether ``value``, a norm taken as it is, is one that
+    :func:`safe_norm` returns unchanged: its squares cannot have overflowed
+    or underflowed."""
+    return 1e-150 < value < math.inf
+
+
 def safe_norm(values: np.ndarray, norm=np.linalg.norm) -> float:
     """``norm(values)``, taken over the largest magnitude and scaled back
     where the squares of finite values may overflow or underflow."""
     with np.errstate(over="ignore"):
         value = float(norm(values))
-    if not 1e-150 < value < math.inf and np.isfinite(values).all():
+    if not unscaled(value) and np.isfinite(values).all():
         scale = float(np.max(np.abs(values))) or 1.0
         value = scale * float(norm(values / scale))
     return value

@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NumericError
-from .grids import TimeGrid, safe_norm
+from .grids import TimeGrid, safe_norm, unscaled
 from .evolution import PropagatorTable
 
 __all__ = [
@@ -129,31 +129,53 @@ def nonlinearity_values(fun: Optional[Nonlinearity], grid: TimeGrid,
     return out
 
 
+def _sup_row_norm(values: np.ndarray, squares=None) -> float:
+    """``np.linalg.norm(values, axis=1).max()``, the same sums, with the
+    squares written to ``squares`` when it is given."""
+    squares = np.multiply(values, values, out=squares)
+    return float(np.sqrt(np.add.reduce(squares, axis=1)).max())
+
+
+def _update_norm(new: np.ndarray, x: np.ndarray, work: np.ndarray) -> float:
+    """``safe_norm(new - x, _sup_row_norm)``, the difference and its squares
+    taken in ``work``; a norm that safe_norm would rescale is taken again
+    from a new difference.  Call it where overflow is ignored."""
+    update = _sup_row_norm(np.subtract(new, x, out=work), work)
+    return update if unscaled(update) else safe_norm(new - x, _sup_row_norm)
+
+
 def iterate_fixed_point(sweep: Callable[[np.ndarray], np.ndarray],
-                        x: np.ndarray, problem: ControlProblem) -> tuple:
+                        x: np.ndarray, problem: ControlProblem,
+                        work: Optional[np.ndarray] = None) -> tuple:
     """Apply ``sweep`` from ``x`` until the sup-norm update reaches tolerance.
 
     The tolerance is ``picard_tol * max(1, ||x0||)``: relative to the
     initial state above unit norm, as the divergence guard and the null
     tolerance are, so a linear closed loop takes the same sweeps at every
     amplitude, and absolute below it.  Returns the last iterate, the number
-    of sweeps and the update norms.  Raises :class:`ConvergenceError` on a
-    non-finite update, one past ``1e8 * max(1, ||x0||)``, or ``max_iter``
-    sweeps above the tolerance.  The norm is scaled, so it cannot overflow.
+    of sweeps and the update norms.  Raises :class:`NumericError` when a
+    sweep's result is not finite, and :class:`ConvergenceError` on an
+    update past ``1e8 * max(1, ||x0||)`` or ``max_iter`` sweeps above the
+    tolerance.  The norm is scaled, so it cannot overflow.  The update is
+    formed in ``work``, an array of x's shape and type, which a sweep may
+    also use while it runs; one is made when none is given.
     """
     scale = max(1.0, safe_norm(problem.x0))
     guard, tol = _DIVERGENCE_FACTOR * scale, problem.picard_tol * scale
     update = math.inf
     updates = []
+    work = np.empty_like(x) if work is None else work
     for iteration in range(1, problem.max_iter + 1):
-        # an overflow shows as a non-finite update, refused below
+        # an overflow shows as a non-finite result, refused below
         with np.errstate(over="ignore", invalid="ignore"):
             new = sweep(x)
-            update = safe_norm(new - x,
-                               lambda v: np.linalg.norm(v, axis=1).max())
+            update = _update_norm(new, x, work)
         updates.append(update)
         x = new
         if not np.isfinite(update) or update > guard:
+            if not np.isfinite(new).all():
+                raise NumericError(f"fixed-point sweep {iteration} is not "
+                                   "finite")
             raise ConvergenceError(
                 f"fixed-point sweep diverged (update norm {update:.3e})",
                 last_norm=update,
@@ -192,25 +214,28 @@ def picard_solve(problem: ControlProblem,
     ------
     ConvergenceError
         If the update norms fail to reach ``picard_tol * max(1, ||x0||)``
-        within ``max_iter`` sweeps or grow past a divergence guard.
+        within ``max_iter`` sweeps or a finite one grows past a divergence
+        guard.
     NumericError, DomainError
-        If the nonlinearity returns a non-finite value or an array of the
-        wrong shape (see :func:`nonlinearity_values`).
+        If a sweep's result is not finite, or the nonlinearity returns a
+        non-finite value or an array of the wrong shape (see
+        :func:`nonlinearity_values`).
     """
     grid = propagator.grid
     hom = propagator.homogeneous(problem.x0)
 
     def sweep(x):
-        return hom + propagator.accumulate(
+        state = propagator.accumulate(
             nonlinearity_values(problem.nonlinearity, grid, x))
+        state += hom
+        return state
 
     x = hom.copy() if x_init is None else np.array(x_init, dtype=float)
     if x.shape != hom.shape:
         raise DomainError(f"x_init has shape {x.shape}, expected {hom.shape}")
 
     x, iterations, updates = iterate_fixed_point(sweep, x, problem)
-    residual = safe_norm(sweep(x) - x,
-                         lambda v: np.linalg.norm(v, axis=1).max())
+    residual = safe_norm(sweep(x) - x, _sup_row_norm)
     return PicardResult(x, iterations, residual, updates)
 
 

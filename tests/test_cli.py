@@ -302,6 +302,9 @@ DEMO_KEYS = {"n_nodes": "401", "n_modes": "6", "nonlinearity": "linear 0.05"}
     # norms whose squares overflow or underflow, and the summary reads them
     # rescaled
     ("control", {"x0": "first_mode 1e308"}, 4),
+    # a sweep of the semilinear loop overflows: NUMERIC, as a table's does,
+    # where a finite update past the divergence guard is CONVERGENCE
+    ("control", {**DEMO_KEYS, "x0": "first_mode 1e308"}, 4),
     ("control", {"x0": "first_mode 1e200"}, 0),
     ("control", {"x0": "first_mode 1e-200"}, 0),
     # the spectral norm bound is exp(999)
@@ -311,9 +314,10 @@ DEMO_KEYS = {"n_nodes": "401", "n_modes": "6", "nonlinearity": "linear 0.05"}
     ("evolve", {"tau_start": "1e308", "tau_end": "1.5e308"}, 3),
     ("control", {"control": "scalar 1e308"}, 4),
     ("solve", {"nonlinearity": "linear 1e308"}, 5),
-    ("control", {"nonlinearity": "linear 1e308"}, 5),
+    ("control", {"nonlinearity": "linear 1e308"}, 4),
 ], ids=["dense_family_1e200", "diagonal_gramian_1.7e308",
-        "affine_potential_1e308", "x0_1e308", "x0_1e200", "x0_1e-200",
+        "affine_potential_1e308", "x0_1e308", "demo_x0_1e308", "x0_1e200",
+        "x0_1e-200",
         "potential_minus_1e3", "tau_end_past_t_range",
         "tau_start_past_t_range", "control_1e308", "solve_linear_1e308",
         "control_linear_1e308"])
@@ -339,6 +343,9 @@ def test_overflow_in_a_table_build_is_one_numeric_line(tmp_path, pipeline,
         return
     label = {3: "DOMAIN", 4: "NUMERIC", 5: "CONVERGENCE"}[code]
     assert len(err) == 1 and err[0].startswith(f"ERROR {label}: ")
+    if code != 5:
+        # not a verdict: no summary, no CSV
+        assert not out.exists() or list(out.iterdir()) == []
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     if code == 4:
         assert list(out.glob("*")) == []
@@ -460,6 +467,26 @@ def test_tabulated_potential_skips_lines_of_spaces(tmp_path):
         assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
         outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert outputs[0] == outputs[1]
+
+
+def test_tabulated_potential_is_opened_once_per_run(tmp_path, monkeypatch):
+    # the config is parsed and checked, and the run builds its family, from
+    # one read of the potential file
+    path = tmp_path / "pot.csv"
+    path.write_text("0,1\n0.5,2\n1,3\n")
+    cfg = write_cfg(tmp_path, potential=f"tabulated {path}",
+                    nonlinearity="linear 0.05")
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(os.fspath(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    assert main(["control", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 0
+    assert opened.count(str(path)) == 1
 
 
 @pytest.mark.parametrize("table, spans", [

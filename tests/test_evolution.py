@@ -543,6 +543,39 @@ def test_spectral_scan_chunks():
     assert any(st.min() < 0.0 < st.max() for st in chunk_steps)
 
 
+def chunkwise_scan(table, values):
+    """The spectral scan with each chunk finished in its own step, every
+    term in a fresh array: the same operations as ``accumulate``, in the
+    order the docstring states them."""
+    half = 0.5 * table.grid.h * values
+    acc = np.zeros_like(values)
+    for a, b in zip(table._anchors[:-1], table._anchors[1:]):
+        run = np.empty((b - a,) + values.shape[1:])
+        run[0] = acc[a] + half[a]
+        run[1:] = values[a + 1:b] / table._decay[a + 1:b]
+        run[1:] *= table.grid.h
+        acc[a + 1:b + 1] = table._decay[a + 1:b + 1] * np.cumsum(run, axis=0) \
+            + half[a + 1:b + 1]
+    return acc
+
+
+def test_spectral_accumulate_keeps_its_input_on_a_stiff_table():
+    # 32 modes and a potential of amplitude 30 over 1201 nodes: several
+    # scan chunks, a chunked exponent that falls and rises, and more rows
+    # than one row block of the half-weight terms
+    fam = SpectralHeatFamily(lambda tau: 1.0 + 30.0 * np.sin(5.0 * tau), 32)
+    table = build_propagator(fam, window(1201))
+    assert len(table._anchors) > 4
+    values = np.random.default_rng(81).standard_normal((1201, 32))
+    kept = values.copy()
+    with np.errstate(over="raise", invalid="raise"):
+        got = table.accumulate(values)
+    assert np.array_equal(values, kept)
+    assert np.array_equal(got, chunkwise_scan(table, values))
+    march = spectral_march(table, values)
+    assert np.max(np.abs(got - march)) <= 1e-13 * np.max(np.abs(march))
+
+
 def jordan_family():
     return DenseMatrixFamily(
         lambda tau: np.array([[1.0, 1.0], [0.0, 1.0]])
