@@ -19,11 +19,11 @@ roundoff): W is the controllability Gramian and L^* W^{-1} is the concrete
 minimum-norm representative of the inverse of L restricted to the
 orthogonal complement of its kernel.
 
-L and N are each one call of the table's ``final_row``, and the adjoint
-``L^* y = B^T op(end, s)^T y`` of its ``final_row_adjoint``.  The Gramian
-is the table's quadratic form ``final_gram(B B^T)`` of its final row, so
-no per-node stack is formed, and the gain norm is the exact top
-eigenvalue of a pencil.
+L and N are each one call of the table's ``final_state``, which holds the
+weights, and the adjoint ``L^* y = B^T op(end, s)^T y`` of its
+``final_row_adjoint``.  The Gramian is the table's quadratic form
+``final_gram(B B^T)`` of its final row, so no per-node stack is formed,
+and the gain norm is the exact top eigenvalue of a pencil.
 
 The d x d Gramian is factorized by numpy's Cholesky with escalating jitter,
 so no pipeline needs scipy; exceeding the jitter cap means the
@@ -70,11 +70,12 @@ _TOL_INEQ = 1e-6
 class GramianSolve:
     """Reachability map of a propagator table and its factorized Gramian.
 
-    The reachability map L and its adjoint ``L^* y = B^T op(end, s)^T y``
-    (adjoint in the trapezoid-weighted inner product) are the table's
-    ``final_row`` and ``final_row_adjoint``; nothing node-by-node is
-    stored here.  ``gramian`` is ``W = L L^*``, and ``gain_norm_est`` is the
-    exact norm of the state-to-control gain operator.
+    The reachability map L is the table's ``final_state`` of the drive
+    ``u B^T``, and its adjoint ``L^* y = B^T op(end, s)^T y`` (adjoint in
+    the trapezoid-weighted inner product) its ``final_row_adjoint``;
+    nothing node-by-node is stored here.  ``gramian`` is ``W = L L^*``,
+    and ``gain_norm_est`` is the exact norm of the state-to-control gain
+    operator.
     """
 
     propagator: PropagatorTable
@@ -90,25 +91,7 @@ class GramianSolve:
 
     def apply_reachability(self, u_values: np.ndarray) -> np.ndarray:
         """Final state produced by a control trajectory (the map L)."""
-        drive = self.grid.weights()[:, None] * (u_values @ self.b_matrix.T)
-        return self.propagator.final_row(drive)
-
-    def free_response(self, z0: np.ndarray,
-                      forcing: Optional[np.ndarray] = None,
-                      out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Final state of the uncontrolled system (the map N).
-
-        The weighted forcing is formed in ``out`` when it is given, an
-        ``(n_nodes, dim)`` array.  ``final_row`` sums from +0.0, so a -0.0
-        among its terms counts as the +0.0 a sum onto zeros makes of it.
-        """
-        if forcing is None:
-            values = np.zeros((self.grid.n_nodes, np.size(z0)))
-        else:
-            values = np.multiply(self.grid.weights()[:, None], forcing,
-                                 out=out)
-        values[0] += z0
-        return self.propagator.final_row(values)
+        return self.propagator.final_state(None, u_values @ self.b_matrix.T)
 
     def solve_gramian(self, rhs: np.ndarray) -> np.ndarray:
         """``W^{-1} rhs`` through the lower Cholesky factor L, ``W = L L^T``."""
@@ -239,10 +222,11 @@ def _null_sweep(gramian, hom, z0, forcing, work=None):
     """The minimum-norm control u steering ``z0`` under ``forcing`` to zero,
     and the mild solution ``hom + V[u B^T + forcing]``.  ``None`` forcing
     adds nothing, not a zero array, so a -0.0 of ``u B^T`` stays -0.0.
-    The weighted forcing, the adjoint's rows and then the drive are formed
-    in ``work`` when it is given, a C-contiguous ``(n_nodes, dim)`` array."""
+    The free response ``final_state(z0, forcing)`` (the map N) forms its
+    weighted forcing, then the adjoint its rows and then the drive, in
+    ``work`` when it is given, a C-contiguous ``(n_nodes, dim)`` array."""
     u_values = gramian.control_from_target(
-        gramian.free_response(z0, forcing, out=work), out=work)
+        gramian.propagator.final_state(z0, forcing, out=work), out=work)
     drive = np.matmul(u_values, gramian.b_matrix.T, out=work)
     if forcing is not None:
         drive += forcing
@@ -301,7 +285,7 @@ def exact_null_control_semilinear(problem: ControlProblem,
     Iterates, from the homogeneous trajectory ``hom``, the single map
 
         x  ->  hom + V[u(x) B^T + F(x)],
-        u(x) = control_from_target(free_response(x0, F(x))),
+        u(x) = control_from_target(final_state(x0, F(x))),
 
     with ``V`` the trapezoid Volterra accumulation, and the grid and B the
     Gramian's; the small-gain ``lhs`` of ``mild.contraction_report``

@@ -62,13 +62,13 @@ An independent brute-force oracle integrates the substituted ODE with a
 classical fourth-order one-step method; every propagator test is anchored
 to it.
 
-Both tables apply their final row, forwards (``final_row``) and
-transposed (``final_row_adjoint``), return one of its blocks
-(``final_block``), and take its weighted quadratic form
-``final_gram(M) = sum_r w_r Psi[n-1, r] M Psi[n-1, r]^T``, which is the
-controllability Gramian for ``M = B B^T``.  Their Volterra sums
-(``accumulate`` and ``final_gram``) use trapezoid weights, second order
-in h on both backends.
+Both tables give the final state
+``final_state(z0, f) = Psi[n-1, 0] z0 + sum_r w_r Psi[n-1, r] f[r]``,
+apply their final row transposed (``final_row_adjoint``), return one of
+its blocks (``final_block``), and take its weighted quadratic form
+``final_gram(M) = sum_r w_r Psi[n-1, r] M Psi[n-1, r]^T``, the
+controllability Gramian for ``M = B B^T``.  Their Volterra sums use the
+trapezoid weights w, second order in h on both backends.
 
 Table construction is single-threaded; both tables are immutable once
 built.  The dense backend needs numpy only.
@@ -198,6 +198,13 @@ def _propagator_bytes(n: int, d: int) -> int:
     d x d doubles.
     """
     return 8 * n * d * d * (2 + (n - 2).bit_length())
+
+
+def _check_nodes(grid: TimeGrid, i: int, j: int) -> None:
+    """Raise :class:`IndexError` unless ``0 <= j <= i < n_nodes``."""
+    if not 0 <= j <= i < grid.n_nodes:
+        raise IndexError(f"node pair ({i}, {j}) needs 0 <= j <= i < "
+                         f"{grid.n_nodes}")
 
 
 def _require_finite(what: str, values: np.ndarray, grid: TimeGrid,
@@ -366,8 +373,30 @@ def _scan_anchors(exponents: np.ndarray) -> list[int]:
     return anchors
 
 
+class _Table:
+    """What both tables share: their dimension and the final-state map."""
+
+    @property
+    def dim(self) -> int:
+        return self.family.dim
+
+    def final_state(self, z0=None, forcing=None, out=None) -> np.ndarray:
+        """``Psi[n-1, 0] z0 + sum_r w_r Psi[n-1, r] forcing[r]``, w the
+        trapezoid weights, with a ``None`` term left out.  The weighted
+        forcing, ``(n_nodes, dim)``, is formed in ``out`` when it is given;
+        the row product sums from +0.0, so a -0.0 among its terms counts as
+        the +0.0 a sum onto zeros makes of it."""
+        if forcing is None:
+            values = np.zeros((self.grid.n_nodes, self.dim))
+        else:
+            values = np.multiply(self.grid.weights()[:, None], forcing, out=out)
+        if z0 is not None:
+            values[0] += _state(z0, self.dim)
+        return self._final_row(values)
+
+
 @dataclass
-class SpectralPropagatorTable:
+class SpectralPropagatorTable(_Table):
     """Diagonal propagator for the sine-mode heat family.
 
     Stores the cumulative tau-integral of the potential; the factor of mode
@@ -386,9 +415,9 @@ class SpectralPropagatorTable:
 
     def __post_init__(self):
         n, m = self.grid.n_nodes, self.family.n_modes
-        # the (n_nodes, modes) scale factors and final row it keeps, which
-        # its build computes in the buffers of the exponents and their suffix
-        # minima, and as much again for the run's arrays of that shape
+        # the (n_nodes, modes) scale factors and final row it keeps, the
+        # first of which its build computes in the buffer of the exponents,
+        # and as much again for the run's arrays of that shape
         require_memory(32 * n * m,
                        f"a spectral table of {n} nodes and {m} modes")
         with np.errstate(all="ignore"):
@@ -407,13 +436,13 @@ class SpectralPropagatorTable:
             raise NumericError("the tau-integral of the potential overflows")
         self._sq = np.arange(1, self.family.n_modes + 1, dtype=float) ** 2
         # per-mode exponent E_n(i) = n^2 tau_i + P_i; the largest factor over
-        # pairs i >= j is exp(max_j (E_n(j) - min_{i>=j} E_n(i)))
+        # pairs i >= j is exp(max_j (E_n(j) - min_{i>=j} E_n(i))), and mode 1
+        # has the largest: E_n - E_1 = (n^2 - 1) tau is nondecreasing
         with np.errstate(all="ignore"):
             exponents = np.multiply.outer(self.grid.tau_nodes, self._sq)
             exponents += self.potential_cumint[:, None]
-            # in reversed node order
-            suffix_min = np.minimum.accumulate(exponents[::-1], axis=0)
-            spread = np.subtract(exponents[::-1], suffix_min, out=suffix_min)
+            first = exponents[::-1, 0]  # in reversed node order
+            spread = first - np.minimum.accumulate(first)
             self.norm_bound = float(np.exp(np.max(spread)))
         if not np.isfinite(self.norm_bound):
             raise NumericError("the norm bound of the spectral propagator "
@@ -424,11 +453,7 @@ class SpectralPropagatorTable:
         owner = np.repeat(self._anchors[:-1], np.diff(self._anchors))
         self._decay = self._between(np.s_[:], np.concatenate([[0], owner]),
                                     out=exponents)
-        self._final = self._between(-1, np.s_[:], out=spread)
-
-    @property
-    def dim(self) -> int:
-        return self.family.n_modes
+        self._final = self._between(-1, np.s_[:])
 
     def _between(self, i, j, out=None) -> np.ndarray:
         """Mode factors from node(s) ``j`` to node(s) ``i``, shape (..., modes),
@@ -440,8 +465,7 @@ class SpectralPropagatorTable:
         return np.exp(out, out=out)
 
     def factors(self, i: int, j: int) -> np.ndarray:
-        if j > i:
-            raise IndexError("source node must not exceed target node")
+        _check_nodes(self.grid, i, j)
         return self._between(i, j)
 
     def matrix(self, i: int, j: int) -> np.ndarray:
@@ -498,7 +522,7 @@ class SpectralPropagatorTable:
             acc[start:start + rows] += part
         return acc
 
-    def final_row(self, values: np.ndarray) -> np.ndarray:
+    def _final_row(self, values: np.ndarray) -> np.ndarray:
         """``sum_r op(n-1, r) values[r]``; values (..., n_nodes, modes)."""
         return np.einsum("rm,...rm->...m", self._final, values)
 
@@ -510,6 +534,7 @@ class SpectralPropagatorTable:
 
     def final_block(self, r: int) -> np.ndarray:
         """``op(n-1, r)``, shape (modes, modes)."""
+        _check_nodes(self.grid, self.grid.n_nodes - 1, r)
         return np.diag(self._final[r])
 
     def final_gram(self, m: np.ndarray) -> np.ndarray:
@@ -549,7 +574,7 @@ def _doubling_levels(steps: np.ndarray):
 
 
 @dataclass
-class DensePropagatorTable:
+class DensePropagatorTable(_Table):
     """Evolution operators of a dense matrix family, kept as doubling levels.
 
     ``levels[k][i]`` is ``Psi(i, max(0, i - 2**k))``, a product of the
@@ -568,14 +593,8 @@ class DensePropagatorTable:
     _final_t: np.ndarray = field(repr=False)
     norm_bound: float
 
-    @property
-    def dim(self) -> int:
-        return self.family.dim
-
     def matrix(self, i: int, j: int) -> np.ndarray:
-        if not 0 <= j <= i < self.grid.n_nodes:
-            raise IndexError(f"node pair ({i}, {j}) needs 0 <= j <= i < "
-                             f"{self.grid.n_nodes}")
+        _check_nodes(self.grid, i, j)
         out = np.eye(self.dim)
         for step in self.levels[0][j + 1:i + 1]:
             out = step @ out
@@ -604,7 +623,7 @@ class DensePropagatorTable:
             span *= 2
         return acc
 
-    def final_row(self, values: np.ndarray) -> np.ndarray:
+    def _final_row(self, values: np.ndarray) -> np.ndarray:
         """``sum_r Psi[n-1, r] values[r]``; values (..., n_nodes, d)."""
         values = np.asarray(values, dtype=float)
         return values.reshape(*values.shape[:-2], -1) @ self._final_t
@@ -619,6 +638,7 @@ class DensePropagatorTable:
 
     def final_block(self, r: int) -> np.ndarray:
         """``Psi[n-1, r]``, shape (d, d), read from the final row."""
+        _check_nodes(self.grid, self.grid.n_nodes - 1, r)
         d = self.dim
         return self._final_t[r * d:(r + 1) * d].T.copy()
 
@@ -757,13 +777,9 @@ def conformable_residual(table: PropagatorTable,
 
     The fractional time derivative equals d/dtau, evaluated by a central
     difference on the table; returns
-    ``|| d_tau op(i, j) + A(tau_i) op(i, j) ||_2``.
+    ``|| d_tau op(i, j) + A(tau_i) op(i, j) ||_2``.  The table's node
+    check refuses i outside ``1 <= i <= n-2`` or j outside ``0 <= j < i``.
     """
-    n = table.grid.n_nodes
-    if not j < i:
-        raise IndexError("need a source node strictly before the target")
-    if i < 1 or i > n - 2:
-        raise IndexError("target node must be interior for central differences")
     h = table.grid.h
     diff = (table.matrix(i + 1, j) - table.matrix(i - 1, j)) / (2.0 * h)
     resid = diff + family.a_matrix(table.grid.tau_nodes[i]) @ table.matrix(i, j)
@@ -778,10 +794,9 @@ def adjoint_residual(table: PropagatorTable,
     """Residual of the backward (source-side) derivative relation.
 
     Checks ``d_tau_s [op(i, j) v] = op(i, j) A(tau_j) v`` by a central
-    difference in the source index.
+    difference in the source index; the table's node check refuses j
+    outside ``1 <= j < i`` and i outside the grid.
     """
-    if not 1 <= j < i:
-        raise IndexError("need an interior source node strictly before i")
     h = table.grid.h
     v = np.asarray(v, dtype=float)
     diff = (table.matrix(i, j + 1) @ v - table.matrix(i, j - 1) @ v) / (2.0 * h)

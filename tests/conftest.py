@@ -221,16 +221,16 @@ def spectral_march(table, values):
 
 
 def final_gram_reference(table, m):
-    """``sum_r w_r Psi[n-1, r] M Psi[n-1, r]^T`` from the final-row maps.
+    """``sum_r w_r Psi[n-1, r] M Psi[n-1, r]^T``, summed over the blocks.
 
-    ``final_row_adjoint(I)`` holds row k of every final block ``Psi[n-1, r]``;
-    times M and the trapezoid weights it is the drive whose ``final_row``
-    is row k of the sum.  The generic route, with ``(d, n, d)``
+    ``final_row_adjoint(I)`` holds row k of every final block ``Psi[n-1, r]``,
+    so swapping its first two axes stacks the blocks; the trapezoid
+    weights w are written out.  The generic route, with ``(n, d, d)``
     temporaries; the reference for the tables' ``final_gram``.
     """
-    rows = table.final_row_adjoint(np.eye(table.dim))
-    drive = (rows @ m) * table.grid.weights()[:, None]
-    return table.final_row(drive)
+    blocks = table.final_row_adjoint(np.eye(table.dim)).transpose(1, 0, 2)
+    return np.einsum("r,rab,rcb->ac", table.grid.weights(), blocks @ m,
+                     blocks)
 
 
 def regularized_residuals(family, kernel_table, i, j, pullbacks=(8, 4, 2)):

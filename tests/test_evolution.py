@@ -827,9 +827,10 @@ def test_applications_match_materialised_oracle(dim, oracle):
 
 
 def check_final_row(table, final, values, y):
-    """Both final-row applications against the blocks ``final[r]``."""
-    got = table.final_row(values)
-    assert np.max(np.abs(got - np.einsum("rab,rb->a", final, values))) <= 1e-12
+    """The final-state map and the transposed final row against the blocks
+    ``final[r]``, with the trapezoid weights w written out."""
+    want = np.einsum("r,rab,rb->a", table.grid.weights(), final, values)
+    assert np.max(np.abs(table.final_state(forcing=values) - want)) <= 1e-12
     got = table.final_row_adjoint(y)
     assert np.max(np.abs(got - np.einsum("rab,a->rb", final, y))) <= 1e-12
     # leading axes batch: row k of every final block at once
@@ -869,6 +870,77 @@ def test_final_gram_matches_generic_sum(backend):
     assert np.array_equal(table.final_block(0), final)
     assert np.allclose(table.final_block(0), table.matrix(60, 0),
                        rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("backend", ["spectral", "dense"])
+def test_final_state_matches_weighted_node_pair_sum(backend):
+    # Psi(T, 0) z0 + sum_r w_r Psi(T, r) f_r from the node-pair matrices,
+    # for z0 alone, the forcing alone and both; the weighted forcing is
+    # formed in ``out`` when it is given
+    rng = np.random.default_rng(73)
+    if backend == "spectral":
+        fam = SpectralHeatFamily(lambda tau: 1.0 + 0.3 * np.sin(tau), 5)
+    else:
+        fam = make_dense_family(rng, 3)
+    grid = window(61)
+    table = build_propagator(fam, grid)
+    final = np.stack([table.matrix(60, r) for r in range(61)])
+    z0 = rng.standard_normal(table.dim)
+    forcing = rng.standard_normal((61, table.dim))
+    free = final[0] @ z0
+    forced = np.einsum("r,rab,rb->a", grid.weights(), final, forcing)
+    for got, want in ((table.final_state(z0), free),
+                      (table.final_state(forcing=forcing), forced),
+                      (table.final_state(z0, forcing), free + forced)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    out = np.empty_like(forcing)
+    assert np.array_equal(table.final_state(z0, forcing, out=out),
+                          table.final_state(z0, forcing))
+    assert np.array_equal(out[1:], grid.weights()[1:, None] * forcing[1:])
+
+
+@pytest.mark.parametrize("backend", ["spectral", "dense"])
+def test_tables_refuse_nodes_outside_the_grid(backend):
+    # a negative node must not wrap to the end of the grid: read as the
+    # last node, node -1 of matrix(5, -1) gives the spectral inverse map
+    rng = np.random.default_rng(74)
+    fam = (SpectralHeatFamily(lambda tau: 1.0 + 0.0 * tau, 3)
+           if backend == "spectral" else make_dense_family(rng, 2))
+    table = build_propagator(fam, window(11))
+    table.matrix(10, 0)
+    table.final_block(10)
+    for i, j in ((5, -1), (-1, -3), (11, 0), (3, 5), (11, 11)):
+        with pytest.raises(IndexError, match=re.escape(
+                f"node pair ({i}, {j}) needs 0 <= j <= i < 11")):
+            table.matrix(i, j)
+    for r in (-1, 11):
+        with pytest.raises(IndexError, match=re.escape(
+                f"node pair (10, {r}) needs 0 <= j <= i < 11")):
+            table.final_block(r)
+
+
+def test_spectral_norm_bound_is_the_largest_over_every_mode():
+    # the bound is taken from mode 1 alone, since E_n - E_1 = (n^2 - 1) tau
+    # never decreases; on random windows and potentials a + b sin(c tau)
+    # with negative stretches it equals, bit for bit, the largest spread
+    # of the suffix minima over every mode
+    rng = np.random.default_rng(75)
+    for _ in range(400):
+        lo = rng.uniform(0.0, 2.0)
+        grid = TimeGrid(ORDER, lo, lo + rng.uniform(0.1, 3.0),
+                        int(rng.integers(2, 402)))
+        a, b, c = rng.uniform(-5.0, 5.0), rng.uniform(0.0, 8.0), \
+            rng.uniform(0.0, 20.0)
+        fam = SpectralHeatFamily(
+            lambda tau, a=a, b=b, c=c: a + b * np.sin(c * tau),
+            int(rng.integers(1, 65)))
+        table = build_propagator(fam, grid)
+        exponents = np.multiply.outer(
+            grid.tau_nodes, np.arange(1, fam.n_modes + 1, dtype=float)**2)
+        exponents += table.potential_cumint[:, None]
+        rev = exponents[::-1]
+        spread = rev - np.minimum.accumulate(rev, axis=0)
+        assert table.norm_bound == float(np.exp(np.max(spread)))
 
 
 def test_log_norm_bound_dominates_discrete_blocks():
